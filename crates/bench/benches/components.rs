@@ -10,7 +10,7 @@ use std::hint::black_box;
 use metasim_apps::registry::TestCase;
 use metasim_apps::tracing::{sample_addresses, trace_workload};
 use metasim_bench::{shared_fleet, shared_probes, shared_study};
-use metasim_core::convolver::Convolver;
+use metasim_core::formula::{cost_expr, eval_cost};
 use metasim_core::metric::MetricId;
 use metasim_machines::MachineId;
 use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload};
@@ -158,10 +158,10 @@ fn bench_convolver(c: &mut Criterion) {
     let labels = analyze_dependencies(&trace.blocks);
 
     c.bench_function("convolve_all_nine_metrics", |b| {
-        let conv = Convolver::new(&probes);
+        let costs = MetricId::ALL.map(cost_expr);
         b.iter(|| {
-            for m in MetricId::ALL {
-                black_box(conv.cost(m, &trace, &labels));
+            for cost in &costs {
+                black_box(eval_cost(cost, &probes, &trace, &labels));
             }
         });
     });

@@ -13,7 +13,7 @@
 //! transfer function reads that probe, and the base ground-truth edge
 //! exists because [`Expr::uses_base_runtime`] finds Equation 1's `T(X₀)`
 //! leaf. The graph is not a drawing of what we hope the study does; it is
-//! computed from the same IR the convolver is pinned against.
+//! computed from the same IR the predictions are evaluated from.
 //!
 //! On top of the graph, [`lint_dataflow`] proves the properties a sharded
 //! executor needs, exactly the way `metasim lint` proves dimensional

@@ -1,12 +1,20 @@
-//! A symbolic IR for the nine metric transfer functions.
+//! A symbolic IR for the nine metric transfer functions — and the only
+//! implementation of them.
 //!
-//! Every metric the convolver implements is also written down here as an
-//! expression tree over *dimensioned* leaves: probe-measured rates
-//! (FLOP/s, bytes/s, updates/s), trace-derived operation counts (FLOPs,
-//! bytes), piecewise MAPS curve lookups, and time sums over basic blocks
-//! and MPI census entries. The tree supports two static analyses that run
-//! without measuring or convolving anything:
+//! Every metric is written down here as an expression tree over
+//! *dimensioned* leaves: probe-measured rates (FLOP/s, bytes/s,
+//! updates/s), trace-derived operation counts (FLOPs, bytes), piecewise
+//! MAPS curve lookups, and time sums over basic blocks and MPI census
+//! entries. The same trees serve three purposes:
 //!
+//! * **Evaluation** ([`eval_cost`], [`eval_prediction`]) — the paper's
+//!   convolver (§3): counts divided by probe rates, summed over blocks with
+//!   flop/memory overlap. [`crate::prediction::predict_all`] runs exactly
+//!   this, so every study number comes out of these trees. The walker is
+//!   generic over the value it folds: plain `f64` for predictions, and the
+//!   sensitivity analysis's banded, derivative-carrying value for
+//!   `metasim sense` — whose nominal component is therefore the prediction
+//!   by construction.
 //! * **Dimension checking** ([`Expr::dim`]) — folds the exponent vector of
 //!   every node and rejects sums, overlaps (`max`), or comm-op switches
 //!   whose arms disagree. `metasim lint` uses this to prove that each
@@ -18,17 +26,16 @@
 //!   metrics referencing unmeasured quantities and measurements no metric
 //!   reads.
 //!
-//! The IR is kept honest by evaluation: [`eval_cost`] interprets the tree
-//! with the same operation order the convolver uses, and a test pins the
-//! result **bit-for-bit** against [`Convolver::cost`](crate::convolver::Convolver::cost) for all nine metrics.
-//! If the convolver's math drifts from the formulas the lint reasons
-//! about, that test fails.
+//! Overlap model: within a block, floating-point and memory work fully
+//! overlap (`max`). That is deliberately more optimistic than the ground
+//! truth's partial overlap — the convolver is a model, and the gap is one
+//! of its honest error sources.
 
 use std::fmt;
 
 use metasim_probes::maps::DependencyFlavor;
 use metasim_probes::suite::MachineProbes;
-use metasim_tracer::block::DependencyClass;
+use metasim_tracer::block::{DependencyClass, TracedBlock};
 use metasim_tracer::counters::HardwareCounters;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
@@ -37,8 +44,8 @@ use metasim_netsim::replay::{CommEvent, CommOp};
 
 use crate::metric::MetricId;
 
-/// Bytes per memory reference (double precision) — mirrors the convolver.
-pub(crate) const REF_BYTES: f64 = 8.0;
+/// Bytes per memory reference (double precision).
+const REF_BYTES: f64 = 8.0;
 
 // ---------------------------------------------------------------------------
 // Dimensions
@@ -569,6 +576,24 @@ impl Expr {
             Expr::OpSwitch(arms) => arms.iter().any(|(_, e)| e.uses_base_runtime()),
         }
     }
+
+    /// Transfer-function size of a cost tree evaluated on `trace`: one term
+    /// per arm of a top-level `Sum`/`Max` (1 for any other root), where a
+    /// block or census sum counts one term per iteration. The nine costs
+    /// give 1/1/1/1/2/2/B/B+E/B+E for B blocks and E census entries.
+    #[must_use]
+    pub(crate) fn term_count(&self, trace: &ApplicationTrace) -> usize {
+        let arm = |e: &Expr| match e {
+            Expr::BlockSum { .. } => trace.blocks.len(),
+            Expr::CommSum(_) => trace.mpi.events.len(),
+            _ => 1,
+        };
+        match self {
+            Expr::Sum(terms) => terms.iter().map(arm).sum(),
+            Expr::Max(a, b) => arm(a) + arm(b),
+            other => arm(other),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +632,11 @@ fn maps_cost_expr(labeled: bool) -> Expr {
 }
 
 /// The MPI-census network term of metrics #8–#9: per-event counts times a
-/// per-operation modelled time, all from NETBENCH measurements.
+/// per-operation modelled time, all from NETBENCH's *measured* latency and
+/// bandwidth (coarser than the machine's true network behaviour — an
+/// honest modelling gap). `all_reduce` scales the measured 64-process
+/// score logarithmically in `p`, and moves payload beyond the measured 8
+/// bytes at NETBENCH bandwidth per doubling stage.
 fn network_cost_expr() -> Expr {
     let p2p = || {
         Expr::Sum(vec![
@@ -655,8 +684,13 @@ fn network_cost_expr() -> Expr {
     )))
 }
 
-/// The symbolic cost `C(metric, X)` — the exact transfer function
-/// [`Convolver::cost`](crate::convolver::Convolver::cost) computes numerically.
+/// The symbolic cost `C(metric, X)` of `metric`'s transfer function.
+///
+/// Simple metrics (#1–#3) are the reciprocal benchmark rate — a "cost"
+/// whose base-calibrated ratio is exactly Equation 1. #5 adds its flop and
+/// memory times: counters carry no basic-block structure, so it cannot
+/// credit overlap, which is why it can be *worse* than STREAM alone
+/// (Table 4's 50% vs 43%). #6–#9 overlap them with `max`.
 #[must_use]
 pub fn cost_expr(metric: MetricId) -> Expr {
     match metric {
@@ -711,7 +745,13 @@ pub fn cost_expr(metric: MetricId) -> Expr {
 /// `metasim lint` verifies, and what the `eq1-multiply` mutation breaks.
 #[must_use]
 pub fn prediction_expr(metric: MetricId) -> Expr {
-    let cost = cost_expr(metric);
+    calibrated(cost_expr(metric))
+}
+
+/// Base-calibrate any cost tree with Equation 1's well-formed shape,
+/// `cost / OnBase(cost) · T(X₀)`.
+#[must_use]
+pub(crate) fn calibrated(cost: Expr) -> Expr {
     Expr::mul(
         Expr::ratio(cost.clone(), Expr::OnBase(Box::new(cost))),
         Expr::Time(TimeSource::BaseRuntime),
@@ -722,6 +762,54 @@ pub fn prediction_expr(metric: MetricId) -> Expr {
 // Evaluation
 // ---------------------------------------------------------------------------
 
+/// A value the evaluator folds an [`Expr`] into.
+///
+/// The tree walk — leaf reads, block and census iteration, comm-op
+/// dispatch, the `OnBase` side switch — is shared by every domain; a domain
+/// only says how leaves become values and how the four operations combine
+/// them. Plain `f64` is the prediction domain; the sensitivity analysis
+/// folds banded, derivative-carrying values through the same walk.
+pub(crate) trait Domain: Copy {
+    /// Per-evaluation parameters a probe leaf needs.
+    type Env: Copy;
+    /// An exactly known scalar: a constant, count, runtime scale, or the
+    /// measured base runtime.
+    fn exact(x: f64) -> Self;
+    /// A probe-measured leaf of quantity `q` with nominal value `x`, read
+    /// from the base machine's probes when `on_base`.
+    fn probe(env: Self::Env, x: f64, q: ProbeQuantity, on_base: bool) -> Self;
+    /// `self + o`.
+    fn add(self, o: Self) -> Self;
+    /// `self · o`.
+    fn mul(self, o: Self) -> Self;
+    /// `self / o`.
+    fn div(self, o: Self) -> Self;
+    /// `max(self, o)`.
+    fn max(self, o: Self) -> Self;
+}
+
+impl Domain for f64 {
+    type Env = ();
+    fn exact(x: f64) -> f64 {
+        x
+    }
+    fn probe((): (), x: f64, _: ProbeQuantity, _: bool) -> f64 {
+        x
+    }
+    fn add(self, o: f64) -> f64 {
+        self + o
+    }
+    fn mul(self, o: f64) -> f64 {
+        self * o
+    }
+    fn div(self, o: f64) -> f64 {
+        self / o
+    }
+    fn max(self, o: f64) -> f64 {
+        f64::max(self, o)
+    }
+}
+
 /// Evaluation context: the artifacts a formula's leaves read.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
@@ -730,14 +818,35 @@ struct Ctx<'a> {
     trace: &'a ApplicationTrace,
     labels: &'a [DependencyClass],
     base_time: Option<Seconds>,
+    /// Whether leaves read the base machine (inside an `OnBase`).
+    on_base: bool,
     /// Current block and its curve flavor, inside a `BlockSum`.
-    block: Option<(&'a metasim_tracer::block::TracedBlock, DependencyFlavor)>,
+    block: Option<(&'a TracedBlock, DependencyFlavor)>,
     /// Current census entry, inside a `CommSum`.
     event: Option<&'a CommEvent>,
 }
 
-impl Ctx<'_> {
-    fn block(&self) -> (&metasim_tracer::block::TracedBlock, DependencyFlavor) {
+impl<'a> Ctx<'a> {
+    fn new(
+        probes: &'a MachineProbes,
+        base_probes: Option<&'a MachineProbes>,
+        trace: &'a ApplicationTrace,
+        labels: &'a [DependencyClass],
+        base_time: Option<Seconds>,
+    ) -> Self {
+        Ctx {
+            probes,
+            base_probes,
+            trace,
+            labels,
+            base_time,
+            on_base: false,
+            block: None,
+            event: None,
+        }
+    }
+
+    fn block(&self) -> (&TracedBlock, DependencyFlavor) {
         self.block.expect("block leaf outside a BlockSum")
     }
 
@@ -770,9 +879,10 @@ impl Ctx<'_> {
     }
 }
 
-/// Interpret `expr` against one machine's probes and the application trace,
-/// with the convolver's exact operation order. The `formula_matches_convolver`
-/// test holds this to bitwise equality with [`Convolver::cost`](crate::convolver::Convolver::cost).
+/// The convolved cost of a [`cost_expr`] tree on one machine: the
+/// transfer function evaluated against that machine's probes and the
+/// application trace (`labels` are the static dependency verdicts,
+/// parallel to `trace.blocks`, read only by label-steered block sums).
 #[must_use]
 pub fn eval_cost(
     expr: &Expr,
@@ -780,21 +890,11 @@ pub fn eval_cost(
     trace: &ApplicationTrace,
     labels: &[DependencyClass],
 ) -> f64 {
-    let ctx = Ctx {
-        probes,
-        base_probes: None,
-        trace,
-        labels,
-        base_time: None,
-        block: None,
-        event: None,
-    };
-    eval(expr, &ctx)
+    eval(expr, &Ctx::new(probes, None, trace, labels, None), ())
 }
 
 /// Interpret a [`prediction_expr`] tree: the target/base cost ratio times
-/// the measured base runtime. Matches
-/// [`predict_all`](crate::prediction::predict_all) bit-for-bit.
+/// the measured base runtime.
 #[must_use]
 pub fn eval_prediction(
     expr: &Expr,
@@ -804,42 +904,78 @@ pub fn eval_prediction(
     labels: &[DependencyClass],
     base_time: Seconds,
 ) -> Seconds {
-    let ctx = Ctx {
-        probes: target,
-        base_probes: Some(base),
+    Seconds::new(eval_prediction_in(
+        expr,
+        target,
+        base,
         trace,
         labels,
-        base_time: Some(base_time),
-        block: None,
-        event: None,
-    };
-    Seconds::new(eval(expr, &ctx))
+        base_time,
+        (),
+    ))
 }
 
-fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
+/// [`eval_prediction`] folded into any [`Domain`].
+pub(crate) fn eval_prediction_in<V: Domain>(
+    expr: &Expr,
+    target: &MachineProbes,
+    base: &MachineProbes,
+    trace: &ApplicationTrace,
+    labels: &[DependencyClass],
+    base_time: Seconds,
+    env: V::Env,
+) -> V {
+    let ctx = Ctx::new(target, Some(base), trace, labels, Some(base_time));
+    eval(expr, &ctx, env)
+}
+
+/// The one tree walker behind every evaluation.
+fn eval<V: Domain>(expr: &Expr, ctx: &Ctx<'_>, env: V::Env) -> V {
+    let probe = |x: f64, q: ProbeQuantity| V::probe(env, x, q, ctx.on_base);
     match expr {
-        Expr::Const(c) => *c,
+        Expr::Const(c) => V::exact(*c),
         Expr::Rate(r) => match r {
-            RateSource::HplRmax => ctx.probes.hpl.rmax_flops_per_proc().get(),
-            RateSource::StreamBandwidth => ctx.probes.stream.bandwidth.get(),
-            RateSource::GupsUpdateRate => ctx.probes.gups.updates_per_second.get(),
-            RateSource::GupsEffectiveBandwidth => ctx.probes.gups.effective_bandwidth().get(),
-            RateSource::NetBandwidth => ctx.probes.netbench.bandwidth.get(),
+            RateSource::HplRmax => probe(
+                ctx.probes.hpl.rmax_flops_per_proc().get(),
+                ProbeQuantity::HplRmax,
+            ),
+            RateSource::StreamBandwidth => probe(
+                ctx.probes.stream.bandwidth.get(),
+                ProbeQuantity::StreamBandwidth,
+            ),
+            RateSource::GupsUpdateRate => probe(
+                ctx.probes.gups.updates_per_second.get(),
+                ProbeQuantity::GupsUpdateRate,
+            ),
+            RateSource::GupsEffectiveBandwidth => probe(
+                ctx.probes.gups.effective_bandwidth().get(),
+                ProbeQuantity::GupsEffectiveBandwidth,
+            ),
+            RateSource::NetBandwidth => probe(
+                ctx.probes.netbench.bandwidth.get(),
+                ProbeQuantity::NetBandwidth,
+            ),
         },
         Expr::Time(t) => match t {
-            TimeSource::NetLatency => ctx.probes.netbench.latency.get(),
-            TimeSource::NetAllreduce64 => ctx.probes.netbench.allreduce_64p.get(),
-            TimeSource::BaseRuntime => ctx
-                .base_time
-                .expect("BaseRuntime leaf in a cost-only evaluation")
-                .get(),
+            TimeSource::NetLatency => {
+                probe(ctx.probes.netbench.latency.get(), ProbeQuantity::NetLatency)
+            }
+            TimeSource::NetAllreduce64 => probe(
+                ctx.probes.netbench.allreduce_64p.get(),
+                ProbeQuantity::NetAllreduce64,
+            ),
+            TimeSource::BaseRuntime => V::exact(
+                ctx.base_time
+                    .expect("BaseRuntime leaf in a cost-only evaluation")
+                    .get(),
+            ),
         },
-        Expr::Scale(s) => match s {
+        Expr::Scale(s) => V::exact(match s {
             ScaleSource::LogProcs => ctx.log_procs(),
             ScaleSource::ProcsMinusOne => ctx.processes().saturating_sub(1) as f64,
             ScaleSource::AllreduceLogScale => ((ctx.processes() as f64).log2() / 6.0).max(0.17),
-        },
-        Expr::Count(c) => match c {
+        }),
+        Expr::Count(c) => V::exact(match c {
             CountSource::TracedFlops => ctx.trace.total_flops() as f64,
             CountSource::CounterFlops => HardwareCounters::from_trace(ctx.trace).flops as f64,
             CountSource::CounterBytes => {
@@ -863,26 +999,28 @@ fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
                 let extra = ctx.event_bytes().saturating_sub(8) as f64;
                 (ctx.processes() as f64).log2().ceil() * extra
             }
-        },
+        }),
         Expr::Curve { random } => {
             let (block, flavor) = ctx.block();
-            ctx.probes
-                .maps
-                .curve(*random, flavor)
-                .bandwidth_at(block.working_set.max(1))
-                .get()
+            probe(
+                ctx.probes
+                    .maps
+                    .curve(*random, flavor)
+                    .bandwidth_at(block.working_set.max(1))
+                    .get(),
+                ProbeQuantity::MapsCurves,
+            )
         }
-        Expr::Recip(e) => 1.0 / eval(e, ctx),
-        Expr::Ratio(a, b) => eval(a, ctx) / eval(b, ctx),
-        Expr::Mul(a, b) => eval(a, ctx) * eval(b, ctx),
-        // Left-fold like the convolver's binary `+` chains; `reduce` keeps
-        // two-term sums literally `a + b`.
+        Expr::Recip(e) => V::exact(1.0).div(eval(e, ctx, env)),
+        Expr::Ratio(a, b) => eval::<V>(a, ctx, env).div(eval(b, ctx, env)),
+        Expr::Mul(a, b) => eval::<V>(a, ctx, env).mul(eval(b, ctx, env)),
+        // Left fold; `reduce` keeps two-term sums literally `a + b`.
         Expr::Sum(terms) => terms
             .iter()
-            .map(|t| eval(t, ctx))
-            .reduce(|a, b| a + b)
-            .unwrap_or(0.0),
-        Expr::Max(a, b) => eval(a, ctx).max(eval(b, ctx)),
+            .map(|t| eval(t, ctx, env))
+            .reduce(V::add)
+            .unwrap_or_else(|| V::exact(0.0)),
+        Expr::Max(a, b) => eval::<V>(a, ctx, env).max(eval(b, ctx, env)),
         Expr::BlockSum { labeled, body } => {
             if *labeled {
                 assert_eq!(
@@ -891,7 +1029,7 @@ fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
                     "dependency labels must be parallel to blocks"
                 );
             }
-            let mut total = 0.0;
+            let mut total = V::exact(0.0);
             for (i, block) in ctx.trace.blocks.iter().enumerate() {
                 let flavor = if *labeled {
                     match ctx.labels[i] {
@@ -904,38 +1042,38 @@ fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
                 };
                 let mut inner = *ctx;
                 inner.block = Some((block, flavor));
-                total += eval(body, &inner);
+                total = total.add(eval(body, &inner, env));
             }
             total
         }
         Expr::CommSum(body) => {
-            let mut total = 0.0;
+            let mut total = V::exact(0.0);
             for event in &ctx.trace.mpi.events {
                 let mut inner = *ctx;
                 inner.event = Some(event);
-                total += eval(body, &inner);
+                total = total.add(eval(body, &inner, env));
             }
             total
         }
         Expr::OpSwitch(arms) => {
             let op = ctx.event().op;
-            // NETBENCH's all_reduce estimate short-circuits to zero below
-            // two processes; mirror that guard.
+            // A single process has no all_reduce partner: it costs nothing.
             if matches!(op, CommOp::AllReduce { .. }) && ctx.processes() <= 1 {
-                return 0.0;
+                return V::exact(0.0);
             }
             let (_, body) = arms
                 .iter()
                 .find(|(kind, _)| kind.matches(op))
                 .expect("comm-op switch missing an arm for a traced operation");
-            eval(body, ctx)
+            eval(body, ctx, env)
         }
         Expr::OnBase(e) => {
             let mut inner = *ctx;
             inner.probes = ctx
                 .base_probes
                 .expect("OnBase leaf in a single-machine evaluation");
-            eval(e, &inner)
+            inner.on_base = true;
+            eval(e, &inner, env)
         }
     }
 }
@@ -943,8 +1081,6 @@ fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolver::Convolver;
-    use crate::prediction::predict_all;
     use metasim_apps::registry::TestCase;
     use metasim_apps::tracing::trace_workload;
     use metasim_machines::{fleet, MachineId};
@@ -1032,44 +1168,151 @@ mod tests {
         assert!(!cost_expr(MetricId::P8HplMapsNet).has_labeled_curves());
     }
 
-    #[test]
-    fn formula_matches_convolver_bitwise() {
-        let f = fleet();
-        let suite = ProbeSuite::new();
-        let probes = suite.measure(f.get(MachineId::ArlAltix));
-        let trace = trace_workload(&TestCase::HycomStandard.workload(96));
+    fn setup(id: MachineId) -> (MachineProbes, ApplicationTrace, Vec<DependencyClass>) {
+        let probes = (*ProbeSuite::new().measure(fleet().get(id))).clone();
+        let trace = trace_workload(&TestCase::AvusStandard.workload(64));
         let labels = analyze_dependencies(&trace.blocks);
-        let conv = Convolver::new(&probes);
+        (probes, trace, labels)
+    }
+
+    fn cost(m: MetricId, setup: &(MachineProbes, ApplicationTrace, Vec<DependencyClass>)) -> f64 {
+        let (probes, trace, labels) = setup;
+        eval_cost(&cost_expr(m), probes, trace, labels)
+    }
+
+    #[test]
+    fn costs_are_positive_and_finite_for_all_metrics() {
+        let s = setup(MachineId::MhpccP3);
         for m in MetricId::ALL {
-            let from_ir = eval_cost(&cost_expr(m), &probes, &trace, &labels);
-            let from_convolver = conv.cost(m, &trace, &labels);
-            assert_eq!(
-                from_ir.to_bits(),
-                from_convolver.to_bits(),
-                "{m}: IR {from_ir:e} vs convolver {from_convolver:e}"
-            );
+            let c = cost(m, &s);
+            assert!(c > 0.0 && c.is_finite(), "{m}: {c}");
         }
     }
 
     #[test]
-    fn prediction_formula_matches_predict_all_bitwise() {
-        let f = fleet();
-        let suite = ProbeSuite::new();
-        let base = suite.measure(f.base());
-        let target = suite.measure(f.get(MachineId::ArlOpteron));
-        let trace = trace_workload(&TestCase::AvusStandard.workload(64));
-        let labels = analyze_dependencies(&trace.blocks);
-        let t0 = Seconds::new(4242.0);
-        let reference = predict_all(&trace, &labels, &target, &base, t0);
-        for (i, m) in MetricId::ALL.into_iter().enumerate() {
-            let from_ir = eval_prediction(&prediction_expr(m), &target, &base, &trace, &labels, t0);
-            assert_eq!(
-                from_ir.get().to_bits(),
-                reference[i].get().to_bits(),
-                "{m}: IR {from_ir} vs predict_all {}",
-                reference[i]
-            );
+    fn memory_terms_dominate_flop_terms_for_these_apps() {
+        // The TI-05 suite is memory-bound: #5's cost must exceed #4's.
+        let s = setup(MachineId::ArlXeon);
+        let (c4, c5) = (cost(MetricId::P4Hpl, &s), cost(MetricId::P5HplStream, &s));
+        assert!(c5 > 2.0 * c4, "#5 {c5} should dwarf #4 {c4}");
+    }
+
+    #[test]
+    fn random_discrimination_raises_cost_above_stream_only() {
+        // GUPS rates are far below STREAM: #6's cost must exceed #5's.
+        let s = setup(MachineId::Navo655);
+        let (c5, c6) = (
+            cost(MetricId::P5HplStream, &s),
+            cost(MetricId::P6HplStreamGups, &s),
+        );
+        assert!(c6 > c5, "#6 {c6} vs #5 {c5}");
+    }
+
+    #[test]
+    fn maps_sees_cache_residency_that_stream_does_not() {
+        // #7 rates cache-resident blocks faster than #6's main-memory
+        // rates; with this workload's mix, #7's cost is below #6's.
+        let s = setup(MachineId::ArlAltix);
+        let (c6, c7) = (
+            cost(MetricId::P6HplStreamGups, &s),
+            cost(MetricId::P7HplMaps, &s),
+        );
+        assert!(c7 < c6, "#7 {c7} vs #6 {c6}");
+    }
+
+    #[test]
+    fn network_term_adds_to_metric8() {
+        let s = setup(MachineId::MhpccP3);
+        let (c7, c8) = (
+            cost(MetricId::P7HplMaps, &s),
+            cost(MetricId::P8HplMapsNet, &s),
+        );
+        assert!(c8 > c7);
+        let net = eval_cost(&network_cost_expr(), &s.0, &s.1, &s.2);
+        assert!((c8 - c7 - net).abs() / net < 1e-9);
+    }
+
+    #[test]
+    fn metric4_ratio_equals_hpl_ratio() {
+        // The flop count cancels in the ratio, reproducing Equation 1.
+        let (a, b) = (setup(MachineId::ArlOpteron), setup(MachineId::AscSc45));
+        let ratio = |m| cost(m, &a) / cost(m, &b);
+        let (conv, hpl) = (ratio(MetricId::P4Hpl), ratio(MetricId::S1Hpl));
+        assert!((conv - hpl).abs() / hpl < 1e-12, "{conv} vs {hpl}");
+    }
+
+    /// [`network_cost_expr`] over a one-event census at `processes`.
+    fn net_cost(probes: &MachineProbes, op: CommOp, processes: u64) -> f64 {
+        let trace = ApplicationTrace {
+            app: "synthetic".into(),
+            case: "one-event".into(),
+            processes,
+            blocks: Vec::new(),
+            mpi: metasim_tracer::MpiTrace {
+                processes,
+                events: vec![CommEvent::new(op, 1)],
+            },
+        };
+        eval_cost(&network_cost_expr(), probes, &trace, &[])
+    }
+
+    #[test]
+    fn p2p_cost_is_latency_plus_bytes_over_bandwidth() {
+        let (probes, _, _) = setup(MachineId::AscSc45);
+        let net = probes.netbench;
+        let t0 = net_cost(&probes, CommOp::PointToPoint { bytes: 0 }, 64);
+        assert!((t0 - net.latency.get()).abs() < 1e-15, "{t0}");
+        let t1 = net_cost(&probes, CommOp::PointToPoint { bytes: 1 << 20 }, 64);
+        let affine = net.latency.get() + (1u64 << 20) as f64 / net.bandwidth.get();
+        assert!(t1 > t0 && (t1 - affine).abs() / affine < 1e-12, "{t1}");
+    }
+
+    #[test]
+    fn allreduce_cost_scales_with_processes_and_payload() {
+        let (probes, _, _) = setup(MachineId::ArlOpteron);
+        let ar = |p, bytes| net_cost(&probes, CommOp::AllReduce { bytes }, p);
+        assert_eq!(ar(1, 8), 0.0);
+        assert_eq!(ar(1, 1 << 20), 0.0);
+        assert!(ar(16, 8) > 0.0);
+        assert!(ar(256, 8) > ar(64, 8) && ar(64, 8) > ar(16, 8));
+        assert!(ar(256, 1 << 20) > ar(64, 1 << 20) && ar(64, 1 << 20) > ar(16, 1 << 20));
+        for p in [16, 64, 256] {
+            assert!(ar(p, 1 << 20) > ar(p, 8), "p={p}");
         }
+        // At the measured configuration the cost is the measurement.
+        let measured = probes.netbench.allreduce_64p.get();
+        assert!((ar(64, 8) - measured).abs() / measured < 1e-9);
+    }
+
+    #[test]
+    fn dependency_term_slows_chained_blocks() {
+        let s = setup(MachineId::Navo655);
+        let (c8, c9) = (
+            cost(MetricId::P8HplMapsNet, &s),
+            cost(MetricId::P9HplMapsNetDep, &s),
+        );
+        assert!(
+            c9 > c8,
+            "enhanced curves must slow the dependency-flagged blocks: {c9} vs {c8}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel to blocks")]
+    fn mismatched_labels_panic() {
+        let (probes, trace, _) = setup(MachineId::ArlXeon);
+        let _ = eval_cost(&cost_expr(MetricId::P9HplMapsNetDep), &probes, &trace, &[]);
+    }
+
+    #[test]
+    fn term_counts_follow_the_cost_shapes() {
+        let trace = trace_workload(&TestCase::AvusStandard.workload(64));
+        let (b, e) = (trace.blocks.len(), trace.mpi.events.len());
+        let counts: Vec<usize> = MetricId::ALL
+            .into_iter()
+            .map(|m| cost_expr(m).term_count(&trace))
+            .collect();
+        assert_eq!(counts, [1, 1, 1, 1, 2, 2, b, b + e, b + e]);
     }
 
     /// Reference traversal: every quantity occurrence in evaluation

@@ -6,9 +6,13 @@
 //!   predictive).
 //! * [`simple`] — Equation 1: scale the base system's measured runtime by a
 //!   single benchmark ratio (Metrics #1–#3).
-//! * [`convolver`] — the MetaSim Convolver: per-basic-block operation counts
+//! * [`formula`] — the MetaSim Convolver as a dimension-tagged symbolic IR
+//!   of the nine transfer functions: per-basic-block operation counts
 //!   divided by per-machine operation rates, summed with overlap, plus the
 //!   NETBENCH network term (#8) and the ENHANCED-MAPS dependency term (#9).
+//!   Its evaluator is the only implementation of the transfer functions;
+//!   predictions, the lint, and the sensitivity analysis all read the same
+//!   trees.
 //! * [`prediction`] — base-calibrated predictions for all nine metrics
 //!   (`T′(X) = C(X)/C(X₀) · T(X₀)`), which makes Metric #4 reduce exactly to
 //!   Metric #1, as the paper observes.
@@ -24,8 +28,6 @@
 //!   weights, then regression-optimized weights).
 //! * [`ranking`] — the rank-correlation extension: how well each metric
 //!   *ranks* machines (Kendall τ), quantifying the introduction's framing.
-//! * [`formula`] — a dimension-tagged symbolic IR of the nine transfer
-//!   functions, pinned bit-for-bit against the convolver.
 //! * [`lint`] — `metasim lint`: static dimension/dataflow checks over the
 //!   formulas and the study plan (the `MS5xx` rules).
 //! * [`sensitivity`] — `metasim sense`: interval bounds and first-order
@@ -44,7 +46,6 @@
 
 pub mod audit;
 pub mod balanced;
-pub mod convolver;
 pub mod dataflow;
 pub mod executor;
 pub mod formula;
@@ -59,7 +60,6 @@ pub mod superlatives;
 pub mod verification;
 
 pub use audit::{audit_inputs, audit_study, preflight, preflight_with_policy};
-pub use convolver::Convolver;
 pub use dataflow::{DataflowModel, DataflowMutation, StudyGraph};
 pub use lint::{
     lint_all_with_policy, lint_full_with_policy, lint_with_policy, AnyMutation, LintModel, Mutation,

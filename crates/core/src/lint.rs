@@ -29,7 +29,7 @@ use metasim_machines::MachineId;
 use metasim_tracer::block::DependencyClass;
 
 use crate::dataflow::{lint_dataflow, DataflowModel, DataflowMutation};
-use crate::formula::{cost_expr, prediction_expr, Dim, Expr, ProbeQuantity};
+use crate::formula::{calibrated, cost_expr, prediction_expr, Dim, Expr, ProbeQuantity};
 use crate::metric::MetricId;
 use crate::sensitivity::{lint_sensitivity, SenseModel, SenseMutation};
 
@@ -170,7 +170,7 @@ impl Mutation {
                 for (metric, expr) in &mut model.formulas {
                     match metric {
                         MetricId::P8HplMapsNet => {
-                            *expr = calibrated(crate::formula::cost_expr(MetricId::P7HplMaps));
+                            *expr = calibrated(cost_expr(MetricId::P7HplMaps));
                         }
                         MetricId::P9HplMapsNetDep => {
                             *expr = calibrated(labeled_maps_only());
@@ -267,17 +267,6 @@ impl AnyMutation {
                 )
             })
     }
-}
-
-/// Base-calibrate a cost expression (the well-formed Equation 1 shape).
-pub(crate) fn calibrated(cost: Expr) -> Expr {
-    Expr::Mul(
-        Box::new(Expr::Ratio(
-            Box::new(cost.clone()),
-            Box::new(Expr::OnBase(Box::new(cost))),
-        )),
-        Box::new(Expr::Time(crate::formula::TimeSource::BaseRuntime)),
-    )
 }
 
 /// Metric #9's memory part alone: the label-steered block sum without the

@@ -8,19 +8,28 @@
 //! ```
 //!
 //! For simple metrics the cost is a reciprocal rate, so this is literally
-//! Equation 1; for predictive metrics it is the convolver's transfer
-//! function evaluated on both machines. The paper's observation that Metric
-//! #4's results equal Metric #1's ("the convolver's execution is identical
-//! to that of a pencil-and-paper calculation") falls out algebraically and
-//! is pinned by a test here.
+//! Equation 1; for predictive metrics it is the transfer function evaluated
+//! on both machines. Both are [`prediction_expr`] trees folded by
+//! [`eval_prediction`] — the formula IR is the convolver. The
+//! paper's observation that Metric #4's results equal Metric #1's ("the
+//! convolver's execution is identical to that of a pencil-and-paper
+//! calculation") falls out algebraically and is pinned by a test here.
+
+use std::sync::OnceLock;
 
 use metasim_probes::suite::MachineProbes;
 use metasim_tracer::block::DependencyClass;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 
-use crate::convolver::Convolver;
+use crate::formula::{cost_expr, eval_cost, eval_prediction, prediction_expr, Expr};
 use crate::metric::MetricId;
+
+/// Each metric's (cost, prediction) trees, built once per process.
+fn trees() -> &'static [(Expr, Expr); 9] {
+    static TREES: OnceLock<[(Expr, Expr); 9]> = OnceLock::new();
+    TREES.get_or_init(|| MetricId::ALL.map(|m| (cost_expr(m), prediction_expr(m))))
+}
 
 /// All nine metric predictions for one target machine.
 ///
@@ -37,18 +46,11 @@ pub fn predict_all(
     time_base: Seconds,
 ) -> [Seconds; 9] {
     assert!(time_base > 0.0, "base runtime must be positive");
-    let ct = Convolver::new(target);
-    let cb = Convolver::new(base);
-    let mut out = [Seconds::new(0.0); 9];
-    for (i, metric) in MetricId::ALL.into_iter().enumerate() {
+    MetricId::ALL.map(|metric| {
         let _span = metasim_obs::recording()
             .then(|| metasim_obs::span(format!("metric:{}", metric.short_label())));
-        let cost_target = ct.cost(metric, trace, dep_labels);
-        let cost_base = cb.cost(metric, trace, dep_labels);
-        debug_assert!(cost_base > 0.0, "{metric}: zero base cost");
-        out[i] = cost_target / cost_base * time_base;
-    }
-    out
+        predict_one(metric, trace, dep_labels, target, base, time_base)
+    })
 }
 
 /// Prediction for a single metric (convenience for examples and the CLI).
@@ -61,9 +63,17 @@ pub fn predict_one(
     base: &MachineProbes,
     time_base: Seconds,
 ) -> Seconds {
-    let ct = Convolver::new(target);
-    let cb = Convolver::new(base);
-    ct.cost(metric, trace, dep_labels) / cb.cost(metric, trace, dep_labels) * time_base
+    let (cost, prediction) = &trees()[metric.number() - 1];
+    // Transfer-function size, once per cost evaluated (target and base).
+    // Counted only when a recorder is live.
+    if metasim_obs::recording() {
+        metasim_obs::counter_add("convolver.terms", 2 * cost.term_count(trace) as u64);
+    }
+    debug_assert!(
+        eval_cost(cost, base, trace, dep_labels) > 0.0,
+        "{metric}: zero base cost"
+    );
+    eval_prediction(prediction, target, base, trace, dep_labels, time_base)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   for the NETBENCH times, exactly the direction the chaos injector's
 //!   `probe-noise` fault moves them), then fold the tree with interval
 //!   arithmetic. The result is a sound over-approximation of every
-//!   prediction the convolver could produce under that noise band: each
+//!   prediction the study could produce under that noise band: each
 //!   leaf occurrence ranges independently, so any correlated (per-family)
 //!   draw the injector makes lands inside the bounds.
 //! * **Forward-mode differentiation** — carry `∂T′/∂ln q` for every
@@ -20,9 +20,10 @@
 //!   (elasticities) and condition numbers per quantity, per prediction
 //!   cell.
 //!
-//! Both run in a single pass per (cell, metric) with the convolver's
-//! exact operation order, so the nominal value component stays
-//! bit-identical to [`crate::formula::eval_prediction`].
+//! Both run in a single pass per (cell, metric) through the formula IR's
+//! own evaluator, folding this module's abstract value instead of `f64`,
+//! so the nominal value component *is* the prediction
+//! [`crate::formula::eval_prediction`] computes — not a parallel copy.
 //!
 //! Five lint rules consume the analysis, each pinned by a seeded
 //! [`SenseMutation`] exactly as MS501–MS505 and MS701–MS705 are:
@@ -43,12 +44,10 @@
 //!   against a different schema, so the thresholds under test are not
 //!   the ones on record.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use metasim_apps::registry::{all_test_cases, TestCase};
@@ -57,20 +56,17 @@ use metasim_audit::registry::{MS901, MS902, MS903, MS904, MS905};
 use metasim_audit::Auditor;
 use metasim_chaos::{FaultPlan, FaultSpec};
 use metasim_machines::{fleet, MachineConfig, MachineId};
-use metasim_netsim::replay::CommOp;
-use metasim_probes::maps::DependencyFlavor;
 use metasim_probes::suite::{MachineProbes, ProbeSuite};
 use metasim_tracer::analysis::analyze_dependencies;
-use metasim_tracer::block::{DependencyClass, TracedBlock};
-use metasim_tracer::counters::HardwareCounters;
+use metasim_tracer::block::DependencyClass;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 
+use crate::executor::run_sharded;
 use crate::formula::{
-    eval_prediction, prediction_expr, CountSource, Expr, ProbeQuantity, RateSource, ScaleSource,
-    TimeSource, REF_BYTES,
+    calibrated, eval_prediction, eval_prediction_in, prediction_expr, CountSource, Domain, Expr,
+    ProbeQuantity, RateSource, TimeSource,
 };
-use crate::lint::calibrated;
 use crate::metric::MetricId;
 
 /// Number of derivative slots — one per [`ProbeQuantity::ALL`] entry.
@@ -378,13 +374,13 @@ impl SenseMutation {
 // Abstract values
 // ---------------------------------------------------------------------------
 
-/// The abstract value folded through the tree: the nominal scalar (the
-/// convolver's exact arithmetic), its ±ε interval, and one derivative
-/// slot per probe quantity, split by which side of [`Expr::OnBase`] the
-/// contributing leaves sit on.
+/// The abstract value folded through the tree: the nominal scalar, its ±ε
+/// interval, one derivative slot per probe quantity split by which side
+/// of [`Expr::OnBase`] the contributing leaves sit on, and whether any
+/// denominator on the way could vanish.
 #[derive(Clone, Copy)]
 struct Val {
-    /// Nominal value — bit-identical to [`crate::formula::eval_cost`].
+    /// Nominal value — the `f64` evaluation, operation for operation.
     v: f64,
     /// Interval lower bound under ±ε leaf perturbation.
     lo: f64,
@@ -401,6 +397,9 @@ struct Val {
     /// separates a `× 0`-killed term (MS902) from an input that merely
     /// loses every `Max` at the nominal point.
     pot: [f64; NQ],
+    /// Some denominator's interval straddled zero (the bounds are the
+    /// whole real line).
+    vanished: bool,
 }
 
 fn combine(a: &[f64; NQ], b: &[f64; NQ], f: impl Fn(f64, f64) -> f64) -> [f64; NQ] {
@@ -418,8 +417,11 @@ fn minmax4(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
     (a.min(b).min(c).min(d), a.max(b).max(c).max(d))
 }
 
-impl Val {
-    fn point(c: f64) -> Val {
+impl Domain for Val {
+    /// The band half-width ε.
+    type Env = f64;
+
+    fn exact(c: f64) -> Val {
         Val {
             v: c,
             lo: c,
@@ -427,7 +429,30 @@ impl Val {
             dt: [0.0; NQ],
             db: [0.0; NQ],
             pot: [0.0; NQ],
+            vanished: false,
         }
+    }
+
+    /// A probe leaf banded the way the chaos injector's `probe-noise`
+    /// fault moves it, seeding the derivative slot for `q` on the active
+    /// side. Rates and curve lookups are multiplied by the family factor,
+    /// so their band is x·[1−ε, 1+ε] (HPL's clamp to peak only shrinks the
+    /// reachable range; a curve lookup interpolates linearly in the point
+    /// bandwidths, so it scales by the same factor). NETBENCH times scale
+    /// *inversely* (a slower fabric takes longer), hence x/[1+ε, 1−ε].
+    fn probe(eps: f64, x: f64, q: ProbeQuantity, on_base: bool) -> Val {
+        let mut val = Val::exact(x);
+        (val.lo, val.hi) = match q {
+            ProbeQuantity::NetLatency | ProbeQuantity::NetAllreduce64 => {
+                (x / (1.0 + eps), x / (1.0 - eps))
+            }
+            _ => (x * (1.0 - eps), x * (1.0 + eps)),
+        };
+        let qi = qindex(q);
+        let side = if on_base { &mut val.db } else { &mut val.dt };
+        side[qi] = x;
+        val.pot[qi] = x.abs();
+        val
     }
 
     fn add(self, o: Val) -> Val {
@@ -438,6 +463,7 @@ impl Val {
             dt: combine(&self.dt, &o.dt, |x, y| x + y),
             db: combine(&self.db, &o.db, |x, y| x + y),
             pot: combine(&self.pot, &o.pot, |x, y| x + y),
+            vanished: self.vanished || o.vanished,
         }
     }
 
@@ -455,6 +481,7 @@ impl Val {
             dt: combine(&self.dt, &o.dt, |x, y| x * o.v + self.v * y),
             db: combine(&self.db, &o.db, |x, y| x * o.v + self.v * y),
             pot: combine(&self.pot, &o.pot, |x, y| x * o.v.abs() + self.v.abs() * y),
+            vanished: self.vanished || o.vanished,
         }
     }
 
@@ -462,9 +489,9 @@ impl Val {
     /// unbounded: the vanish flag is raised and the interval widens to
     /// the whole real line (sound, and trivially contains any
     /// observation).
-    fn ratio(self, o: Val, vanished: &Cell<bool>) -> Val {
-        let (lo, hi) = if o.lo <= 0.0 && o.hi >= 0.0 {
-            vanished.set(true);
+    fn div(self, o: Val) -> Val {
+        let straddles = o.lo <= 0.0 && o.hi >= 0.0;
+        let (lo, hi) = if straddles {
             (f64::NEG_INFINITY, f64::INFINITY)
         } else {
             minmax4(
@@ -484,6 +511,7 @@ impl Val {
             pot: combine(&self.pot, &o.pot, |x, y| {
                 (x * o.v.abs() + self.v.abs() * y) / denom
             }),
+            vanished: straddles || self.vanished || o.vanished,
         }
     }
 
@@ -492,7 +520,7 @@ impl Val {
     /// `f64::max`'s left-biased use in the evaluator); the potential
     /// keeps the stronger of *both* arms, since either could win at some
     /// operating point.
-    fn maxv(self, o: Val) -> Val {
+    fn max(self, o: Val) -> Val {
         let left = self.v >= o.v;
         Val {
             v: self.v.max(o.v),
@@ -501,6 +529,7 @@ impl Val {
             dt: if left { self.dt } else { o.dt },
             db: if left { self.db } else { o.db },
             pot: combine(&self.pot, &o.pot, f64::max),
+            vanished: self.vanished || o.vanished,
         }
     }
 }
@@ -510,244 +539,6 @@ fn qindex(q: ProbeQuantity) -> usize {
         .iter()
         .position(|&x| x == q)
         .expect("every quantity appears in ProbeQuantity::ALL")
-}
-
-/// A probe-measured leaf with nominal value `x` and interval `[lo, hi]`,
-/// seeding the derivative slot for `q` on the active side.
-fn banded(x: f64, lo: f64, hi: f64, q: ProbeQuantity, on_base: bool) -> Val {
-    let mut val = Val::point(x);
-    val.lo = lo;
-    val.hi = hi;
-    let qi = qindex(q);
-    let side = if on_base { &mut val.db } else { &mut val.dt };
-    side[qi] = x;
-    val.pot[qi] = x.abs();
-    val
-}
-
-// ---------------------------------------------------------------------------
-// Abstract evaluation
-// ---------------------------------------------------------------------------
-
-/// Evaluation context — mirrors the concrete evaluator's [`Ctx`] field
-/// for field, plus the band half-width, the `OnBase` side marker, and
-/// the vanishing-denominator flag.
-#[derive(Clone, Copy)]
-struct SCtx<'a> {
-    probes: &'a MachineProbes,
-    base_probes: &'a MachineProbes,
-    trace: &'a ApplicationTrace,
-    labels: &'a [DependencyClass],
-    base_time: f64,
-    eps: f64,
-    on_base: bool,
-    block: Option<(&'a TracedBlock, DependencyFlavor)>,
-    event: Option<&'a metasim_netsim::replay::CommEvent>,
-    vanished: &'a Cell<bool>,
-}
-
-impl SCtx<'_> {
-    fn block(&self) -> (&TracedBlock, DependencyFlavor) {
-        self.block.expect("block leaf outside a BlockSum")
-    }
-
-    fn event(&self) -> &metasim_netsim::replay::CommEvent {
-        self.event.expect("event leaf outside a CommSum")
-    }
-
-    fn event_bytes(&self) -> u64 {
-        match self.event().op {
-            CommOp::PointToPoint { bytes }
-            | CommOp::AllReduce { bytes }
-            | CommOp::Broadcast { bytes }
-            | CommOp::Reduce { bytes }
-            | CommOp::AllToAll { bytes } => bytes,
-            CommOp::Barrier => 0,
-        }
-    }
-
-    fn processes(&self) -> u64 {
-        self.trace.mpi.processes
-    }
-
-    fn log_procs(&self) -> f64 {
-        let p = self.processes();
-        if p <= 1 {
-            0.0
-        } else {
-            (p as f64).log2().ceil()
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn seval(expr: &Expr, ctx: &SCtx<'_>) -> Val {
-    let eps = ctx.eps;
-    match expr {
-        Expr::Const(c) => Val::point(*c),
-        Expr::Rate(r) => {
-            // The chaos injector multiplies rates (and all curve points)
-            // by the family factor, so the band is x·[1−ε, 1+ε]. HPL's
-            // clamp to peak only shrinks the reachable range.
-            let (x, q) = match r {
-                RateSource::HplRmax => (
-                    ctx.probes.hpl.rmax_flops_per_proc().get(),
-                    ProbeQuantity::HplRmax,
-                ),
-                RateSource::StreamBandwidth => (
-                    ctx.probes.stream.bandwidth.get(),
-                    ProbeQuantity::StreamBandwidth,
-                ),
-                RateSource::GupsUpdateRate => (
-                    ctx.probes.gups.updates_per_second.get(),
-                    ProbeQuantity::GupsUpdateRate,
-                ),
-                RateSource::GupsEffectiveBandwidth => (
-                    ctx.probes.gups.effective_bandwidth().get(),
-                    ProbeQuantity::GupsEffectiveBandwidth,
-                ),
-                RateSource::NetBandwidth => (
-                    ctx.probes.netbench.bandwidth.get(),
-                    ProbeQuantity::NetBandwidth,
-                ),
-            };
-            banded(x, x * (1.0 - eps), x * (1.0 + eps), q, ctx.on_base)
-        }
-        Expr::Time(t) => match t {
-            // NETBENCH times scale *inversely* with the fabric factor
-            // (a slower fabric takes longer), hence x/[1+ε, 1−ε].
-            TimeSource::NetLatency => {
-                let x = ctx.probes.netbench.latency.get();
-                banded(
-                    x,
-                    x / (1.0 + eps),
-                    x / (1.0 - eps),
-                    ProbeQuantity::NetLatency,
-                    ctx.on_base,
-                )
-            }
-            TimeSource::NetAllreduce64 => {
-                let x = ctx.probes.netbench.allreduce_64p.get();
-                banded(
-                    x,
-                    x / (1.0 + eps),
-                    x / (1.0 - eps),
-                    ProbeQuantity::NetAllreduce64,
-                    ctx.on_base,
-                )
-            }
-            TimeSource::BaseRuntime => Val::point(ctx.base_time),
-        },
-        Expr::Scale(s) => Val::point(match s {
-            ScaleSource::LogProcs => ctx.log_procs(),
-            ScaleSource::ProcsMinusOne => ctx.processes().saturating_sub(1) as f64,
-            ScaleSource::AllreduceLogScale => ((ctx.processes() as f64).log2() / 6.0).max(0.17),
-        }),
-        Expr::Count(c) => Val::point(match c {
-            CountSource::TracedFlops => ctx.trace.total_flops() as f64,
-            CountSource::CounterFlops => HardwareCounters::from_trace(ctx.trace).flops as f64,
-            CountSource::CounterBytes => {
-                HardwareCounters::from_trace(ctx.trace).mem_refs as f64 * REF_BYTES
-            }
-            CountSource::StridedBytes => {
-                let bins = ctx.trace.aggregate_bins();
-                (bins.stride1 + bins.short) as f64 * REF_BYTES
-            }
-            CountSource::RandomBytes => ctx.trace.aggregate_bins().random as f64 * REF_BYTES,
-            CountSource::BlockFlops => ctx.block().0.flops as f64,
-            CountSource::BlockStridedBytes => {
-                let bins = &ctx.block().0.bins;
-                (bins.stride1 + bins.short) as f64 * REF_BYTES
-            }
-            CountSource::BlockRandomBytes => ctx.block().0.bins.random as f64 * REF_BYTES,
-            CountSource::BlockInvocations => ctx.block().0.invocations as f64,
-            CountSource::EventCount => ctx.event().count as f64,
-            CountSource::EventBytes => ctx.event_bytes() as f64,
-            CountSource::AllreduceExtraBytes => {
-                let extra = ctx.event_bytes().saturating_sub(8) as f64;
-                (ctx.processes() as f64).log2().ceil() * extra
-            }
-        }),
-        Expr::Curve { random } => {
-            // Probe noise scales every curve point by one factor, and the
-            // lookup's log-linear interpolation is linear in the point
-            // bandwidths, so the perturbed lookup is exactly x·f.
-            let (block, flavor) = ctx.block();
-            let x = ctx
-                .probes
-                .maps
-                .curve(*random, flavor)
-                .bandwidth_at(block.working_set.max(1))
-                .get();
-            banded(
-                x,
-                x * (1.0 - eps),
-                x * (1.0 + eps),
-                ProbeQuantity::MapsCurves,
-                ctx.on_base,
-            )
-        }
-        Expr::Recip(e) => Val::point(1.0).ratio(seval(e, ctx), ctx.vanished),
-        Expr::Ratio(a, b) => seval(a, ctx).ratio(seval(b, ctx), ctx.vanished),
-        Expr::Mul(a, b) => seval(a, ctx).mul(seval(b, ctx)),
-        Expr::Sum(terms) => terms
-            .iter()
-            .map(|t| seval(t, ctx))
-            .reduce(Val::add)
-            .unwrap_or_else(|| Val::point(0.0)),
-        Expr::Max(a, b) => seval(a, ctx).maxv(seval(b, ctx)),
-        Expr::BlockSum { labeled, body } => {
-            if *labeled {
-                assert_eq!(
-                    ctx.labels.len(),
-                    ctx.trace.blocks.len(),
-                    "dependency labels must be parallel to blocks"
-                );
-            }
-            let mut total = Val::point(0.0);
-            for (i, block) in ctx.trace.blocks.iter().enumerate() {
-                let flavor = if *labeled {
-                    match ctx.labels[i] {
-                        DependencyClass::Independent => DependencyFlavor::Independent,
-                        DependencyClass::Chained => DependencyFlavor::Chained,
-                        DependencyClass::Branchy => DependencyFlavor::Branchy,
-                    }
-                } else {
-                    DependencyFlavor::Independent
-                };
-                let mut inner = *ctx;
-                inner.block = Some((block, flavor));
-                total = total.add(seval(body, &inner));
-            }
-            total
-        }
-        Expr::CommSum(body) => {
-            let mut total = Val::point(0.0);
-            for event in &ctx.trace.mpi.events {
-                let mut inner = *ctx;
-                inner.event = Some(event);
-                total = total.add(seval(body, &inner));
-            }
-            total
-        }
-        Expr::OpSwitch(arms) => {
-            let op = ctx.event().op;
-            if matches!(op, CommOp::AllReduce { .. }) && ctx.processes() <= 1 {
-                return Val::point(0.0);
-            }
-            let (_, body) = arms
-                .iter()
-                .find(|(kind, _)| kind.matches(op))
-                .expect("comm-op switch missing an arm for a traced operation");
-            seval(body, ctx)
-        }
-        Expr::OnBase(e) => {
-            let mut inner = *ctx;
-            inner.probes = ctx.base_probes;
-            inner.on_base = true;
-            seval(e, &inner)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -943,23 +734,18 @@ fn eval_cell(
         .formulas
         .iter()
         .map(|(_, expr)| {
-            let vanished = Cell::new(false);
-            let ctx = SCtx {
-                probes: &target,
-                base_probes: &base,
-                trace: &td.trace,
-                labels: &td.labels,
-                base_time: 1.0,
-                eps: model.epsilon,
-                on_base: false,
-                block: None,
-                event: None,
-                vanished: &vanished,
-            };
-            let val = seval(expr, &ctx);
             // T₀ multiplies every prediction linearly, so containment and
             // elasticities are invariant to it; 1 s keeps the cross-check
             // free of ground-truth runs.
+            let val: Val = eval_prediction_in(
+                expr,
+                &target,
+                &base,
+                &td.trace,
+                &td.labels,
+                Seconds::new(1.0),
+                model.epsilon,
+            );
             let observed = eval_prediction(
                 expr,
                 &noisy_target,
@@ -994,7 +780,7 @@ fn eval_cell(
                 elast_c,
                 pot_e,
                 amp,
-                vanished: vanished.get(),
+                vanished: val.vanished,
                 observed,
             }
         })
@@ -1011,9 +797,9 @@ pub fn analyze(model: &SenseModel) -> SensitivityReport {
     analyze_with_jobs(model, 1)
 }
 
-/// Run the analysis with per-cell parallelism. Cells are independent and
-/// aggregated in canonical grid order, so any `jobs` value produces a
-/// byte-identical report.
+/// Run the analysis sharded across up to `jobs` worker threads by the
+/// study's own executor. Cells are independent and aggregated in canonical
+/// grid order, so any `jobs` value produces a byte-identical report.
 #[must_use]
 pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
     let f = fleet();
@@ -1039,17 +825,12 @@ pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
         let _ = trace_for(case, cpus);
     }
 
-    let outs: Vec<Vec<CellOut>> = if jobs > 1 {
-        cell_list
-            .par_iter()
-            .map(|&(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine))
-            .collect()
-    } else {
-        cell_list
-            .iter()
-            .map(|&(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine))
-            .collect()
-    };
+    let outs: Vec<Vec<CellOut>> = run_sharded(
+        metasim_obs::current_ctx(),
+        jobs,
+        cell_list.clone(),
+        |(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine),
+    );
 
     let mut metrics = Vec::with_capacity(model.formulas.len());
     for (mi, (metric, expr)) in model.formulas.iter().enumerate() {
@@ -1324,20 +1105,15 @@ mod tests {
         let target = nominal_probes(f.get(machine));
         let base = nominal_probes(f.base());
         for (metric, expr) in &model.formulas {
-            let vanished = Cell::new(false);
-            let ctx = SCtx {
-                probes: &target,
-                base_probes: &base,
-                trace: &td.trace,
-                labels: &td.labels,
-                base_time: 1.0,
-                eps: model.epsilon,
-                on_base: false,
-                block: None,
-                event: None,
-                vanished: &vanished,
-            };
-            let val = seval(expr, &ctx);
+            let val: Val = eval_prediction_in(
+                expr,
+                &target,
+                &base,
+                &td.trace,
+                &td.labels,
+                Seconds::new(1.0),
+                model.epsilon,
+            );
             let concrete = eval_prediction(
                 expr,
                 &target,

@@ -871,6 +871,25 @@ mod tests {
     }
 
     #[test]
+    fn study_outputs_match_the_golden_digest() {
+        // FNV-1a over the little-endian `to_bits` of every observation's
+        // actual runtime and its nine predictions, in grid order. The
+        // constant was captured at commit 5007279 (before the formula IR
+        // replaced the hand-written convolver as the prediction
+        // evaluator); any drift in any output bit changes it.
+        const GOLDEN: u64 = 0x439f_ccbf_c2b7_e81a;
+        let mut h = metasim_stats::rng::FNV_OFFSET;
+        for o in &study().observations {
+            for v in std::iter::once(o.actual).chain(o.predictions) {
+                for b in v.get().to_bits().to_le_bytes() {
+                    h = metasim_stats::rng::fnv1a_step(h, b);
+                }
+            }
+        }
+        assert_eq!(h, GOLDEN, "study digest {h:#018x} moved");
+    }
+
+    #[test]
     fn study_is_deterministic() {
         // Two independent runs (fresh caches) must agree bit-for-bit. One
         // of them runs under a recorder, which doubles as the proof that

@@ -29,31 +29,6 @@ pub struct NetbenchResult {
     pub allreduce_64p: Seconds,
 }
 
-impl NetbenchResult {
-    /// Estimated time for one point-to-point message of `bytes`, using the
-    /// *measured* latency/bandwidth (what Metric #8 convolves with).
-    #[must_use]
-    pub fn p2p_estimate(&self, bytes: u64) -> Seconds {
-        self.latency + Bytes::new(bytes as f64) / self.bandwidth
-    }
-
-    /// Estimated `all_reduce` time at `p` processes for `bytes`, scaling the
-    /// measured 64-process score the way a benchmark consumer would:
-    /// logarithmically in `p`, linearly in payload above the measured size.
-    #[must_use]
-    pub fn allreduce_estimate(&self, p: u64, bytes: u64) -> Seconds {
-        if p <= 1 {
-            return Seconds::new(0.0);
-        }
-        let log_scale = ((p as f64).log2() / 6.0).max(0.17); // 64 = 2^6
-        let base = self.allreduce_64p * log_scale;
-        // Payload beyond the 8-byte measurement moves at measured bandwidth
-        // per doubling stage.
-        let extra_bytes = bytes.saturating_sub(8) as f64;
-        base + Bytes::new((p as f64).log2().ceil() * extra_bytes) / self.bandwidth
-    }
-}
-
 /// Large-message size used for the bandwidth measurement.
 const BW_MESSAGE: u64 = 4 << 20;
 
@@ -115,26 +90,5 @@ mod tests {
         assert!(altix.latency < colony.latency);
         assert!(federation.bandwidth > colony.bandwidth);
         assert!(altix.allreduce_64p < colony.allreduce_64p);
-    }
-
-    #[test]
-    fn p2p_estimate_is_affine() {
-        let f = fleet();
-        let r = measure_netbench(f.get(MachineId::AscSc45));
-        let t0 = r.p2p_estimate(0);
-        let t1 = r.p2p_estimate(1 << 20);
-        assert!((t0 - r.latency).abs() < 1e-15);
-        assert!(t1 > t0);
-    }
-
-    #[test]
-    fn allreduce_estimate_scales() {
-        let f = fleet();
-        let r = measure_netbench(f.get(MachineId::ArlOpteron));
-        assert_eq!(r.allreduce_estimate(1, 8), 0.0);
-        assert!(r.allreduce_estimate(256, 8) > r.allreduce_estimate(16, 8));
-        assert!(r.allreduce_estimate(64, 1 << 20) > r.allreduce_estimate(64, 8));
-        // At the measured configuration the estimate is the measurement.
-        assert!((r.allreduce_estimate(64, 8) - r.allreduce_64p).abs() / r.allreduce_64p < 1e-9);
     }
 }

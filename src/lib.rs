@@ -7,7 +7,7 @@
 //! simulated machines standing in for the ten DoD HPCMP systems, synthetic
 //! probes (HPL, STREAM, GUPS, MAPS, ENHANCED MAPS, NETBENCH), a MetaSim-style
 //! tracer with stride detection, the convolver implementing the paper's nine
-//! metrics, and synthetic TI-05 applications with a detailed ground-truth
+//! metrics as one evaluated formula IR, and synthetic TI-05 applications with a detailed ground-truth
 //! execution model.
 //!
 //! This crate is the facade: it re-exports the workspace crates under stable
@@ -64,7 +64,7 @@
 //! | [`probes`] | `metasim-probes` | HPL/STREAM/GUPS/MAPS/NETBENCH |
 //! | [`tracer`] | `metasim-tracer` | MetaSim tracer + MPIDTRACE equivalents |
 //! | [`apps`] | `metasim-apps` | TI-05 applications + ground truth |
-//! | [`core`] | `metasim-core` | convolver, nine metrics, dataflow graph, sharded study driver |
+//! | [`core`] | `metasim-core` | formula IR (the convolver), nine metrics, dataflow graph, sharded study driver |
 //! | [`fleet`] | `metasim-fleet` | seeded scenario generation: sampled machine/app spaces, fleet studies |
 //! | [`report`] | `metasim-report` | tables, CSV, charts, SVG |
 

@@ -3,7 +3,7 @@
 
 use metasim::apps::registry::TestCase;
 use metasim::apps::tracing::trace_workload;
-use metasim::core::convolver::Convolver;
+use metasim::core::formula::{cost_expr, eval_cost};
 use metasim::core::metric::MetricId;
 use metasim::core::prediction::predict_all;
 use metasim::machines::{fleet, MachineBuilder, MachineId};
@@ -60,8 +60,9 @@ proptest! {
         let labels = analyze_dependencies(&trace.blocks);
         let stock_probes = MachineProbes::measure(&stock);
         let upgraded_probes = MachineProbes::measure(&upgraded);
-        let cs = Convolver::new(&stock_probes).cost(MetricId::P6HplStreamGups, &trace, &labels);
-        let cu = Convolver::new(&upgraded_probes).cost(MetricId::P6HplStreamGups, &trace, &labels);
+        let six = cost_expr(MetricId::P6HplStreamGups);
+        let cs = eval_cost(&six, &stock_probes, &trace, &labels);
+        let cu = eval_cost(&six, &upgraded_probes, &trace, &labels);
         prop_assert!(cu <= cs * 1.001, "upgrade slowed #6: {cu} vs {cs}");
     }
 
@@ -75,10 +76,10 @@ proptest! {
         let trace = trace_workload(&case.workload(cpus));
         let labels = analyze_dependencies(&trace.blocks);
         let probes = suite.measure(f.get(target));
-        let conv = Convolver::new(&probes);
-        let c7 = conv.cost(MetricId::P7HplMaps, &trace, &labels);
-        let c8 = conv.cost(MetricId::P8HplMapsNet, &trace, &labels);
-        let c9 = conv.cost(MetricId::P9HplMapsNetDep, &trace, &labels);
+        let cost = |m| eval_cost(&cost_expr(m), &probes, &trace, &labels);
+        let c7 = cost(MetricId::P7HplMaps);
+        let c8 = cost(MetricId::P8HplMapsNet);
+        let c9 = cost(MetricId::P9HplMapsNetDep);
         prop_assert!(c8 >= c7, "network term must add: {c8} vs {c7}");
         prop_assert!(c9 >= c7, "dependency term must add: {c9} vs {c7}");
     }
