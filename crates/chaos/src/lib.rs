@@ -170,6 +170,15 @@ pub fn factor(site: &str, labels: &[&str]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `ACTIVE` is process-wide, so the tests that read or change it take
+    /// turns: run in parallel, one test's `with_plan` shows up in
+    /// another's `active()`.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     struct Always;
     impl FaultPoint for Always {
@@ -183,6 +192,7 @@ mod tests {
 
     #[test]
     fn no_plan_means_no_faults() {
+        let _serial = serial();
         assert!(!active());
         assert!(!fires(site::OUTAGE, &["ARL_SC45"]));
         assert_eq!(factor(site::PROBE_NOISE, &["hpl", "ARL_SC45"]), 1.0);
@@ -190,6 +200,7 @@ mod tests {
 
     #[test]
     fn with_plan_scopes_to_the_thread_and_restores() {
+        let _serial = serial();
         let before = active();
         with_plan(Arc::new(Always), || {
             assert!(active());
@@ -201,6 +212,7 @@ mod tests {
 
     #[test]
     fn with_plan_restores_after_panic() {
+        let _serial = serial();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_plan(Arc::new(Always), || panic!("boom"));
         }));
@@ -211,6 +223,7 @@ mod tests {
 
     #[test]
     fn fired_faults_are_counted() {
+        let _serial = serial();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
         metasim_obs::with_recorder(rec.clone(), || {
             with_plan(Arc::new(Always), || {

@@ -477,7 +477,9 @@ impl Study {
         // A run under an installed fault plan neither reads nor writes the
         // whole-study store: a cached full grid would mask the injected
         // faults, and a partial grid must never poison fault-free runs.
-        let store = if metasim_chaos::active() { None } else { store };
+        // `point`, not the process-wide `active`: a plan another thread
+        // installed with `with_plan` does not reach this run.
+        let store = store.filter(|_| metasim_chaos::point().is_none());
         let root = metasim_obs::span("study");
         let ctx = root.ctx();
         if let Some(store) = store {

@@ -4,47 +4,75 @@
 //! misses on top of cache misses on real machines; the timing model adds the
 //! penalty so random-access curves keep degrading past the last cache level,
 //! as the paper's MAPS data does.
+//!
+//! Every translation is O(1) whatever the TLB's size: a page→slot hash map
+//! finds a resident page, and a doubly linked recency list threaded through
+//! `u32` slot indices orders the slots from most to least recently used. A
+//! hit moves its slot to the front of the list; a miss on a full TLB evicts
+//! the tail slot and refills it.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::spec::TlbSpec;
 
+/// Slot index meaning "no slot" at either end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One TLB entry and its links in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Next more recently used slot, `NIL` at the head.
+    prev: u32,
+    /// Next less recently used slot, `NIL` at the tail.
+    next: u32,
+}
+
 /// Fully-associative, true-LRU translation lookaside buffer.
+///
+/// Slots fill in order up to `capacity` and are then recycled, never freed
+/// until [`reset`](Self::reset). Invariants: `slot_of` maps exactly the
+/// pages held in `slots` to their indices, and the list from `head` (most
+/// recently used) to `tail` (least recently used) visits every slot once.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: Vec<(u64, u64)>, // (page, stamp)
+    slot_of: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
     capacity: usize,
     page_shift: u32,
-    clock: u64,
     hits: u64,
     misses: u64,
-    /// Page most recently touched, valid when `last_idx != usize::MAX`.
-    /// Invariant: `entries[last_idx].0 == last_page` — every fill updates
-    /// both, and the most recently stamped entry can never be a later
-    /// fill's LRU victim.
-    last_page: u64,
-    last_idx: usize,
 }
 
 impl Tlb {
     /// Build from a [`TlbSpec`].
     ///
     /// # Panics
-    /// Panics if `entries` is zero or `page_bytes` is not a power of two.
+    /// Panics if `entries` is zero or does not fit a `u32` slot index, or
+    /// if `page_bytes` is not a power of two.
     #[must_use]
     pub fn new(spec: &TlbSpec) -> Self {
         assert!(spec.entries > 0, "TLB needs at least one entry");
+        assert!(
+            spec.entries < NIL as usize,
+            "TLB entries must fit a u32 slot index"
+        );
         assert!(
             spec.page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         Self {
-            entries: Vec::with_capacity(spec.entries),
+            slot_of: HashMap::with_capacity_and_hasher(spec.entries, BuildHasherDefault::default()),
+            slots: Vec::with_capacity(spec.entries),
+            head: NIL,
+            tail: NIL,
             capacity: spec.entries,
             page_shift: spec.page_bytes.trailing_zeros(),
-            clock: 0,
             hits: 0,
             misses: 0,
-            last_page: 0,
-            last_idx: usize::MAX,
         }
     }
 
@@ -56,51 +84,73 @@ impl Tlb {
     /// Translate a pre-decomposed page number. Bit-identical to
     /// [`access`](Self::access) on any containing address.
     pub(crate) fn access_page(&mut self, page: u64) -> bool {
-        self.clock += 1;
-        // MRU fast path: a repeat of the page we just translated needs no
-        // scan — it is still resident at `last_idx` by the struct invariant.
-        if page == self.last_page && self.last_idx != usize::MAX {
-            self.entries[self.last_idx].1 = self.clock;
+        // MRU fast path: a repeat of the head page needs no lookup and
+        // leaves the recency order as it is.
+        if self.head != NIL && self.slots[self.head as usize].page == page {
             self.hits += 1;
             return true;
         }
-        if let Some(i) = self.entries.iter().position(|&(p, _)| p == page) {
-            self.entries[i].1 = self.clock;
+        if let Some(&slot) = self.slot_of.get(&page) {
             self.hits += 1;
-            self.last_page = page;
-            self.last_idx = i;
+            self.unlink(slot);
+            self.push_front(slot);
             return true;
         }
         self.misses += 1;
-        if self.entries.len() < self.capacity {
-            self.entries.push((page, self.clock));
-            self.last_idx = self.entries.len() - 1;
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                page,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.slots.len() - 1) as u32
         } else {
-            // First minimum stamp — the same entry `min_by_key` picks.
-            let mut victim = 0;
-            let mut best = self.entries[0].1;
-            for (i, &(_, s)) in self.entries.iter().enumerate().skip(1) {
-                if s < best {
-                    best = s;
-                    victim = i;
-                }
-            }
-            self.entries[victim] = (page, self.clock);
-            self.last_idx = victim;
-        }
-        self.last_page = page;
+            let victim = self.tail;
+            self.slot_of.remove(&self.slots[victim as usize].page);
+            self.unlink(victim);
+            self.slots[victim as usize].page = page;
+            victim
+        };
+        self.slot_of.insert(page, slot);
+        self.push_front(slot);
         false
     }
 
-    /// Collapse `reps` further translations of the most recently touched
-    /// page into one stamp update — bit-identical to `reps` calls of
-    /// [`access_page`](Self::access_page) with the same page, which would
-    /// each hit the MRU fast path.
+    /// Account `reps` further translations of the most recently touched
+    /// page — bit-identical to `reps` calls of
+    /// [`access_page`](Self::access_page) with that page, which would each
+    /// hit the MRU fast path without changing the recency order.
     pub(crate) fn touch_repeat(&mut self, reps: u64) {
-        debug_assert!(self.last_idx != usize::MAX, "no page translated yet");
-        self.clock += reps;
-        self.entries[self.last_idx].1 = self.clock;
+        debug_assert!(self.head != NIL, "no page translated yet");
         self.hits += reps;
+    }
+
+    /// Detach `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Link a detached `slot` in as the most recently used.
+    fn push_front(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = self.head;
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.slots[self.head as usize].prev = slot;
+        }
+        self.head = slot;
     }
 
     /// Log2 of the page size, for callers that pre-decompose addresses.
@@ -110,12 +160,12 @@ impl Tlb {
 
     /// Reset contents and statistics.
     pub fn reset(&mut self) {
-        self.entries.clear();
-        self.clock = 0;
+        self.slot_of.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.hits = 0;
         self.misses = 0;
-        self.last_page = 0;
-        self.last_idx = usize::MAX;
     }
 
     /// Misses since construction/reset.
@@ -137,9 +187,33 @@ impl Tlb {
     }
 }
 
+/// Fibonacci hashing of page numbers: one multiply by 2^64/φ, with the
+/// high half folded into the low bits the table indexes by, so that pages
+/// a power-of-two stride apart still spread over the buckets. The keys are
+/// page numbers of the simulator's own address streams, so the default
+/// hasher's defence against crafted collisions would buy nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PageHasher only hashes u64 page numbers");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(entries: usize) -> TlbSpec {
         TlbSpec {
@@ -227,5 +301,119 @@ mod tests {
         assert!(t.access(8), "same page via fast path");
         assert!(!t.access(4096), "replaces the only entry");
         assert!(!t.access(0), "evicted page must miss");
+    }
+
+    /// The linear-scan true-LRU TLB this module's O(1) model replaced,
+    /// kept as the reference it must match access for access: a
+    /// `(page, stamp)` vector searched on every translation, evicting the
+    /// first entry with the minimum stamp.
+    struct ReferenceTlb {
+        entries: Vec<(u64, u64)>, // (page, stamp)
+        capacity: usize,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        /// Page most recently touched, valid when `last_idx != usize::MAX`.
+        /// Invariant: `entries[last_idx].0 == last_page`.
+        last_page: u64,
+        last_idx: usize,
+    }
+
+    impl ReferenceTlb {
+        fn new(capacity: usize) -> Self {
+            Self {
+                entries: Vec::with_capacity(capacity),
+                capacity,
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                last_page: 0,
+                last_idx: usize::MAX,
+            }
+        }
+
+        fn access_page(&mut self, page: u64) -> bool {
+            self.clock += 1;
+            if page == self.last_page && self.last_idx != usize::MAX {
+                self.entries[self.last_idx].1 = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            if let Some(i) = self.entries.iter().position(|&(p, _)| p == page) {
+                self.entries[i].1 = self.clock;
+                self.hits += 1;
+                self.last_page = page;
+                self.last_idx = i;
+                return true;
+            }
+            self.misses += 1;
+            if self.entries.len() < self.capacity {
+                self.entries.push((page, self.clock));
+                self.last_idx = self.entries.len() - 1;
+            } else {
+                let mut victim = 0;
+                let mut best = self.entries[0].1;
+                for (i, &(_, s)) in self.entries.iter().enumerate().skip(1) {
+                    if s < best {
+                        best = s;
+                        victim = i;
+                    }
+                }
+                self.entries[victim] = (page, self.clock);
+                self.last_idx = victim;
+            }
+            self.last_page = page;
+            false
+        }
+
+        fn touch_repeat(&mut self, reps: u64) {
+            self.clock += reps;
+            self.entries[self.last_idx].1 = self.clock;
+            self.hits += reps;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Hit for hit, the O(1) model replays the linear-scan reference
+        // over random streams: same-page runs, `touch_repeat` collapses
+        // and both address and page entry points, with page universes
+        // from half to eight times the capacity.
+        #[test]
+        fn matches_the_linear_scan_reference(
+            cap_idx in 0usize..5,
+            universe_idx in 0usize..5,
+            ops in prop::collection::vec((0u64..1 << 40, 1u64..5, 0u64..4, 0u64..4096), 1..3000),
+        ) {
+            let capacity = [1usize, 2, 3, 64, 1024][cap_idx];
+            let universe = match universe_idx {
+                0 => (capacity / 2).max(1),
+                1 => capacity,
+                2 => capacity + 1,
+                3 => 2 * capacity,
+                _ => 8 * capacity,
+            } as u64;
+            let mut fast = Tlb::new(&spec(capacity));
+            let mut reference = ReferenceTlb::new(capacity);
+            for (step, &(raw, run, repeat, offset)) in ops.iter().enumerate() {
+                let page = raw % universe;
+                for r in 0..run {
+                    let hit = if r % 2 == 0 {
+                        fast.access_page(page)
+                    } else {
+                        fast.access((page << fast.page_shift()) | offset)
+                    };
+                    prop_assert_eq!(hit, reference.access_page(page), "step {} page {}", step, page);
+                }
+                // A quarter of the steps end with a collapsed repeat run.
+                if repeat == 0 {
+                    fast.touch_repeat(run);
+                    reference.touch_repeat(run);
+                }
+            }
+            prop_assert_eq!(fast.hits(), reference.hits);
+            prop_assert_eq!(fast.misses(), reference.misses);
+        }
     }
 }

@@ -23,9 +23,10 @@
 //! [`suite::ProbeSuite`] measures and memoizes the full set per machine with
 //! single-flight semantics — concurrent cold callers coalesce onto one
 //! measurement per machine (see [`suite`]). Within one measurement, each
-//! MAPS curve's *working-set sweep* is a Rayon `par_iter` over the sweep
-//! sizes ([`maps::sweep_sizes`]); the five curves themselves are measured
-//! sequentially, as are the other probes. Under an installed
+//! MAPS curve's *working-set sweep* runs serially over the sweep sizes
+//! ([`maps::sweep_sizes`]): the vendored `rayon` maps its `par_iter` onto a
+//! sequential iterator. The five curves are measured one after another, as
+//! are the other probes. Under an installed
 //! `metasim-chaos` fault plan, acquisition can fail — see
 //! [`suite::ProbeSuite::try_measure`] and [`suite::ProbeFailure`].
 //!
