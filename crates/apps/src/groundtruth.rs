@@ -20,14 +20,12 @@
 //!   everything else no methodology captures. This sets the error floor that
 //!   keeps even the best metric near the paper's ≈18%.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
+use metasim_cache::{content_key, ArtifactKey, ArtifactStore, SingleFlight};
 use metasim_machines::{MachineConfig, MachineId};
 use metasim_memsim::bandwidth::{measure_bandwidth, Workload as MemWorkload};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
@@ -160,16 +158,13 @@ pub fn execute(machine: &MachineConfig, workload: &AppWorkload) -> RunResult {
 /// Artifact-store kind directory for persisted ground-truth results.
 pub const GROUND_TRUTH_KIND: &str = "groundtruth";
 
-/// One memoization cell of the ground-truth grid, keyed by
-/// (case, processors, machine).
-type GroundTruthCells = HashMap<(TestCase, u64, MachineId), Arc<OnceLock<RunResult>>>;
-
 /// Memoizing ground-truth runner for the study grid, with single-flight
 /// semantics (concurrent cold callers on the same cell coalesce onto one
 /// full-detail execution) and an optional persistent backing store.
 #[derive(Debug, Default)]
 pub struct GroundTruth {
-    cells: RwLock<GroundTruthCells>,
+    /// One cell per (case, processors, machine).
+    cells: SingleFlight<(TestCase, u64, MachineId), RunResult>,
     store: Option<Arc<ArtifactStore>>,
     executions: AtomicUsize,
 }
@@ -205,18 +200,7 @@ impl GroundTruth {
     /// Observed time-to-solution for one (case, p, machine) cell.
     #[must_use]
     pub fn run(&self, case: TestCase, p: u64, machine: &MachineConfig) -> RunResult {
-        let key = (case, p, machine.id);
-        let cell = {
-            let cells = self.cells.read();
-            match cells.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(cells);
-                    Arc::clone(self.cells.write().entry(key).or_default())
-                }
-            }
-        };
-        *cell.get_or_init(|| {
+        self.cells.get_or_init((case, p, machine.id), || {
             if let Some(cached) = self.load_cached(case, p, machine) {
                 return cached;
             }

@@ -8,15 +8,13 @@
 //! sample too, and the detector's chunk-boundary misclassifications are the
 //! same kind of noise a per-PC hardware detector sees on loop preambles).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
+use metasim_cache::{content_key, ArtifactKey, ArtifactStore, SingleFlight};
 use metasim_tracer::block::{StrideBins, TracedBlock};
 use metasim_tracer::stride::StrideDetector;
 use metasim_tracer::trace::ApplicationTrace;
-use parking_lot::RwLock;
 
 use crate::workload::{AppWorkload, WorkBlock, ELEMENT_BYTES};
 
@@ -166,8 +164,7 @@ impl std::error::Error for TraceFailure {}
 /// as a [`TraceFailure`]).
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    #[allow(clippy::type_complexity)]
-    cells: RwLock<HashMap<ArtifactKey, Arc<OnceLock<Result<Arc<ApplicationTrace>, TraceFailure>>>>>,
+    cells: SingleFlight<ArtifactKey, Result<Arc<ApplicationTrace>, TraceFailure>>,
     store: Option<Arc<ArtifactStore>>,
     traces: AtomicUsize,
 }
@@ -207,17 +204,7 @@ impl TraceCache {
     /// fault plan drops trace records on every attempt in the retry budget.
     pub fn try_trace(&self, workload: &AppWorkload) -> Result<Arc<ApplicationTrace>, TraceFailure> {
         let key = Self::store_key(workload);
-        let cell = {
-            let cells = self.cells.read();
-            match cells.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(cells);
-                    Arc::clone(self.cells.write().entry(key).or_default())
-                }
-            }
-        };
-        cell.get_or_init(|| self.acquire(key, workload)).clone()
+        self.cells.get_or_init(key, || self.acquire(key, workload))
     }
 
     /// One acquisition: retried drop gate, then cache-load-or-trace.

@@ -30,6 +30,9 @@
 //! prints shortest-round-trip floats), so a cached artifact compares equal —
 //! bit for bit — to a freshly computed one, and determinism tests hold with
 //! the cache on or off.
+//!
+//! The in-process side of the same pay-once rule is [`SingleFlight`], the
+//! memo table every in-memory cache of the pipeline is built on.
 
 use std::fs;
 use std::io;
@@ -38,6 +41,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+
+mod single_flight;
+pub use single_flight::SingleFlight;
 
 /// Version of the on-disk layout *and* of the serialized artifact schemas.
 /// Bump whenever any cached type changes shape or meaning; old entries are

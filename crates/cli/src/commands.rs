@@ -973,7 +973,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     let f = fleet();
     let study =
         metasim_chaos::with_plan(Arc::new(plan) as Arc<dyn metasim_chaos::FaultPoint>, || {
-            Study::run(&f, &ProbeSuite::new(), &GroundTruth::new())
+            Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
         });
     if recorder.is_some() {
         metasim_obs::uninstall();

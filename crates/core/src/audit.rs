@@ -2,7 +2,8 @@
 //!
 //! [`preflight`] statically verifies every input artifact — the fleet
 //! configuration and each machine's probe curves — before the 150-observation
-//! grid runs; [`Study::run`] refuses to start when it reports errors.
+//! grid runs; [`Study::run_with_store_jobs`] refuses to start when it
+//! reports errors.
 //! [`audit_study`] then checks the *outputs*: error accounting per
 //! Equation 2, strong-scaling sanity of the measured runtimes, the
 //! benchmark-dominance paradox of Tables 2/3, and the Metric #1 = #4

@@ -44,16 +44,15 @@
 //!   against a different schema, so the thresholds under test are not
 //!   the ones on record.
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use metasim_apps::registry::{all_test_cases, TestCase};
 use metasim_apps::tracing::trace_workload;
 use metasim_audit::registry::{MS901, MS902, MS903, MS904, MS905};
 use metasim_audit::Auditor;
+use metasim_cache::SingleFlight;
 use metasim_chaos::{FaultPlan, FaultSpec};
 use metasim_machines::{fleet, MachineConfig, MachineId};
 use metasim_probes::suite::{MachineProbes, ProbeSuite};
@@ -545,7 +544,7 @@ fn qindex(q: ProbeQuantity) -> usize {
 // Memoized inputs
 // ---------------------------------------------------------------------------
 
-type Memo<K, V> = OnceLock<RwLock<HashMap<K, Arc<V>>>>;
+type Memo<K, V> = LazyLock<SingleFlight<K, Arc<V>>>;
 
 struct TraceData {
     trace: ApplicationTrace,
@@ -553,52 +552,34 @@ struct TraceData {
 }
 
 fn trace_for(case: TestCase, cpus: u64) -> Arc<TraceData> {
-    static CACHE: Memo<(&'static str, u64), TraceData> = OnceLock::new();
-    let cache = CACHE.get_or_init(RwLock::default);
-    let key = (case.label(), cpus);
-    if let Some(td) = cache.read().get(&key) {
-        return Arc::clone(td);
-    }
-    let trace = trace_workload(&case.workload(cpus));
-    let labels = analyze_dependencies(&trace.blocks);
-    Arc::clone(
-        cache
-            .write()
-            .entry(key)
-            .or_insert_with(|| Arc::new(TraceData { trace, labels })),
-    )
+    static CACHE: Memo<(&'static str, u64), TraceData> = LazyLock::new(SingleFlight::new);
+    CACHE.get_or_init((case.label(), cpus), || {
+        let trace = trace_workload(&case.workload(cpus));
+        let labels = analyze_dependencies(&trace.blocks);
+        Arc::new(TraceData { trace, labels })
+    })
 }
 
 fn nominal_probes(machine: &MachineConfig) -> Arc<MachineProbes> {
-    static CACHE: OnceLock<RwLock<HashMap<&'static str, Arc<MachineProbes>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(RwLock::default);
-    let key = machine.id.label();
-    if let Some(p) = cache.read().get(key) {
-        return Arc::clone(p);
-    }
-    let measured = ProbeSuite::new().measure(machine);
-    Arc::clone(cache.write().entry(key).or_insert(measured))
+    static SUITE: LazyLock<ProbeSuite> = LazyLock::new(ProbeSuite::new);
+    SUITE.measure(machine)
 }
 
 /// Probes measured under a deterministic chaos probe-noise plan — the
 /// observed side of the MS904 cross-check. `sigma == 0` short-circuits to
 /// the nominal probes (the injector's factor is exactly 1.0 there).
 fn noisy_probes(machine: &MachineConfig, seed: u64, sigma: f64) -> Arc<MachineProbes> {
-    static CACHE: Memo<(&'static str, u64, u64), MachineProbes> = OnceLock::new();
+    static CACHE: Memo<(&'static str, u64, u64), MachineProbes> = LazyLock::new(SingleFlight::new);
     if sigma == 0.0 {
         return nominal_probes(machine);
     }
-    let cache = CACHE.get_or_init(RwLock::default);
-    let key = (machine.id.label(), seed, sigma.to_bits());
-    if let Some(p) = cache.read().get(&key) {
-        return Arc::clone(p);
-    }
-    let plan = Arc::new(FaultPlan {
-        seed,
-        faults: vec![FaultSpec::ProbeNoise { sigma }],
-    });
-    let measured = metasim_chaos::with_plan(plan, || ProbeSuite::new().measure(machine));
-    Arc::clone(cache.write().entry(key).or_insert(measured))
+    CACHE.get_or_init((machine.id.label(), seed, sigma.to_bits()), || {
+        let plan = Arc::new(FaultPlan {
+            seed,
+            faults: vec![FaultSpec::ProbeNoise { sigma }],
+        });
+        metasim_chaos::with_plan(plan, || ProbeSuite::new().measure(machine))
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use metasim_apps::groundtruth::GroundTruth;
@@ -143,64 +142,24 @@ pub struct StudyTimings {
 pub const STUDY_KIND: &str = "study";
 
 impl Study {
-    /// Run the full study on a fleet. Parallel over the 15 (case, CPU)
-    /// groups; probes and ground truth memoize behind their caches.
-    ///
-    /// # Panics
-    /// Refuses to run — panicking with the rendered report — when the
-    /// [`crate::audit::preflight`] audit finds error-severity diagnostics
-    /// in the fleet configuration or the measured probe curves.
-    #[must_use]
-    pub fn run(fleet: &Fleet, suite: &ProbeSuite, gt: &GroundTruth) -> Self {
-        Self::run_timed(fleet, suite, gt).0
-    }
-
-    /// [`run`](Self::run), reporting per-phase wall time.
+    /// The computation behind [`run_with_store_jobs`](Self::run_with_store_jobs),
+    /// with an explicit trace cache, so a store-backed run can reuse
+    /// persisted application traces (`metasim_apps::tracing::TRACE_KIND`
+    /// entries) even when the whole-study entry itself missed. All spans
+    /// nest under `ctx` (the caller's root `study` span).
     ///
     /// The phases are ordered so that no prediction cell ever blocks on
     /// another cell's cold measurement: preflight warms every machine's
     /// probes, a ground-truth phase warms every (case, cpus, machine) cell
     /// including the base system, and only then does the prediction pass
-    /// run against purely warm caches.
-    ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors.
-    #[must_use]
-    pub fn run_timed(fleet: &Fleet, suite: &ProbeSuite, gt: &GroundTruth) -> (Self, StudyTimings) {
-        Self::run_timed_jobs(fleet, suite, gt, 1)
-    }
-
-    /// [`run_timed`](Self::run_timed) sharded across `jobs` worker
-    /// threads along the dataflow graph's proven-independent cut (see
-    /// [`crate::dataflow`]). `jobs <= 1` takes the serial path unchanged;
-    /// any `jobs` produces the identical `Study` — results are merged in
-    /// canonical order and every per-cell computation is a pure, memoized
-    /// function of its coordinates (pinned by
-    /// `parallel_study_matches_serial_exactly`).
-    ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors.
-    #[must_use]
-    pub fn run_timed_jobs(
-        fleet: &Fleet,
-        suite: &ProbeSuite,
-        gt: &GroundTruth,
-        jobs: usize,
-    ) -> (Self, StudyTimings) {
-        let root = metasim_obs::span("study");
-        Self::run_timed_with_traces(root.ctx(), fleet, suite, gt, &TraceCache::new(), jobs)
-    }
-
-    /// [`run_timed`](Self::run_timed) with an explicit trace cache, so a
-    /// store-backed run can reuse persisted application traces
-    /// (`metasim_apps::tracing::TRACE_KIND` entries) even when the
-    /// whole-study entry itself missed. All spans nest under `ctx` (the
-    /// caller's root `study` span).
+    /// run against purely warm caches. Each phase goes through one
+    /// [`run_sharded`] call over the dataflow graph's proven-independent
+    /// cut (see [`crate::dataflow`]), which runs inline at `jobs <= 1`.
     ///
     /// The obs spans are the *only* timing source: each `StudyTimings`
     /// field is the `finish()` value of the corresponding phase span, so
     /// the manifest's span tree and the reported timings cannot disagree.
-    fn run_timed_with_traces(
+    fn compute(
         ctx: SpanCtx,
         fleet: &Fleet,
         suite: &ProbeSuite,
@@ -209,20 +168,16 @@ impl Study {
         jobs: usize,
     ) -> (Self, StudyTimings) {
         let start = Instant::now();
-        // Preflight: statically verify every input artifact. This also
-        // warms every machine's probes (each sweep is internally parallel).
-        // The phase span closes *before* the error gate below so a failed
-        // preflight still shows up — with its wall time — in the recorder.
+        // Preflight: statically verify every input artifact. The phase span
+        // closes *before* the error gate below so a failed preflight still
+        // shows up — with its wall time — in the recorder.
         let pre = ctx.span("phase:preflight");
-        if jobs > 1 {
-            // Warm every machine's probe sweep across the worker pool so
-            // the audit below reads purely warm single-flight cells. A
-            // failing sweep is not an error here — the audit and the alive
-            // filter below decide what a failure means.
-            run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
-                let _ = suite.try_measure(fleet.get(machine));
-            });
-        }
+        // Warm every machine's probe sweep so the audit below reads purely
+        // warm single-flight cells. A failing sweep is not an error here —
+        // the audit and the alive filter below decide what a failure means.
+        run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
+            let _ = suite.try_measure(fleet.get(machine));
+        });
         let report = crate::audit::preflight(fleet, suite);
         metasim_obs::counter_add("audit.findings", report.diagnostics.len() as u64);
         let base_cfg = fleet.base();
@@ -250,52 +205,38 @@ impl Study {
             "study preflight found error-severity diagnostics:\n{report}"
         );
 
-        // Warm every ground-truth cell — base system first (every cell
-        // scales from it), then the full target grid.
+        // Warm every ground-truth cell: the 165-cell grid flattened in
+        // canonical order, each (case, cpus) with the base system first
+        // (every cell scales from it), then the alive targets. Every cell
+        // is an independent node of the dataflow graph, and the
+        // single-flight memo coalesces any shard racing another to the
+        // same base cell.
         let gt_span = ctx.span("phase:ground-truth");
-        let gt_ctx = gt_span.ctx();
-        if jobs > 1 {
-            // Flatten the 165-cell grid in canonical order and shard it:
-            // every cell is an independent node of the dataflow graph, and
-            // the single-flight memo coalesces any shard racing another to
-            // the same base cell.
-            let mut cells: Vec<(TestCase, u64, MachineId)> = Vec::new();
-            for (case, cpus) in all_test_cases() {
-                cells.push((case, cpus, MachineId::NavoP690Base));
-                for &machine in &alive {
-                    cells.push((case, cpus, machine));
-                }
+        let mut cells: Vec<(TestCase, u64, MachineId)> = Vec::new();
+        for (case, cpus) in all_test_cases() {
+            cells.push((case, cpus, MachineId::NavoP690Base));
+            for &machine in &alive {
+                cells.push((case, cpus, machine));
             }
-            run_sharded(gt_ctx, jobs, cells, |(case, cpus, machine)| {
-                let _m = metasim_obs::span(format!("cell:{case}/{cpus}/{machine}"));
-                let _ = gt.run(case, cpus, fleet.get(machine));
-            });
-        } else {
-            all_test_cases().into_par_iter().for_each(|(case, cpus)| {
-                let app = gt_ctx.span(format!("app:{case}"));
-                let cpu = app.ctx().span(format!("cpus:{cpus}"));
-                let _ = gt.run(case, cpus, base_cfg);
-                let cpu_ctx = cpu.ctx();
-                alive.clone().into_par_iter().for_each(|machine| {
-                    let _m = cpu_ctx.span(format!("machine:{machine}"));
-                    let _ = gt.run(case, cpus, fleet.get(machine));
-                });
-            });
         }
+        run_sharded(gt_span.ctx(), jobs, cells, |(case, cpus, machine)| {
+            let _m = metasim_obs::span(format!("cell:{case}/{cpus}/{machine}"));
+            let _ = gt.run(case, cpus, fleet.get(machine));
+        });
         let ground_truth_seconds = gt_span.finish();
 
+        // The prediction cut: (case, cpus) groups are independent, traces
+        // are single-flight, every ground-truth read is warm, and the
+        // groups come back in canonical order.
         let pred_span = ctx.span("phase:predictions");
-        let pred_ctx = pred_span.ctx();
-        let observations: Vec<Observation> = if jobs > 1 {
-            // Shard the prediction cut: groups are independent, traces are
-            // single-flight, every ground-truth read is warm, and the
-            // groups come back in canonical order (then re-sorted below,
-            // exactly as in the serial path).
-            run_sharded(pred_ctx, jobs, all_test_cases(), |(case, cpus)| {
+        let observations: Vec<Observation> =
+            run_sharded(pred_span.ctx(), jobs, all_test_cases(), |(case, cpus)| {
                 let app = metasim_obs::span(format!("app:{case}"));
                 let cpu = app.ctx().span(format!("cpus:{cpus}"));
-                let workload = case.workload(cpus);
-                let trace = match traces.try_trace(&workload) {
+                // A dropped trace loses this (case, cpus) row across every
+                // machine — traces are collected once on the base system —
+                // but not the rest of the grid.
+                let trace = match traces.try_trace(&case.workload(cpus)) {
                     Ok(trace) => trace,
                     Err(_) => {
                         metasim_obs::counter_add("chaos.trace.skipped", 1);
@@ -329,61 +270,10 @@ impl Study {
             })
             .into_iter()
             .flatten()
-            .collect()
-        } else {
-            all_test_cases()
-                .into_par_iter()
-                .flat_map(|(case, cpus)| {
-                    let app = pred_ctx.span(format!("app:{case}"));
-                    let cpu = app.ctx().span(format!("cpus:{cpus}"));
-                    let workload = case.workload(cpus);
-                    // A dropped trace loses this (case, cpus) row across every
-                    // machine — traces are collected once on the base system —
-                    // but not the rest of the grid.
-                    let trace = match traces.try_trace(&workload) {
-                        Ok(trace) => trace,
-                        Err(_) => {
-                            metasim_obs::counter_add("chaos.trace.skipped", 1);
-                            return Vec::new();
-                        }
-                    };
-                    let labels = analyze_dependencies(&trace.blocks);
-                    let base_actual = Seconds::new(gt.run(case, cpus, base_cfg).seconds);
-
-                    let cpu_ctx = cpu.ctx();
-                    alive
-                        .clone()
-                        .into_par_iter()
-                        .map(|machine| {
-                            let m_span = cpu_ctx.span(format!("machine:{machine}"));
-                            let target_cfg = fleet.get(machine);
-                            let actual = Seconds::new(gt.run(case, cpus, target_cfg).seconds);
-                            let target_probes = suite.measure(target_cfg);
-                            let predictions = predict_all(
-                                &trace,
-                                &labels,
-                                &target_probes,
-                                &base_probes,
-                                base_actual,
-                            );
-                            let obs = Observation {
-                                case,
-                                cpus,
-                                machine,
-                                actual,
-                                base_actual,
-                                predictions,
-                            };
-                            metasim_obs::observe_hdr(LAT_PREDICTION, m_span.finish());
-                            obs
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
+            .collect();
 
         let mut study = Self { observations };
-        // Deterministic order regardless of parallel scheduling.
+        // The grid's canonical order, whatever order the groups produced.
         study
             .observations
             .sort_by_key(|o| (o.case, o.cpus, o.machine));
@@ -439,33 +329,28 @@ impl Study {
         }
     }
 
-    /// Run the study against an optional persistent store.
+    /// Run the full study on `fleet`: the one entry point that computes a
+    /// study ([`run_default`](Self::run_default) memoizes a call of it).
     ///
-    /// On a warm store the whole result set loads in one read — validated
-    /// on load by the value-level `MS3xx` audit rules plus a grid-shape
-    /// check; any error-severity diagnostic evicts the entry and the study
-    /// recomputes (and rewrites it). Serde round-trips are bit-identical,
-    /// so a loaded study compares equal to a freshly computed one.
+    /// With a store, a warm hit loads the whole result set in one read —
+    /// validated on load by the value-level `MS3xx` audit rules plus a
+    /// grid-shape check; any error-severity diagnostic evicts the entry and
+    /// the study recomputes (and rewrites it). Serde round-trips are
+    /// bit-identical, so a loaded study compares equal to a freshly
+    /// computed one. `store: None` always computes.
     ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors (compute path only).
-    #[must_use]
-    pub fn run_with_store(
-        fleet: &Fleet,
-        suite: &ProbeSuite,
-        gt: &GroundTruth,
-        store: Option<&ArtifactStore>,
-    ) -> (Self, StudyTimings) {
-        Self::run_with_store_jobs(fleet, suite, gt, store, 1)
-    }
-
-    /// [`run_with_store`](Self::run_with_store) sharded across `jobs`
-    /// worker threads (see [`run_timed_jobs`](Self::run_timed_jobs)). The
-    /// store path is unaffected: a warm hit loads the identical artifact
-    /// at any job count, and a cold run stores the identical bytes.
+    /// The computation is sharded across `jobs` worker threads; `jobs <= 1`
+    /// runs every phase inline on the calling thread. Any `jobs` produces
+    /// the identical `Study` — results are merged in canonical order and
+    /// every per-cell computation is a pure, memoized function of its
+    /// coordinates (pinned by `parallel_study_matches_serial_exactly`) —
+    /// and a cold run stores the identical bytes.
     ///
     /// # Panics
-    /// As [`run`](Self::run), on preflight errors (compute path only).
+    /// Refuses to run — panicking with the rendered report — when the
+    /// [`crate::audit::preflight`] audit finds error-severity diagnostics
+    /// in the fleet configuration or the measured probe curves (compute
+    /// path only).
     #[must_use]
     pub fn run_with_store_jobs(
         fleet: &Fleet,
@@ -516,7 +401,7 @@ impl Study {
             Some(store) => TraceCache::with_store(Arc::new(store.clone())),
             None => TraceCache::new(),
         };
-        let (study, timings) = Self::run_timed_with_traces(ctx, fleet, suite, gt, &traces, jobs);
+        let (study, timings) = Self::compute(ctx, fleet, suite, gt, &traces, jobs);
         if let Some(store) = store {
             let _write = ctx.span("store-write");
             let _ = store.store(
@@ -534,9 +419,7 @@ impl Study {
         static STUDY: OnceLock<Study> = OnceLock::new();
         STUDY.get_or_init(|| {
             let f = fleet();
-            let suite = ProbeSuite::new();
-            let gt = GroundTruth::new();
-            Study::run(&f, &suite, &gt)
+            Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
         })
     }
 
@@ -683,8 +566,9 @@ mod tests {
         let suite = ProbeSuite::new();
         let gt = GroundTruth::new();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let (parallel, timings) =
-            metasim_obs::with_recorder(rec.clone(), || Study::run_timed_jobs(&f, &suite, &gt, 4));
+        let (parallel, timings) = metasim_obs::with_recorder(rec.clone(), || {
+            Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
+        });
         assert_eq!(parallel.observations, serial.observations);
         // Bit-for-bit: the serialized artifact (what the store and the
         // CSV exports are derived from) is identical too.
@@ -901,7 +785,7 @@ mod tests {
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
         let a =
             metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
-                Study::run(&f, &ProbeSuite::new(), &GroundTruth::new())
+                Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
             });
         assert_eq!(&a, Study::run_default());
 
@@ -995,7 +879,13 @@ mod tests {
         let result =
             metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Study::run_timed(&bad, &ProbeSuite::new(), &GroundTruth::new())
+                    Study::run_with_store_jobs(
+                        &bad,
+                        &ProbeSuite::new(),
+                        &GroundTruth::new(),
+                        None,
+                        1,
+                    )
                 }))
             });
         assert!(result.is_err(), "doctored fleet must fail preflight");
@@ -1036,8 +926,13 @@ mod tests {
             .store(STUDY_KIND, Study::store_key(&f), fresh)
             .unwrap();
 
-        let (loaded, timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (loaded, timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(timings.loaded_from_cache, "warm store must serve the load");
         assert_eq!(fresh, &loaded, "cached study must equal the fresh study");
         // Bit-for-bit, not merely PartialEq: identical serialized text.
@@ -1064,8 +959,13 @@ mod tests {
             .store(STUDY_KIND, Study::store_key(&f), &doctored)
             .unwrap();
 
-        let (recomputed, timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (recomputed, timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(
             !timings.loaded_from_cache,
             "audit-on-load must reject the doctored entry"
@@ -1081,8 +981,13 @@ mod tests {
             timings.total_seconds
         );
         // The recompute rewrote a good entry over the doctored one.
-        let (reloaded, reload_timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (reloaded, reload_timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(reload_timings.loaded_from_cache);
         assert_eq!(reloaded, recomputed);
         store.clear().unwrap();
@@ -1099,7 +1004,7 @@ mod tests {
             // PartialEq — for any seed.
             let f = fleet();
             let under_plan = metasim_chaos::with_plan(Arc::new(FaultPlan::empty(42)), || {
-                Study::run(&f, &ProbeSuite::new(), &GroundTruth::new())
+                Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
             });
             let bare = study();
             assert_eq!(&under_plan, bare);
@@ -1111,11 +1016,49 @@ mod tests {
         }
 
         #[test]
+        fn degraded_runs_are_identical_at_any_job_count() {
+            // Serial and sharded runs under the CI chaos plan (where the
+            // retries absorb every trace drop) and under a harsher
+            // trace-drop rate that loses one (case, cpus) row: the outage
+            // and trace-skip paths run inside `run_sharded`, so a worker
+            // must see the fault decisions the inline path does. The
+            // analytic tier keeps the probe sweeps cheap, and ground truth,
+            // which has no fault seam, is executed once and shared.
+            let f = fleet();
+            let gt = GroundTruth::new();
+            for (spec, coverage) in [
+                (
+                    "probe-noise:0.05,measure-fail:0.2,trace-drop:0.1,outage:ARL_Xeon",
+                    "9/10 systems, 135/150 observations",
+                ),
+                (
+                    "trace-drop:0.5,outage:ARL_Xeon",
+                    "9/10 systems, 126/150 observations",
+                ),
+            ] {
+                let run = |jobs| {
+                    let plan = FaultPlan::parse_spec(42, spec).unwrap();
+                    metasim_chaos::with_plan(Arc::new(plan), || {
+                        let suite = ProbeSuite::new().with_tier(Tier::Analytic);
+                        Study::run_with_store_jobs(&f, &suite, &gt, None, jobs).0
+                    })
+                };
+                let serial = run(1);
+                assert_eq!(serial.coverage().to_string(), coverage, "{spec}");
+                assert_eq!(
+                    serde_json::to_string(&serial).unwrap(),
+                    serde_json::to_string(&run(2)).unwrap(),
+                    "{spec}: a degraded run must not depend on the job count"
+                );
+            }
+        }
+
+        #[test]
         fn machine_outage_yields_partial_but_honest_tables() {
             let f = fleet();
             let plan = FaultPlan::parse_spec(7, "outage:ARL_Xeon").unwrap();
             let s = metasim_chaos::with_plan(Arc::new(plan), || {
-                Study::run(&f, &ProbeSuite::new(), &GroundTruth::new())
+                Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
             });
             assert_eq!(s.observations.len(), 135, "9 machines x 15 workloads");
             let cov = s.coverage();

@@ -87,9 +87,10 @@ fn duration_event(ph: &str, name: &str, ts: f64, tid: u64) -> TimedEvent {
 
 /// Depth-first emission of one span subtree onto `events`.
 ///
-/// Timestamps are clamped per track (`last_ts`): the serial study path runs
-/// predictions through rayon, so sibling spans on the main track can
-/// *overlap* in wall time even though the log is sequential. Chrome's
+/// Timestamps are clamped per track (`last_ts`): spans opened through an
+/// explicit [`SpanCtx`](crate::SpanCtx) need not nest in time, so sibling
+/// spans on one track can *overlap* in wall time even though the log is
+/// sequential. Chrome's
 /// duration-event model needs properly nested B/E pairs per track, so each
 /// event's timestamp is pulled up to the track's high-water mark — durations
 /// of overlapping siblings stay exact, only their placement shifts.
@@ -456,8 +457,8 @@ mod tests {
 
     #[test]
     fn overlapping_siblings_are_clamped_not_dropped() {
-        // Two siblings on one track whose wall times overlap (the rayon
-        // serial path): the exporter must clamp, not emit a regression.
+        // Two siblings on one track whose wall times overlap (explicitly
+        // parented spans): the exporter must clamp, not emit a regression.
         let rec = InMemoryRecorder::new();
         let root = rec.span_enter(0, "study".into());
         let a = rec.span_enter(root, "m:a".into());

@@ -152,8 +152,8 @@ pub fn observe_hdr(name: &str, value: f64) {
 }
 
 /// A copyable handle naming a span, used to parent child spans explicitly —
-/// the way instrumented code carries the tree structure across `par_iter`
-/// closure boundaries, where thread-local nesting cannot be trusted.
+/// the way instrumented code carries the tree structure onto worker
+/// threads, where thread-local nesting cannot be trusted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanCtx(pub SpanId);
 

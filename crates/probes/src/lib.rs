@@ -24,10 +24,9 @@
 //! single-flight semantics — concurrent cold callers coalesce onto one
 //! measurement per machine (see [`suite`]). Within one measurement, each
 //! MAPS curve's *working-set sweep* runs serially over the sweep sizes
-//! ([`maps::sweep_sizes`]): the vendored `rayon` maps its `par_iter` onto a
-//! sequential iterator. The five curves are measured one after another, as
-//! are the other probes. Under an installed
-//! `metasim-chaos` fault plan, acquisition can fail — see
+//! ([`maps::sweep_sizes`]), the five curves one after another, as are the
+//! other probes; parallelism lives one level up, across machines. Under an
+//! installed `metasim-chaos` fault plan, acquisition can fail — see
 //! [`suite::ProbeSuite::try_measure`] and [`suite::ProbeFailure`].
 //!
 //! ```

@@ -14,7 +14,6 @@
 
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use metasim_machines::MachineConfig;
@@ -209,7 +208,7 @@ fn measure_curve(
     tier: ResolvedTier,
 ) -> MapsCurve {
     let points: Vec<(u64, f64)> = sweep_sizes()
-        .par_iter()
+        .iter()
         .map(|&ws| {
             let (sample, _) = measure_bandwidth_tiered(
                 &machine.memory,

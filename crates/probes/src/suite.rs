@@ -20,16 +20,14 @@
 //! driver can skip a dead machine instead of dying with it. Raw (never
 //! perturbed) results are what the store persists.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use metasim_audit::audit_value;
-use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
+use metasim_cache::{content_key, ArtifactKey, ArtifactStore, SingleFlight};
 use metasim_chaos::{site, RetryPolicy};
 use metasim_machines::{MachineConfig, MachineId};
 
@@ -118,8 +116,7 @@ impl std::error::Error for ProbeFailure {}
 /// persistent backing store.
 #[derive(Debug)]
 pub struct ProbeSuite {
-    #[allow(clippy::type_complexity)]
-    cells: RwLock<HashMap<MachineId, Arc<OnceLock<Result<Arc<MachineProbes>, ProbeFailure>>>>>,
+    cells: SingleFlight<MachineId, Result<Arc<MachineProbes>, ProbeFailure>>,
     store: Option<Arc<ArtifactStore>>,
     measurements: AtomicUsize,
     tier: Tier,
@@ -131,7 +128,7 @@ impl Default for ProbeSuite {
     /// [`with_tier`](Self::with_tier).
     fn default() -> Self {
         Self {
-            cells: RwLock::default(),
+            cells: SingleFlight::new(),
             store: None,
             measurements: AtomicUsize::new(0),
             tier: Tier::Exact,
@@ -216,17 +213,7 @@ impl ProbeSuite {
     /// measurement attempt in the retry budget. The outcome — success or
     /// failure — is memoized once per machine.
     pub fn try_measure(&self, machine: &MachineConfig) -> Result<Arc<MachineProbes>, ProbeFailure> {
-        let cell = {
-            let cells = self.cells.read();
-            match cells.get(&machine.id) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(cells);
-                    Arc::clone(self.cells.write().entry(machine.id).or_default())
-                }
-            }
-        };
-        cell.get_or_init(|| self.acquire(machine)).clone()
+        self.cells.get_or_init(machine.id, || self.acquire(machine))
     }
 
     /// One acquisition: outage gate, retried transient-failure gate, then
@@ -301,11 +288,7 @@ impl ProbeSuite {
     /// machines memoized as failed do not count.
     #[must_use]
     pub fn measured_count(&self) -> usize {
-        self.cells
-            .read()
-            .values()
-            .filter(|cell| cell.get().is_some_and(Result::is_ok))
-            .count()
+        self.cells.count_ready(Result::is_ok)
     }
 
     /// Number of full probe sweeps actually executed by this suite (cache

@@ -46,8 +46,9 @@ fn main() {
     let suite = ProbeSuite::new();
     let gt = GroundTruth::new();
     let rec = Arc::new(InMemoryRecorder::new());
-    let (parallel, timings) =
-        with_recorder(rec.clone(), || Study::run_timed_jobs(&f, &suite, &gt, 4));
+    let (parallel, timings) = with_recorder(rec.clone(), || {
+        Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
+    });
     println!(
         "sharded run (--jobs 4): {} observations in {:.1} s",
         parallel.observations.len(),
