@@ -2,34 +2,40 @@
 //!
 //! The simulator models tag state only (no data), which is all a timing study
 //! needs. Associativity in the fleet this workspace models is small (1–16
-//! ways), so per-set LRU is a linear scan over a tiny array. Tags and stamps
-//! live in separate contiguous `u64` arrays (structure-of-arrays): the hit
-//! scan reads only the tag array and the victim scan only the stamp array,
-//! each a branchless sweep the compiler can unroll and `cmov`/vectorize.
+//! ways), so each set is a tiny array kept in recency order, most recently
+//! used way first: a hit at position `k` rotates the first `k + 1` ways one
+//! step (the hit line moves to the front), and a miss shifts the whole set
+//! one step, dropping the least recently used way at the tail. Empty ways
+//! sit at the tail of their set, so they are consumed before any eviction
+//! happens.
 
 use crate::spec::LevelSpec;
+use crate::tag_pool::TagPool;
 
+/// Marks an empty way; line `u64::MAX` aliases it.
 const EMPTY: u64 = u64::MAX;
 
+/// Where every cache's tag array comes from and goes back to.
+static TAGS: TagPool = TagPool::new();
+
 /// A set-associative LRU cache over 64-bit byte addresses.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
-    /// Line tag per way (`addr >> line_shift`); `u64::MAX` marks empty.
-    tags: Vec<u64>,
-    /// Monotone last-touch stamp per way, parallel to `tags`.
-    stamps: Vec<u64>,
+    /// Line number per way (`addr >> line_shift`), `assoc` ways per set,
+    /// each set ordered most to least recently used; [`EMPTY`] marks an
+    /// unused way.
+    ways: Vec<u64>,
     assoc: usize,
     set_mask: u64,
     line_shift: u32,
-    clock: u64,
     hits: u64,
     misses: u64,
-    /// Line most recently touched, valid when `last_way != usize::MAX`.
-    /// Invariant: `tags[last_way] == last_line` — every fill updates both,
-    /// and the most recently stamped way can never be a later fill's LRU
-    /// victim, so the pair can only go stale by being overwritten together.
+    /// Line most recently touched, [`EMPTY`] before the first access. Every
+    /// access moves its line to the front of its set, so this line is
+    /// always at position 0 of its set.
     last_line: u64,
-    last_way: usize,
+    /// Lends `ways` and takes it back on drop.
+    pool: &'static TagPool,
 }
 
 impl Cache {
@@ -40,21 +46,22 @@ impl Cache {
     /// `machines` crate or validate first.
     #[must_use]
     pub fn new(spec: &LevelSpec) -> Self {
+        Self::new_in(spec, &TAGS)
+    }
+
+    fn new_in(spec: &LevelSpec, pool: &'static TagPool) -> Self {
         spec.validate().expect("invalid cache spec");
         let sets = spec.sets();
         let assoc = spec.associativity as usize;
-        let ways = (sets as usize) * assoc;
         Self {
-            tags: vec![EMPTY; ways],
-            stamps: vec![0; ways],
+            ways: pool.take(sets as usize * assoc, EMPTY),
             assoc,
             set_mask: sets - 1,
             line_shift: spec.line_bytes.trailing_zeros(),
-            clock: 0,
             hits: 0,
             misses: 0,
-            last_line: 0,
-            last_way: usize::MAX,
+            last_line: EMPTY,
+            pool,
         }
     }
 
@@ -68,63 +75,33 @@ impl Cache {
     /// per batch instead of once per level per access). Bit-identical to
     /// [`access`](Self::access) on the containing address.
     pub(crate) fn access_line(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        // MRU fast path: a repeat of the line we just touched needs no set
-        // scan — it is still resident at `last_way` by the struct invariant.
-        if line == self.last_line && self.last_way != usize::MAX {
-            self.stamps[self.last_way] = self.clock;
+        // MRU fast path: a repeat of the line we just touched is already at
+        // the front of its set, so it hits with no scan and no move.
+        if line == self.last_line {
             self.hits += 1;
             return true;
         }
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
-
-        // Hit scan: tags are unique within a set, so keeping the last match
-        // equals keeping the only match — no early exit, no branch.
-        let mut way = usize::MAX;
-        for (i, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
-            if t == line {
-                way = base + i;
-            }
-        }
-        if way != usize::MAX {
-            self.stamps[way] = self.clock;
-            self.hits += 1;
-            self.last_line = line;
-            self.last_way = way;
-            return true;
-        }
-
-        // Miss: replace the first way with the minimum stamp — the same
-        // element `min_by_key` picks (empty ways carry stamp 0 and lose
-        // ties, so they are consumed before any eviction happens).
-        let stamps = &self.stamps[base..base + self.assoc];
-        let mut victim = 0;
-        let mut best = stamps[0];
-        for (i, &s) in stamps.iter().enumerate().skip(1) {
-            if s < best {
-                best = s;
-                victim = i;
-            }
-        }
-        let way = base + victim;
-        self.tags[way] = line;
-        self.stamps[way] = self.clock;
-        self.misses += 1;
         self.last_line = line;
-        self.last_way = way;
-        false
+        let base = (line & self.set_mask) as usize * self.assoc;
+        let set = &mut self.ways[base..base + self.assoc];
+        // A hit at position k moves ways 0..k back one step; a miss moves
+        // all but the last, which is the LRU victim (or an empty way).
+        let hit = set.iter().position(|&t| t == line);
+        set.copy_within(0..hit.unwrap_or(self.assoc - 1), 1);
+        set[0] = line;
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit.is_some()
     }
 
-    /// Collapse `reps` further accesses to the most recently touched line
-    /// into one stamp update. Bit-identical to calling
-    /// [`access_line`](Self::access_line) `reps` times with the same line:
-    /// each would hit the MRU fast path, and only the final stamp is
-    /// observable.
+    /// Count `reps` further accesses to the most recently touched line.
+    /// Bit-identical to calling [`access_line`](Self::access_line) `reps`
+    /// times with the same line: each would hit the MRU fast path, which
+    /// changes nothing but the hit count.
     pub(crate) fn touch_repeat(&mut self, reps: u64) {
-        debug_assert!(self.last_way != usize::MAX, "no line touched yet");
-        self.clock += reps;
-        self.stamps[self.last_way] = self.clock;
         self.hits += reps;
     }
 
@@ -137,20 +114,16 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
-        self.tags[base..base + self.assoc].contains(&line)
+        let base = (line & self.set_mask) as usize * self.assoc;
+        self.ways[base..base + self.assoc].contains(&line)
     }
 
     /// Invalidate all contents and reset statistics.
     pub fn reset(&mut self) {
-        self.tags.fill(EMPTY);
-        self.stamps.fill(0);
-        self.clock = 0;
+        self.ways.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
-        self.last_line = 0;
-        self.last_way = usize::MAX;
+        self.last_line = EMPTY;
     }
 
     /// Hits observed since construction/reset.
@@ -183,10 +156,25 @@ impl Cache {
     }
 }
 
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        let mut ways = self.pool.take(self.ways.len(), EMPTY);
+        ways.copy_from_slice(&self.ways);
+        Self { ways, ..*self }
+    }
+}
+
+impl Drop for Cache {
+    fn drop(&mut self) {
+        self.pool.give(std::mem::take(&mut self.ways));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::LevelSpec;
+    use proptest::prelude::*;
 
     fn tiny(assoc: u32, sets: u64) -> Cache {
         // line 64B
@@ -333,6 +321,44 @@ mod tests {
     }
 
     #[test]
+    fn dropped_tag_arrays_are_recycled_empty() {
+        static POOL: TagPool = TagPool::new();
+        let spec = LevelSpec {
+            capacity_bytes: 64 << 20,
+            line_bytes: 64,
+            associativity: 8,
+            load_bandwidth: 1e9,
+            latency: 1e-9,
+        };
+        let mut c = Cache::new_in(&spec, &POOL);
+        for line in 0..64 {
+            c.access(line * 64);
+        }
+        let ptr = c.ways.as_ptr();
+        drop(c);
+        assert_eq!(POOL.spare_ptrs(), [ptr], "drop must return the array");
+        let mut c = Cache::new_in(&spec, &POOL);
+        assert_eq!(c.ways.as_ptr(), ptr, "the spare must be reused");
+        for line in 0..64 {
+            assert!(!c.contains(line * 64), "line {line} survived recycling");
+        }
+        assert!(!c.access(0));
+        assert_eq!((c.hits(), c.misses()), (0, 1));
+    }
+
+    #[test]
+    fn clones_own_their_tags() {
+        let mut c = tiny(2, 4); // lines 0, 4 and 8 share set 0
+        c.access(0);
+        let mut d = c.clone();
+        assert!(d.contains(0));
+        d.access(4 * 64);
+        d.access(8 * 64);
+        assert!(!d.contains(0), "the clone evicts its own copy");
+        assert!(c.contains(0) && !c.contains(4 * 64));
+    }
+
+    #[test]
     fn mru_fast_path_survives_interleaved_fills() {
         // An assoc-1 cache where a conflicting fill replaces the last-touched
         // way: the fast path must not claim a stale hit afterwards.
@@ -342,5 +368,143 @@ mod tests {
         assert!(!c.access(64)); // evicts line 0, retargets the fast path
         assert!(!c.access(0), "evicted line must miss");
         assert!(c.access(0), "and hit after refill");
+    }
+
+    /// The stamp-based cache this module's recency-ordered sets replaced,
+    /// kept as the reference they must match access for access: tags and
+    /// monotone last-touch stamps in parallel arrays, `u64::MAX` marking an
+    /// empty way, a miss filling the first way with the minimum stamp.
+    struct ReferenceCache {
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        assoc: usize,
+        set_mask: u64,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        /// Line most recently touched, valid when `last_way != usize::MAX`.
+        /// Invariant: `tags[last_way] == last_line`.
+        last_line: u64,
+        last_way: usize,
+    }
+
+    impl ReferenceCache {
+        fn new(assoc: usize, sets: usize) -> Self {
+            Self {
+                tags: vec![u64::MAX; assoc * sets],
+                stamps: vec![0; assoc * sets],
+                assoc,
+                set_mask: sets as u64 - 1,
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                last_line: 0,
+                last_way: usize::MAX,
+            }
+        }
+
+        fn access_line(&mut self, line: u64) -> bool {
+            self.clock += 1;
+            if line == self.last_line && self.last_way != usize::MAX {
+                self.stamps[self.last_way] = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            let base = (line & self.set_mask) as usize * self.assoc;
+            let mut way = usize::MAX;
+            for (i, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
+                if t == line {
+                    way = base + i;
+                }
+            }
+            if way != usize::MAX {
+                self.stamps[way] = self.clock;
+                self.hits += 1;
+                self.last_line = line;
+                self.last_way = way;
+                return true;
+            }
+            let stamps = &self.stamps[base..base + self.assoc];
+            let mut victim = 0;
+            let mut best = stamps[0];
+            for (i, &s) in stamps.iter().enumerate().skip(1) {
+                if s < best {
+                    best = s;
+                    victim = i;
+                }
+            }
+            let way = base + victim;
+            self.tags[way] = line;
+            self.stamps[way] = self.clock;
+            self.misses += 1;
+            self.last_line = line;
+            self.last_way = way;
+            false
+        }
+
+        fn touch_repeat(&mut self, reps: u64) {
+            self.clock += reps;
+            self.stamps[self.last_way] = self.clock;
+            self.hits += reps;
+        }
+
+        fn contains_line(&self, line: u64) -> bool {
+            let base = (line & self.set_mask) as usize * self.assoc;
+            self.tags[base..base + self.assoc].contains(&line)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Hit for hit, the recency-ordered sets replay the stamp-based
+        // reference over random streams: same-line runs, `touch_repeat`
+        // collapses, both address and line entry points, and `contains`
+        // probes, with line universes from half to eight times the
+        // capacity.
+        #[test]
+        fn matches_the_stamp_based_reference(
+            assoc_idx in 0usize..7,
+            sets_log2 in 0u32..7,
+            universe_idx in 0usize..5,
+            ops in prop::collection::vec((0u64..1 << 40, 1u64..4, 0u64..4, 0u64..64, 0u64..1 << 40), 1..2000),
+        ) {
+            let assoc = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
+            let sets = 1u64 << sets_log2;
+            let capacity = u64::from(assoc) * sets;
+            let universe = match universe_idx {
+                0 => (capacity / 2).max(1),
+                1 => capacity,
+                2 => capacity + 1,
+                3 => 2 * capacity,
+                _ => 8 * capacity,
+            };
+            let mut fast = tiny(assoc, sets);
+            let mut reference = ReferenceCache::new(assoc as usize, sets as usize);
+            for (step, &(raw, run, repeat, offset, probe)) in ops.iter().enumerate() {
+                let line = raw % universe;
+                let probed = probe % universe;
+                prop_assert_eq!(
+                    fast.contains((probed << fast.line_shift()) | offset),
+                    reference.contains_line(probed),
+                    "step {} probe {}", step, probed
+                );
+                for r in 0..run {
+                    let hit = if r % 2 == 0 {
+                        fast.access_line(line)
+                    } else {
+                        fast.access((line << fast.line_shift()) | offset)
+                    };
+                    prop_assert_eq!(hit, reference.access_line(line), "step {} line {}", step, line);
+                }
+                // A quarter of the steps end with a collapsed repeat run.
+                if repeat == 0 {
+                    fast.touch_repeat(run);
+                    reference.touch_repeat(run);
+                }
+            }
+            prop_assert_eq!(fast.hits(), reference.hits);
+            prop_assert_eq!(fast.misses(), reference.misses);
+        }
     }
 }

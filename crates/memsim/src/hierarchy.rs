@@ -159,10 +159,10 @@ impl HierarchySim {
     /// restructured for throughput. Each cache (and the TLB) is an
     /// independent state machine keyed only on the address sequence, so the
     /// batch is replayed level by level instead of interleaving levels per
-    /// address: one tight pass over contiguous tag/stamp arrays per level.
+    /// address: one tight pass over each level's recency-ordered sets.
     /// Within a pass, runs of consecutive accesses to the same line — every
     /// monotone-stride MAPS sweep with stride below the line size — collapse
-    /// into one set scan plus a repeat-touch. Per-batch counters live in
+    /// into one set scan plus a hit-count update. Per-batch counters live in
     /// reusable scratch, not a fresh allocation per 1,024-address buffer.
     /// This is the measurement hot path: MAPS sweeps drive tens of thousands
     /// of accesses per point across 55 curves per machine.
@@ -179,7 +179,7 @@ impl HierarchySim {
 
         // TLB pass. Same-page runs (page_bytes / stride consecutive
         // accesses on a sweep) need one lookup; the repeats are hits by
-        // construction and collapse into a stamp update.
+        // construction and collapse into a hit-count update.
         let mut tlb_misses = 0u64;
         let page_shift = self.tlb.page_shift();
         let mut i = 0;

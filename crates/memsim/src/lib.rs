@@ -52,6 +52,7 @@ pub mod cache;
 pub mod hierarchy;
 pub mod spec;
 pub mod streams;
+mod tag_pool;
 pub mod timing;
 pub mod tlb;
 

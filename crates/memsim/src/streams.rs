@@ -1,13 +1,11 @@
 //! Synthetic address-stream generators.
 //!
 //! Probes and application workloads need real address sequences to drive the
-//! hierarchy simulator. Three families cover the study's needs: unit/short
-//! stride sweeps (STREAM, MAPS unit-stride), uniform random (GUPS, MAPS
-//! random-stride), and a gather pattern mixing a sequential index stream with
-//! random targets (used by the synthetic applications for indirection-heavy
-//! phases).
+//! hierarchy simulator. Two families cover the study's needs: unit/short
+//! stride sweeps (STREAM, MAPS unit-stride) and uniform random (GUPS, MAPS
+//! random-stride).
 
-use metasim_stats::rng::SeededRng;
+use metasim_stats::rng::{SeededRng, UniformBelow};
 
 /// Anything that can produce an unbounded sequence of byte addresses.
 pub trait AddressStream {
@@ -88,7 +86,8 @@ impl AddressStream for StridedStream {
 #[derive(Debug, Clone)]
 pub struct RandomStream {
     base: u64,
-    slots: u64,
+    /// Draws the element index, its Lemire threshold computed once.
+    slot: UniformBelow,
     element_bytes: u64,
     rng: SeededRng,
 }
@@ -105,7 +104,7 @@ impl RandomStream {
         assert!(slots > 0, "working set must hold at least one element");
         Self {
             base,
-            slots,
+            slot: UniformBelow::new(slots),
             element_bytes,
             rng,
         }
@@ -114,7 +113,7 @@ impl RandomStream {
 
 impl AddressStream for RandomStream {
     fn next_addr(&mut self) -> u64 {
-        self.base + self.rng.next_below(self.slots) * self.element_bytes
+        self.base + self.slot.sample(&mut self.rng) * self.element_bytes
     }
 
     fn element_bytes(&self) -> u64 {
@@ -122,56 +121,21 @@ impl AddressStream for RandomStream {
     }
 }
 
-/// Gather: alternates a sequential index read with a random data access, the
-/// signature of `a[idx[i]]` loops in unstructured-mesh codes.
-#[derive(Debug, Clone)]
-pub struct GatherStream {
-    index: StridedStream,
-    data: RandomStream,
-    toggle: bool,
-}
-
-impl GatherStream {
-    /// Build from an index sweep and a random-target data region.
-    #[must_use]
-    pub fn new(index: StridedStream, data: RandomStream) -> Self {
-        Self {
-            index,
-            data,
-            toggle: false,
-        }
-    }
-}
-
-impl AddressStream for GatherStream {
-    fn next_addr(&mut self) -> u64 {
-        self.toggle = !self.toggle;
-        if self.toggle {
-            self.index.next_addr()
-        } else {
-            self.data.next_addr()
-        }
-    }
-
-    fn element_bytes(&self) -> u64 {
-        self.index.element_bytes()
-    }
-}
-
-/// Collect the next `n` addresses of a stream into a vector (test/diagnostic
-/// helper; hot paths drive streams directly).
-pub fn take_addresses<S: AddressStream>(stream: &mut S, n: usize) -> Vec<u64> {
-    (0..n).map(|_| stream.next_addr()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The next `n` addresses of `stream`, through [`AddressStream::fill`].
+    fn take<S: AddressStream>(stream: &mut S, n: usize) -> Vec<u64> {
+        let mut addrs = vec![0; n];
+        stream.fill(&mut addrs);
+        addrs
+    }
+
     #[test]
     fn unit_stride_walks_and_wraps() {
         let mut s = StridedStream::new(1000, 32, 8, 8);
-        let addrs = take_addresses(&mut s, 6);
+        let addrs = take(&mut s, 6);
         assert_eq!(addrs, vec![1000, 1008, 1016, 1024, 1000, 1008]);
         assert_eq!(s.period(), 4);
     }
@@ -179,7 +143,7 @@ mod tests {
     #[test]
     fn strided_respects_stride() {
         let mut s = StridedStream::new(0, 1024, 64, 8);
-        let addrs = take_addresses(&mut s, 3);
+        let addrs = take(&mut s, 3);
         assert_eq!(addrs, vec![0, 64, 128]);
     }
 
@@ -229,18 +193,26 @@ mod tests {
     }
 
     #[test]
-    fn gather_alternates_streams() {
-        let idx = StridedStream::new(0, 1 << 10, 8, 8);
-        let data = RandomStream::new(1 << 20, 1 << 20, 8, SeededRng::new(3));
-        let mut g = GatherStream::new(idx, data);
-        let addrs = take_addresses(&mut g, 6);
-        // Even positions from the index region, odd from the data region.
-        assert!(addrs[0] < 1 << 10);
-        assert!(addrs[1] >= 1 << 20);
-        assert!(addrs[2] < 1 << 10);
-        assert!(addrs[3] >= 1 << 20);
-        assert_eq!(addrs[0], 0);
-        assert_eq!(addrs[2], 8);
+    fn random_fill_matches_next_addr() {
+        // Slot counts 1, 3, 2^20 and 2^63 + 1; the last rejects almost half
+        // of the generator's outputs. Batch lengths include partial ones.
+        let cases = [(8, 8), (24, 8), (8 << 20, 8), ((1 << 63) + 1, 1)];
+        for (working_set, element_bytes) in cases {
+            let base = 4096;
+            let mut batched =
+                RandomStream::new(base, working_set, element_bytes, SeededRng::new(17));
+            let mut single = batched.clone();
+            for len in [1, 7, 1024, 1000, 0, 33] {
+                let got = take(&mut batched, len);
+                let want: Vec<u64> = (0..len).map(|_| single.next_addr()).collect();
+                assert_eq!(got, want, "working set {working_set}, batch {len}");
+            }
+            assert_eq!(
+                batched.rng.next_u64(),
+                single.rng.next_u64(),
+                "working set {working_set}: generator state diverged"
+            );
+        }
     }
 
     #[test]

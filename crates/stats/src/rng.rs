@@ -117,18 +117,10 @@ impl SeededRng {
 
     /// Uniform integer in `[0, bound)`. `bound` must be nonzero.
     ///
-    /// Uses Lemire's multiply-shift rejection method for unbiased results.
+    /// Uses Lemire's multiply-shift rejection method for unbiased results;
+    /// see [`UniformBelow`] for many draws below one bound.
     pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "next_below bound must be nonzero");
-        // Lemire's method: rejection zone keeps the mapping unbiased.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = u128::from(x) * u128::from(bound);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
-            }
-        }
+        UniformBelow::new(bound).sample(self)
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -201,6 +193,44 @@ impl SeededRng {
     pub fn fork(&mut self, label: &str) -> SeededRng {
         let base = self.next_u64();
         SeededRng::new(base ^ fnv1a(label.as_bytes()))
+    }
+}
+
+/// Uniform integers in `[0, bound)` for one fixed `bound`, by Lemire's
+/// multiply-shift rejection method.
+///
+/// The rejection threshold costs a 64-bit division; building the sampler once
+/// pays it once, where [`SeededRng::next_below`] pays it on every draw. Both
+/// consume the same generator outputs and return the same values.
+#[derive(Debug, Clone, Copy)]
+pub struct UniformBelow {
+    bound: u64,
+    threshold: u64,
+}
+
+impl UniformBelow {
+    /// A sampler for `[0, bound)`.
+    ///
+    /// # Panics
+    /// Panics if `bound` is zero.
+    #[must_use]
+    pub fn new(bound: u64) -> Self {
+        assert!(bound > 0, "next_below bound must be nonzero");
+        // The rejection zone `2^64 mod bound` keeps the mapping unbiased.
+        Self {
+            bound,
+            threshold: bound.wrapping_neg() % bound,
+        }
+    }
+
+    /// Draw one value from `rng`.
+    pub fn sample(&self, rng: &mut SeededRng) -> u64 {
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(self.bound);
+            if (m as u64) >= self.threshold {
+                return (m >> 64) as u64;
+            }
+        }
     }
 }
 
@@ -290,6 +320,34 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
+    }
+
+    #[test]
+    fn uniform_below_replays_the_per_draw_threshold() {
+        // Inline the original per-draw Lemire loop as the reference; a
+        // bound just past 2^63 rejects almost half of all outputs.
+        fn reference(rng: &mut SeededRng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(bound);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        for bound in [1, 3, 7, 1 << 20, (1 << 63) + 1, u64::MAX] {
+            let sampler = UniformBelow::new(bound);
+            let (mut a, mut b, mut c) =
+                (SeededRng::new(11), SeededRng::new(11), SeededRng::new(11));
+            for _ in 0..1_000 {
+                let want = reference(&mut a, bound);
+                assert_eq!(sampler.sample(&mut b), want, "bound {bound}");
+                assert_eq!(c.next_below(bound), want, "bound {bound}");
+            }
+            let next = a.next_u64();
+            assert_eq!(b.next_u64(), next, "bound {bound}");
+            assert_eq!(c.next_u64(), next, "bound {bound}");
+        }
     }
 
     #[test]
