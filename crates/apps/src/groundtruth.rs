@@ -30,7 +30,7 @@ use metasim_machines::{MachineConfig, MachineId};
 use metasim_memsim::bandwidth::{measure_bandwidth, Workload as MemWorkload};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_netsim::replay::replay;
-use metasim_stats::rng::SeededRng;
+use metasim_stats::rng::{seed_from_labels, SeededRng};
 use metasim_tracer::block::DependencyClass;
 
 use crate::registry::TestCase;
@@ -101,6 +101,31 @@ fn block_flop_seconds(machine: &MachineConfig, block: &WorkBlock) -> f64 {
     block.flops as f64 * block.invocations as f64 / rate
 }
 
+/// The seeds of the three noise streams one ground-truth run draws from.
+#[derive(Debug, Clone, Copy)]
+pub struct NoiseSeeds {
+    /// The per-(machine, case) idiosyncrasy draw, shared by every CPU
+    /// count of the case.
+    pub idiosyncrasy: u64,
+    /// The per-(machine, case, p) run jitter on top of it.
+    pub run_jitter: u64,
+    /// The per-(machine, case, p) synchronization-imbalance jitter.
+    pub imbalance: u64,
+}
+
+/// The one place the noise-stream labels are spelled: the seeds
+/// [`imbalance_factor`] and [`idiosyncrasy_factor`] draw from for a run of
+/// `app`/`case` at `p` processes on the machine labelled `machine`.
+#[must_use]
+pub fn noise_seeds(app: &str, case: &str, machine: &str, p: u64) -> NoiseSeeds {
+    let p = p.to_string();
+    NoiseSeeds {
+        idiosyncrasy: seed_from_labels(&["idiosyncrasy", app, case, machine]),
+        run_jitter: seed_from_labels(&["run-jitter", app, case, machine, &p]),
+        imbalance: seed_from_labels(&["imbalance", app, case, machine, &p]),
+    }
+}
+
 /// Synchronization-imbalance multiplier for the communication component.
 ///
 /// Grows with process count (more ranks, more waiting on the slowest) and
@@ -115,9 +140,8 @@ pub fn imbalance_factor(app: &str, case: &str, machine: &MachineConfig, p: u64) 
         "HYCOM" => 0.03,
         _ => 0.04,
     };
-    let mut rng =
-        SeededRng::from_labels(&["imbalance", app, case, machine.id.label(), &p.to_string()]);
-    let jitter = rng.lognormal_factor(0.05);
+    let seeds = noise_seeds(app, case, machine.id.label(), p);
+    let jitter = SeededRng::new(seeds.imbalance).lognormal_factor(0.05);
     (1.0 + inherent * (p as f64).log2()) * jitter
 }
 
@@ -125,10 +149,9 @@ pub fn imbalance_factor(app: &str, case: &str, machine: &MachineConfig, p: u64) 
 /// methodology cannot see, frozen deterministically.
 #[must_use]
 pub fn idiosyncrasy_factor(app: &str, case: &str, machine: &MachineConfig, p: u64) -> f64 {
-    let mut per_app = SeededRng::from_labels(&["idiosyncrasy", app, case, machine.id.label()]);
-    let mut per_run =
-        SeededRng::from_labels(&["run-jitter", app, case, machine.id.label(), &p.to_string()]);
-    per_app.lognormal_factor(IDIOSYNCRASY_SIGMA) * per_run.lognormal_factor(RUN_JITTER_SIGMA)
+    let seeds = noise_seeds(app, case, machine.id.label(), p);
+    SeededRng::new(seeds.idiosyncrasy).lognormal_factor(IDIOSYNCRASY_SIGMA)
+        * SeededRng::new(seeds.run_jitter).lognormal_factor(RUN_JITTER_SIGMA)
 }
 
 /// Execute a workload on a machine at full detail.
@@ -363,6 +386,32 @@ mod tests {
         let cfd = imbalance_factor("HYCOM", "standard", m, 64);
         let amr = imbalance_factor("RFCTH", "standard", m, 64);
         assert!(amr > cfd * 1.1, "AMR {amr} vs ocean {cfd}");
+    }
+
+    #[test]
+    fn noise_seed_streams_are_disjoint_over_the_paper_grid() {
+        // The (app, case, p) strings `execute` passes, for every cell of
+        // the grid on every machine of the fleet, base included.
+        let f = fleet();
+        let mut idiosyncrasy = std::collections::HashSet::new();
+        let mut run_jitter = std::collections::HashSet::new();
+        let mut imbalance = std::collections::HashSet::new();
+        let mut all = std::collections::HashSet::new();
+        for (case, p) in crate::registry::all_test_cases() {
+            let w = case.workload(p);
+            for m in f.all() {
+                let seeds = noise_seeds(&w.app, &w.case, m.id.label(), w.processes);
+                idiosyncrasy.insert(seeds.idiosyncrasy);
+                run_jitter.insert(seeds.run_jitter);
+                imbalance.insert(seeds.imbalance);
+                all.extend([seeds.idiosyncrasy, seeds.run_jitter, seeds.imbalance]);
+            }
+        }
+        assert_eq!(run_jitter.len(), 165, "one run-jitter stream per cell");
+        assert_eq!(imbalance.len(), 165, "one imbalance stream per cell");
+        // Shared across CPU counts by design: one per (case, machine).
+        assert_eq!(idiosyncrasy.len(), 55, "one per (case, machine)");
+        assert_eq!(all.len(), 165 + 165 + 55, "no seed shared across families");
     }
 
     #[test]

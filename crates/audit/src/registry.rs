@@ -5,9 +5,9 @@
 //! `MS1xx` probe curves (MAPS / ENHANCED MAPS / HPL), `MS2xx` application
 //! traces, `MS3xx` study outputs and predictions, `MS4xx` run manifests,
 //! `MS5xx` formula/dataflow lints, `MS6xx` robustness (fault injection,
-//! partial coverage, retry budgets), `MS7xx` parallel safety, `MS8xx`
-//! tiered-model fidelity, `MS9xx` sensitivity analysis, `MS10xx` generated
-//! fleets (sampled scenario spaces). Codes are append-only —
+//! partial coverage, retry budgets), `MS8xx` tiered-model fidelity,
+//! `MS9xx` sensitivity analysis, `MS10xx` generated fleets (sampled
+//! scenario spaces); `MS7xx` is retired. Codes are append-only —
 //! a published code is never renumbered or reused, so `allow` lists in
 //! config files stay meaningful across releases.
 
@@ -312,41 +312,7 @@ rules! {
         summary: "A run manifest whose chaos.retry.exhausted counter is nonzero reports degraded inputs",
         paper: "The probe methodology assumes measurements eventually succeed; exhausted retries mean holes",
     };
-    MS701 = {
-        code: "MS701",
-        name: "non-canonical-reduction",
-        severity: Error,
-        summary: "A reduction that crosses a shard boundary must merge in canonical order, never arrival order",
-        paper: "Tables 4-5 average floats; reassociating the sum across threads moves the reported error",
-    };
-    MS702 = {
-        code: "MS702",
-        name: "seed-stream-collision",
-        severity: Error,
-        summary: "Distinct tasks must derive distinct RNG/chaos seed streams from their full coordinate labels",
-        paper: "Deterministic draws (idiosyncrasy, imbalance, faults) are pure in (seed, site, labels)",
-    };
-    MS703 = {
-        code: "MS703",
-        name: "cache-key-collision",
-        severity: Error,
-        summary: "Distinct dataflow nodes must hash to distinct content keys under the shared FNV-1a",
-        paper: "Section 3 pays for probes/traces/runs once; a key collision silently serves the wrong artifact",
-    };
-    MS704 = {
-        code: "MS704",
-        name: "unguarded-shared-state",
-        severity: Error,
-        summary: "Mutable state reachable from more than one shard must sit behind a single-flight or atomic guard",
-        paper: "Memoized probe sweeps and ground-truth cells assume one measurement per coordinate",
-    };
-    MS705 = {
-        code: "MS705",
-        name: "unpartitionable-node",
-        severity: Warn,
-        summary: "The study graph must stay acyclic with no edges inside the shard cut, or it cannot be parallelized",
-        paper: "The 1,350 predictions are independent; a hidden cross-cell dependency would serialize them",
-    };
+    // MS701–MS705 (parallel safety) are retired; the codes are never reused.
     MS801 = {
         code: "MS801",
         name: "tier-fidelity",

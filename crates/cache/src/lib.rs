@@ -63,8 +63,7 @@ impl std::fmt::Display for ArtifactKey {
 /// FNV-1a over a byte string. Stable across platforms and releases — cache
 /// keys must never depend on `DefaultHasher`'s unspecified algorithm. This
 /// is the workspace-shared implementation from `metasim-stats`, re-exported
-/// so cache keys, chaos draws, RNG seeds, and dataflow node ids provably
-/// use one hash (the `MS703` collision analysis compares like with like).
+/// so cache keys, chaos draws, and RNG seeds provably use one hash.
 pub use metasim_stats::rng::fnv1a;
 
 /// Key for an artifact derived from string labels plus the canonical JSON

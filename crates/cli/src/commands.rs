@@ -113,22 +113,16 @@ commands:
                      exact simulator on every machine (MS801); exits
                      non-zero on error-severity findings
   lint [--json] [--deny-warnings] [--allow RULE[@subject]]... [--mutate NAME]
-                     statically analyze the nine metric formulas (MS5xx) and
-                     the whole-study dataflow graph's parallel safety
-                     (MS7xx): prove every prediction reduces to seconds,
-                     flag unmeasured quantities, unread measurements, unused
-                     machines, and unreachable ENHANCED MAPS branches, and
-                     certify the shard cut (canonical merges, disjoint seed
-                     streams, collision-free node keys, guarded shared
-                     state, acyclic partition); also screens the reference
-                     prediction's sensitivity profile (MS9xx); --mutate
-                     seeds a named defect (eq1-multiply, drop-maps,
-                     drop-network-terms, drop-target, single-dep-class,
-                     arrival-order-merge, shared-seed-stream,
-                     untagged-node-keys, unguarded-memo, cross-shard-edge,
-                     uncancelled-bias, dead-flop-term,
-                     cancelling-denominator, noise-blind, stale-budget)
-                     to show its rule fire
+                     statically analyze the nine metric formulas (MS5xx):
+                     prove every prediction reduces to seconds, flag
+                     unmeasured quantities, unread measurements, unused
+                     machines, and unreachable ENHANCED MAPS branches; also
+                     screens the reference prediction's sensitivity
+                     profile (MS9xx); --mutate seeds a named defect
+                     (eq1-multiply, drop-maps, drop-network-terms,
+                     drop-target, single-dep-class, uncancelled-bias,
+                     dead-flop-term, cancelling-denominator, noise-blind,
+                     stale-budget) to show its rule fire
   sense [--json] [--deny-warnings] [--allow RULE[@subject]]...
         [--budget FILE.json] [--mutate NAME] [--epsilon E] [--seed N]
         [--reference] [--jobs N]
@@ -145,8 +139,7 @@ commands:
                      loads thresholds from a committed JSON file (MS905 if
                      missing or stale); --reference analyzes only the
                      reference cell instead of the full 150-cell grid;
-                     --mutate seeds formula or sense defects (dataflow
-                     mutations belong to `lint`)
+                     --mutate seeds formula or sense defects
   study [--timings] [--jobs N] [--cache-dir DIR] [--no-cache]
         [--tier exact|analytic|auto] [--export FILE.csv]
         [--bench-out FILE.json] [--obs-out FILE.json]
@@ -155,8 +148,8 @@ commands:
                      run the full 1,350-prediction study; artifacts persist
                      in DIR (default .metasim-cache, or $METASIM_CACHE_DIR)
                      so warm re-runs load instead of re-measuring; --jobs N
-                     shards the cold run across N worker threads along the
-                     lint-certified cut — any N produces byte-identical
+                     shards the cold run's independent cells across N
+                     worker threads — any N produces byte-identical
                      results; --tier picks the memory model behind the
                      probes: exact (default, address-level simulator),
                      analytic (closed-form model, orders of magnitude
@@ -304,7 +297,6 @@ fn audit(rest: &[String]) -> Result<(), String> {
 
 fn lint(rest: &[String]) -> Result<(), String> {
     use metasim_audit::{render, AllowRule, AuditPolicy};
-    use metasim_core::dataflow::DataflowModel;
     use metasim_core::formula::cost_expr;
     use metasim_core::lint::{lint_full_with_policy, AnyMutation, LintModel};
     use metasim_core::sensitivity::{SenseModel, SenseScope};
@@ -333,7 +325,6 @@ fn lint(rest: &[String]) -> Result<(), String> {
     }
 
     let mut model = LintModel::shipped();
-    let mut dataflow = DataflowModel::shipped();
     // The sensitivity pass in `lint` covers the representative cell; the
     // full 150-cell grid is `metasim sense`.
     let mut sense = SenseModel::shipped(SenseScope::Reference);
@@ -352,13 +343,11 @@ fn lint(rest: &[String]) -> Result<(), String> {
         }
         match m {
             AnyMutation::Formula(m) => model = LintModel::mutated(m),
-            AnyMutation::Dataflow(m) => dataflow = DataflowModel::mutated(m),
             AnyMutation::Sense(m) => m.apply(&mut sense),
         }
     }
     let report = lint_full_with_policy(
         &model,
-        &dataflow,
         &sense,
         AuditPolicy {
             allow,
@@ -367,15 +356,6 @@ fn lint(rest: &[String]) -> Result<(), String> {
     );
 
     if json {
-        // One leading JSON-lines object carries the graph dimensions the
-        // human preamble prints, so `--json` stdout stays pure JSONL.
-        let g = &dataflow.graph;
-        println!(
-            "{{\"graph\":{{\"nodes\":{},\"edges\":{},\"shard_cut\":{}}}}}",
-            g.nodes.len(),
-            g.edges.len(),
-            g.shard_cut().len(),
-        );
         print!("{}", render::jsonl(&report));
     } else {
         // The dimensional reduction per metric — the statically proven part.
@@ -395,14 +375,6 @@ fn lint(rest: &[String]) -> Result<(), String> {
                 pred_dim,
             );
         }
-        println!();
-        let g = &dataflow.graph;
-        println!(
-            "dataflow graph: {} nodes, {} edges; shard cut: {} independent prediction cells",
-            g.nodes.len(),
-            g.edges.len(),
-            g.shard_cut().len()
-        );
         println!();
         print!("{}", render::human(&report));
     }
@@ -498,13 +470,6 @@ fn sense(rest: &[String]) -> Result<(), String> {
             // formulas by their conditioning (the EXPERIMENTS.md
             // eq1-multiply walkthrough), not their dimensions.
             AnyMutation::Formula(m) => model.formulas = LintModel::mutated(m).formulas,
-            AnyMutation::Dataflow(_) => {
-                return Err(format!(
-                    "`{}` is a dataflow mutation; seed it via `metasim lint --mutate {}`",
-                    m.name(),
-                    m.name()
-                ));
-            }
         }
     }
 
@@ -1992,21 +1957,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_mutation_lists_all_three_families() {
+    fn unknown_mutation_lists_both_families() {
         let err = dispatch("lint", &["--mutate".into(), "no-such-defect".into()]).unwrap_err();
         // The error is a catalog, not a bare rejection: every mutation
-        // from all three analysis families is named.
+        // from both analysis families is named.
         for name in [
             "eq1-multiply",
             "drop-maps",
             "drop-network-terms",
             "drop-target",
             "single-dep-class",
-            "arrival-order-merge",
-            "shared-seed-stream",
-            "untagged-node-keys",
-            "unguarded-memo",
-            "cross-shard-edge",
             "uncancelled-bias",
             "dead-flop-term",
             "cancelling-denominator",
@@ -2015,30 +1975,6 @@ mod tests {
         ] {
             assert!(err.contains(name), "error must list `{name}`: {err}");
         }
-    }
-
-    #[test]
-    fn lint_catches_seeded_dataflow_mutations() {
-        // Error-severity parallel-safety defects exit non-zero...
-        for name in [
-            "arrival-order-merge",
-            "shared-seed-stream",
-            "unguarded-memo",
-        ] {
-            let err = dispatch("lint", &["--mutate".into(), name.into()]).unwrap_err();
-            assert!(err.contains("error"), "{name}: {err}");
-        }
-        // ...while the MS705 warning only fails under --deny-warnings.
-        assert!(dispatch("lint", &["--mutate".into(), "cross-shard-edge".into()]).is_ok());
-        assert!(dispatch(
-            "lint",
-            &[
-                "--mutate".into(),
-                "cross-shard-edge".into(),
-                "--deny-warnings".into()
-            ]
-        )
-        .is_err());
     }
 
     #[test]
@@ -2148,20 +2084,6 @@ mod tests {
             ]
         )
         .is_err());
-    }
-
-    #[test]
-    fn sense_routes_dataflow_mutations_back_to_lint() {
-        let err = dispatch(
-            "sense",
-            &[
-                "--reference".into(),
-                "--mutate".into(),
-                "arrival-order-merge".into(),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.contains("metasim lint"), "{err}");
     }
 
     #[test]

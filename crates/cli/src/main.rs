@@ -4,7 +4,7 @@
 //! metasim audit [--json] [--deny-warnings] [--allow ...] [--manifest FILE]
 //!                            statically verify every study artifact
 //! metasim lint [--mutate NAME] [--deny-warnings]
-//!                            dimension + dataflow analysis of the formulas
+//!                            dimension, probe-plan and sensitivity lint
 //! metasim study [--timings] [--no-cache] [--export FILE] [--obs-out FILE]
 //!               [--fault-plan FILE]
 //!                            run the full 1,350-prediction study

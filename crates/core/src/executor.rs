@@ -1,21 +1,27 @@
-//! The sharded study executor that [`core::dataflow`](crate::dataflow)
-//! certifies: a std-thread worker pool that partitions a canonical work
-//! list into contiguous shards, runs them concurrently, and hands the
-//! results back in exactly the input order.
+//! The sharded study executor: a std-thread worker pool that partitions a
+//! canonical work list into contiguous shards, runs them concurrently, and
+//! hands the results back in exactly the input order.
 //!
-//! The executor leans on the three properties the `MS7xx` analysis proves
-//! statically:
+//! Sharding moves no output bit because of three properties, each pinned
+//! by a test on the code that has it:
 //!
 //! * results are index-addressed and the shards are *contiguous* slices of
 //!   the canonical list, so the merged output order is the input order no
-//!   matter which worker finishes first (MS701);
+//!   matter which worker finishes first (the tests below);
 //! * every worker re-installs the spawning thread's observability recorder
-//!   and chaos plan before touching the work, so per-task seed draws and
-//!   fault decisions are the same pure functions of the task coordinates
-//!   they are serially (MS702);
-//! * shared memo tables (probes, ground truth, traces) are single-flight,
-//!   so two shards hitting the same cold cell coalesce instead of racing
-//!   (MS704).
+//!   and chaos plan before touching the work, and each ground-truth noise
+//!   stream is seeded from its full cell coordinates
+//!   ([`noise_seeds`](metasim_apps::groundtruth::noise_seeds), whose tests
+//!   assert the streams are disjoint over the grid), so per-task draws and
+//!   fault decisions are the same pure functions of the task they are
+//!   serially;
+//! * shared memo tables (probes, ground truth, traces) are
+//!   [`SingleFlight`](metasim_cache::SingleFlight), so two shards hitting
+//!   the same cold cell coalesce instead of racing.
+//!
+//! End to end, the study tests `parallel_study_matches_serial_exactly` and
+//! `degraded_runs_are_identical_at_any_job_count` compare whole sharded
+//! runs with serial ones.
 //!
 //! Each worker opens a `shard:K` span under the caller's span context, so
 //! the run manifest shows the actual shard layout of a `--jobs N` run.
@@ -91,7 +97,7 @@ where
     // taking the shared recorder's log lock (metrics pass straight through
     // as lock-free atomics), and the buffers flush in shard-index order
     // after the join — so the merged span log is canonical no matter which
-    // worker finishes first, the same MS701 discipline the result merge
+    // worker finishes first, the same discipline the result merge
     // follows.
     let buffers: Vec<Option<Arc<WorkerSpanBuffer>>> = (0..bounds.len())
         .map(|_| recorder.clone().map(|r| Arc::new(WorkerSpanBuffer::new(r))))

@@ -279,7 +279,7 @@ impl CommOpKind {
     }
 }
 
-/// A probe quantity a formula can reference — the dataflow-graph node the
+/// A probe quantity a formula can reference — the unit of measurement the
 /// lint reasons about. Coarser than the leaf enums: the five MAPS /
 /// ENHANCED MAPS curves count as one measured artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -487,7 +487,7 @@ impl Expr {
     }
 
     /// Every probe quantity this formula reads, deduplicated, in first-use
-    /// order — the probe→convolution edges of the dataflow graph.
+    /// order — the probe→convolution edges the lint checks.
     #[must_use]
     pub fn probe_quantities(&self) -> Vec<ProbeQuantity> {
         let mut out = Vec::new();
@@ -552,28 +552,6 @@ impl Expr {
             Expr::Sum(terms) => terms.iter().any(Expr::has_labeled_curves),
             Expr::OpSwitch(arms) => arms.iter().any(|(_, e)| e.has_labeled_curves()),
             _ => false,
-        }
-    }
-
-    /// Whether the formula reads the base system's measured runtime
-    /// (Equation 1's `T(X₀)` leaf) — the edge that makes every prediction
-    /// depend on the base machine's ground-truth run in the study's
-    /// dataflow graph.
-    #[must_use]
-    pub fn uses_base_runtime(&self) -> bool {
-        match self {
-            Expr::Time(TimeSource::BaseRuntime) => true,
-            Expr::Const(_) | Expr::Count(_) | Expr::Rate(_) | Expr::Time(_) | Expr::Scale(_) => {
-                false
-            }
-            Expr::Curve { .. } => false,
-            Expr::Recip(e) | Expr::OnBase(e) | Expr::CommSum(e) => e.uses_base_runtime(),
-            Expr::BlockSum { body, .. } => body.uses_base_runtime(),
-            Expr::Ratio(a, b) | Expr::Mul(a, b) | Expr::Max(a, b) => {
-                a.uses_base_runtime() || b.uses_base_runtime()
-            }
-            Expr::Sum(terms) => terms.iter().any(Expr::uses_base_runtime),
-            Expr::OpSwitch(arms) => arms.iter().any(|(_, e)| e.uses_base_runtime()),
         }
     }
 

@@ -17,11 +17,11 @@
 //!   (`T′(X) = C(X)/C(X₀) · T(X₀)`), which makes Metric #4 reduce exactly to
 //!   Metric #1, as the paper observes.
 //! * [`study`] — the full 150-observation × 9-metric driver behind Table 4,
-//!   Table 5, and Figures 2–7, sharded across workers along the
-//!   lint-certified cut. The grid here is the paper's own (ten target
-//!   machines × fifteen workloads); `metasim-fleet` reruns the same
-//!   methodology over *sampled* machine and application spaces through the
-//!   pure entry points ([`prediction::predict_all`],
+//!   Table 5, and Figures 2–7, sharded across workers into contiguous,
+//!   index-addressed chunks of independent cells. The grid here is the
+//!   paper's own (ten target machines × fifteen workloads); `metasim-fleet`
+//!   reruns the same methodology over *sampled* machine and application
+//!   spaces through the pure entry points ([`prediction::predict_all`],
 //!   [`executor::run_sharded`]) — nothing in this crate is bound to the
 //!   shipped grid.
 //! * [`balanced`] — the IDC balanced-rating comparison of §4 (fixed equal
@@ -46,7 +46,6 @@
 
 pub mod audit;
 pub mod balanced;
-pub mod dataflow;
 pub mod executor;
 pub mod formula;
 pub mod lint;
@@ -60,10 +59,7 @@ pub mod superlatives;
 pub mod verification;
 
 pub use audit::{audit_inputs, audit_study, preflight, preflight_with_policy};
-pub use dataflow::{DataflowModel, DataflowMutation, StudyGraph};
-pub use lint::{
-    lint_all_with_policy, lint_full_with_policy, lint_with_policy, AnyMutation, LintModel, Mutation,
-};
+pub use lint::{lint_full_with_policy, lint_with_policy, AnyMutation, LintModel, Mutation};
 pub use metric::{MetricId, MetricKind};
 pub use prediction::predict_all;
 pub use sensitivity::{SenseModel, SenseMutation, SenseScope, SensitivityReport};

@@ -28,7 +28,6 @@ use metasim_audit::{AuditPolicy, AuditReport, Auditor};
 use metasim_machines::MachineId;
 use metasim_tracer::block::DependencyClass;
 
-use crate::dataflow::{lint_dataflow, DataflowModel, DataflowMutation};
 use crate::formula::{calibrated, cost_expr, prediction_expr, Dim, Expr, ProbeQuantity};
 use crate::metric::MetricId;
 use crate::sensitivity::{lint_sensitivity, SenseModel, SenseMutation};
@@ -190,17 +189,14 @@ impl Mutation {
     }
 }
 
-/// A seeded defect from any analysis family: a formula/probe-plan
-/// mutation (`MS5xx`, [`Mutation`]), a parallel-safety mutation
-/// (`MS7xx`, [`DataflowMutation`]), or a sensitivity mutation (`MS9xx`,
+/// A seeded defect from either analysis family: a formula/probe-plan
+/// mutation (`MS5xx`, [`Mutation`]) or a sensitivity mutation (`MS9xx`,
 /// [`SenseMutation`]). `metasim lint --mutate NAME` accepts any of the
-/// fifteen names; an unknown name lists them all.
+/// ten names; an unknown name lists them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnyMutation {
     /// A formula-model defect, caught by MS501–MS505.
     Formula(Mutation),
-    /// A dataflow-model defect, caught by MS701–MS705.
-    Dataflow(DataflowMutation),
     /// A sensitivity-model defect, caught by MS901–MS905.
     Sense(SenseMutation),
 }
@@ -211,7 +207,6 @@ impl AnyMutation {
     pub fn name(self) -> &'static str {
         match self {
             AnyMutation::Formula(m) => m.name(),
-            AnyMutation::Dataflow(m) => m.name(),
             AnyMutation::Sense(m) => m.name(),
         }
     }
@@ -221,22 +216,16 @@ impl AnyMutation {
     pub fn expected_code(self) -> &'static str {
         match self {
             AnyMutation::Formula(m) => m.expected_code(),
-            AnyMutation::Dataflow(m) => m.expected_code(),
             AnyMutation::Sense(m) => m.expected_code(),
         }
     }
 
-    /// Every known mutation name across all three families, in help order.
+    /// Every known mutation name across both families, in help order.
     #[must_use]
     pub fn all_names() -> Vec<&'static str> {
         Mutation::ALL
             .into_iter()
             .map(Mutation::name)
-            .chain(
-                DataflowMutation::ALL
-                    .into_iter()
-                    .map(DataflowMutation::name),
-            )
             .chain(SenseMutation::ALL.into_iter().map(SenseMutation::name))
             .collect()
     }
@@ -248,12 +237,6 @@ impl AnyMutation {
             .into_iter()
             .find(|m| m.name() == name)
             .map(AnyMutation::Formula)
-            .or_else(|| {
-                DataflowMutation::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .map(AnyMutation::Dataflow)
-            })
             .or_else(|| {
                 SenseMutation::ALL
                     .into_iter()
@@ -408,36 +391,18 @@ pub fn lint(model: &LintModel) -> AuditReport {
     lint_with_policy(model, AuditPolicy::default())
 }
 
-/// Run both static analyses — the `MS5xx` formula lint and the `MS7xx`
-/// dataflow parallel-safety lint — into one report. This is what
-/// `metasim lint` runs: the full shape-and-sharding certificate.
-#[must_use]
-pub fn lint_all_with_policy(
-    model: &LintModel,
-    dataflow: &DataflowModel,
-    policy: AuditPolicy,
-) -> AuditReport {
-    let mut a = Auditor::with_policy(policy);
-    lint_model(model, &mut a);
-    lint_dataflow(dataflow, &mut a);
-    a.finish()
-}
-
-/// Run all three static analyses — the `MS5xx` formula lint, the `MS7xx`
-/// dataflow parallel-safety lint, and the `MS9xx` sensitivity lint — into
-/// one report. This is what `metasim lint` runs end to end; the
-/// sensitivity pass evaluates `sense` abstractly (probes are measured,
-/// but no study cell is convolved beyond the model's scope).
+/// Run both static analyses — the `MS5xx` formula lint and the `MS9xx`
+/// sensitivity lint — into one report. This is what `metasim lint` runs
+/// end to end; the sensitivity pass evaluates `sense` abstractly (probes
+/// are measured, but no study cell is convolved beyond the model's scope).
 #[must_use]
 pub fn lint_full_with_policy(
     model: &LintModel,
-    dataflow: &DataflowModel,
     sense: &SenseModel,
     policy: AuditPolicy,
 ) -> AuditReport {
     let mut a = Auditor::with_policy(policy);
     lint_model(model, &mut a);
-    lint_dataflow(dataflow, &mut a);
     lint_sensitivity(sense, &mut a);
     a.finish()
 }
@@ -555,18 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn any_mutation_spans_all_three_families() {
-        assert_eq!(AnyMutation::all_names().len(), 15);
+    fn any_mutation_spans_both_families() {
+        assert_eq!(AnyMutation::all_names().len(), 10);
         for m in Mutation::ALL {
             assert_eq!(
                 AnyMutation::parse(m.name()).unwrap(),
                 AnyMutation::Formula(m)
-            );
-        }
-        for m in DataflowMutation::ALL {
-            assert_eq!(
-                AnyMutation::parse(m.name()).unwrap(),
-                AnyMutation::Dataflow(m)
             );
         }
         for m in SenseMutation::ALL {
@@ -580,37 +539,6 @@ mod tests {
         for name in AnyMutation::all_names() {
             assert!(err.contains(name), "error must list `{name}`: {err}");
         }
-    }
-
-    #[test]
-    fn combined_lint_is_clean_on_the_shipped_pair() {
-        let report = lint_all_with_policy(
-            &LintModel::shipped(),
-            &DataflowModel::shipped(),
-            AuditPolicy::default(),
-        );
-        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-    }
-
-    #[test]
-    fn combined_lint_sees_each_family_independently() {
-        // A dataflow defect surfaces through the combined lint without
-        // disturbing the formula rules, and vice versa.
-        let report = lint_all_with_policy(
-            &LintModel::shipped(),
-            &DataflowModel::mutated(DataflowMutation::ArrivalOrderMerge),
-            AuditPolicy::default(),
-        );
-        assert!(report.has_code("MS701"));
-        assert!(report.diagnostics.iter().all(|d| d.rule.code == "MS701"));
-
-        let report = lint_all_with_policy(
-            &LintModel::mutated(Mutation::DropTarget),
-            &DataflowModel::shipped(),
-            AuditPolicy::default(),
-        );
-        assert!(report.has_code("MS504"));
-        assert!(report.diagnostics.iter().all(|d| d.rule.code == "MS504"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! [`crate::formula::eval_prediction`] computes — not a parallel copy.
 //!
 //! Five lint rules consume the analysis, each pinned by a seeded
-//! [`SenseMutation`] exactly as MS501–MS505 and MS701–MS705 are:
+//! [`SenseMutation`] exactly as MS501–MS505 are:
 //!
 //! * **MS901** — a *coherent* probe miscalibration (the same relative
 //!   bias on target and base machine) must cancel through Equation 1's

@@ -153,8 +153,8 @@ impl Study {
     /// probes, a ground-truth phase warms every (case, cpus, machine) cell
     /// including the base system, and only then does the prediction pass
     /// run against purely warm caches. Each phase goes through one
-    /// [`run_sharded`] call over the dataflow graph's proven-independent
-    /// cut (see [`crate::dataflow`]), which runs inline at `jobs <= 1`.
+    /// [`run_sharded`] call over the phase's independent cells (see
+    /// [`crate::executor`]), which runs inline at `jobs <= 1`.
     ///
     /// The obs spans are the *only* timing source: each `StudyTimings`
     /// field is the `finish()` value of the corresponding phase span, so
@@ -208,9 +208,8 @@ impl Study {
         // Warm every ground-truth cell: the 165-cell grid flattened in
         // canonical order, each (case, cpus) with the base system first
         // (every cell scales from it), then the alive targets. Every cell
-        // is an independent node of the dataflow graph, and the
-        // single-flight memo coalesces any shard racing another to the
-        // same base cell.
+        // is independent of the others, and the single-flight memo
+        // coalesces any shard racing another to the same base cell.
         let gt_span = ctx.span("phase:ground-truth");
         let mut cells: Vec<(TestCase, u64, MachineId)> = Vec::new();
         for (case, cpus) in all_test_cases() {
@@ -559,8 +558,9 @@ mod tests {
 
     #[test]
     fn parallel_study_matches_serial_exactly() {
-        // The property MS701-MS705 certify statically, checked
-        // dynamically: sharding the study moves no output bit.
+        // Index-addressed contiguous shards, disjoint per-cell noise
+        // streams and single-flight memos, checked end to end: sharding
+        // the study moves no output bit.
         let serial = study();
         let f = fleet();
         let suite = ProbeSuite::new();

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use metasim_apps::groundtruth::execute;
+use metasim_apps::groundtruth::{execute, noise_seeds};
 use metasim_apps::tracing::trace_workload;
 use metasim_audit::registry::{MS1001, MS1003, MS1004};
 use metasim_audit::{audit_value, Auditor};
@@ -68,7 +68,6 @@ fn study_stream_seeds(fleet: &GeneratedFleet, base_label: &str) -> HashSet<u64> 
     let mut seeds = HashSet::new();
     for app in &fleet.apps {
         let w = &app.workload;
-        let p = w.processes.to_string();
         let mut cases: Vec<String> = vec![w.case.clone()];
         for m in &fleet.machines {
             cases.push(tagged_case(&w.case, &m.name));
@@ -78,9 +77,8 @@ fn study_stream_seeds(fleet: &GeneratedFleet, base_label: &str) -> HashSet<u64> 
         labels.dedup();
         for case in &cases {
             for label in &labels {
-                seeds.insert(seed_from_labels(&["idiosyncrasy", &w.app, case, label]));
-                seeds.insert(seed_from_labels(&["imbalance", &w.app, case, label, &p]));
-                seeds.insert(seed_from_labels(&["run-jitter", &w.app, case, label, &p]));
+                let s = noise_seeds(&w.app, case, label, w.processes);
+                seeds.extend([s.idiosyncrasy, s.imbalance, s.run_jitter]);
             }
         }
         for block in &w.blocks {

@@ -1,5 +1,5 @@
 //! Seeded fleet defects: the `MS10xx` family's counterpart to the
-//! `MS5xx`/`MS7xx`/`MS9xx` mutation suites.
+//! `MS5xx`/`MS9xx` mutation suites.
 //!
 //! Each mutation plants exactly one defect in the generation or study
 //! pipeline and is pinned by a test asserting that exactly its rule fires

@@ -21,9 +21,8 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 ///
 /// This is the streaming form of [`fnv1a`]; hashing a byte string step by
 /// step from [`FNV_OFFSET`] produces exactly the batch result. Cache keys,
-/// chaos-site draws, RNG seeding, and dataflow node ids all share this one
-/// primitive, so a hash equality in one layer means the same thing in every
-/// other.
+/// chaos-site draws, and RNG seeding all share this one primitive, so a
+/// hash equality in one layer means the same thing in every other.
 #[must_use]
 pub const fn fnv1a_step(hash: u64, byte: u8) -> u64 {
     (hash ^ byte as u64).wrapping_mul(FNV_PRIME)

@@ -64,7 +64,7 @@
 //! | [`probes`] | `metasim-probes` | HPL/STREAM/GUPS/MAPS/NETBENCH |
 //! | [`tracer`] | `metasim-tracer` | MetaSim tracer + MPIDTRACE equivalents |
 //! | [`apps`] | `metasim-apps` | TI-05 applications + ground truth |
-//! | [`core`] | `metasim-core` | formula IR (the convolver), nine metrics, dataflow graph, sharded study driver |
+//! | [`core`] | `metasim-core` | formula IR (the convolver), nine metrics, lint, sharded study driver |
 //! | [`fleet`] | `metasim-fleet` | seeded scenario generation: sampled machine/app spaces, fleet studies |
 //! | [`report`] | `metasim-report` | tables, CSV, charts, SVG |
 
