@@ -6,7 +6,7 @@ use std::sync::Arc;
 use metasim_apps::groundtruth::GroundTruth;
 use metasim_apps::paper_data;
 use metasim_apps::registry::TestCase;
-use metasim_apps::tracing::trace_workload;
+use metasim_apps::tracing::{trace_workload, TraceCache};
 use metasim_cache::ArtifactStore;
 use metasim_chaos::FaultPlan;
 use metasim_core::balanced::{fit_weights, fit_weights_mae, idc_equal_weights, CATEGORY_NAMES};
@@ -272,6 +272,7 @@ fn audit(rest: &[String]) -> Result<(), String> {
     let mut report = metasim_core::preflight_with_policy(
         &f,
         &suite,
+        &TraceCache::new(),
         AuditPolicy {
             allow,
             deny_warnings,
@@ -756,13 +757,13 @@ fn study(rest: &[String]) -> Result<(), String> {
 
     if timings_wanted {
         println!("\nphase                 wall time");
-        println!("preflight + probes    {:>9.3} s", timings.preflight_seconds);
+        println!("preflight + inputs    {:>9.3} s", timings.preflight_seconds);
         println!(
             "ground truth          {:>9.3} s",
             timings.ground_truth_seconds
         );
         println!(
-            "trace + predictions   {:>9.3} s",
+            "predictions           {:>9.3} s",
             timings.prediction_seconds
         );
         println!("total                 {:>9.3} s", timings.total_seconds);

@@ -1,21 +1,21 @@
 //! Study-layer audit rules (`MS3xx`) and the preflight gate.
 //!
 //! [`preflight`] statically verifies every input artifact — the fleet
-//! configuration and each machine's probe curves — before the 150-observation
-//! grid runs; [`Study::run_with_store_jobs`] refuses to start when it
-//! reports errors.
+//! configuration, each machine's probe curves and the traces the study will
+//! convolve — before the 150-observation grid runs;
+//! [`Study::run_with_store_jobs`] refuses to start when it reports errors.
 //! [`audit_study`] then checks the *outputs*: error accounting per
 //! Equation 2, strong-scaling sanity of the measured runtimes, the
 //! benchmark-dominance paradox of Tables 2/3, and the Metric #1 = #4
 //! identity of Equation 1.
 
 use metasim_apps::registry::all_test_cases;
-use metasim_apps::tracing::trace_workload;
+use metasim_apps::tracing::TraceCache;
 use metasim_audit::registry::{MS301, MS302, MS303, MS304, MS305, MS601};
 use metasim_audit::{audit_value, AuditPolicy, AuditReport, Auditor};
 use metasim_machines::{Fleet, MachineId};
 use metasim_memsim::analytic::{audit_tier_budget, Tier};
-use metasim_probes::audit::audit_probes;
+use metasim_probes::audit::{audit_hit_fractions, audit_probes};
 use metasim_probes::suite::{MachineProbes, ProbeSuite};
 
 use crate::study::Study;
@@ -26,9 +26,16 @@ const SCALING_TOLERANCE: f64 = 1.05;
 
 /// Audit every static input artifact relative to the auditor's current
 /// scope: the fleet (`MS00x`), the measured probe set of each machine
-/// (`MS10x`, `MS204`), and the fifteen (case, processor-count) workloads
-/// with their generated traces (`MS20x`).
-pub fn audit_inputs(fleet: &Fleet, suite: &ProbeSuite, a: &mut Auditor) {
+/// (`MS10x`) with its cache simulator (`MS204`), and the fifteen (case,
+/// processor-count) workloads with the traces `traces` serves for them
+/// (`MS20x`).
+///
+/// The probe sets and traces are the ones the study itself reads: a warm
+/// `suite` or `traces` serves store loads (already gated by their
+/// audit-on-load), a cold one acquires and memoizes them here. A machine
+/// an installed fault plan takes down, or a trace it drops, has nothing to
+/// audit and is skipped; the study reports the gap (`MS601`).
+pub fn audit_inputs(fleet: &Fleet, suite: &ProbeSuite, traces: &TraceCache, a: &mut Auditor) {
     fleet.audit(a);
     // MS801: a suite that may serve analytic-tier measurements must prove
     // the closed-form model tracks the exact simulator on every machine it
@@ -41,27 +48,30 @@ pub fn audit_inputs(fleet: &Fleet, suite: &ProbeSuite, a: &mut Auditor) {
         }
     }
     for m in fleet.all() {
-        // A machine an installed fault plan takes down has no probes to
-        // audit; the study skips it and MS601 reports the coverage gap.
         let Ok(probes) = suite.try_measure(m) else {
             continue;
         };
         a.scope("probes", |a| {
-            a.scope(m.id.to_string(), |a| audit_probes(m, &probes, a));
+            a.scope(m.id.to_string(), |a| {
+                audit_probes(m, &probes, a);
+                audit_hit_fractions(&m.memory, a);
+            });
         });
     }
     for (case, cpus) in all_test_cases() {
         let workload = case.workload(cpus);
         a.scope(format!("workloads.{case}.{cpus}cpu"), |a| workload.audit(a));
-        let trace = trace_workload(&workload);
+        let Ok(trace) = traces.try_trace(&workload) else {
+            continue;
+        };
         a.scope(format!("traces.{case}.{cpus}cpu"), |a| trace.audit(a));
     }
 }
 
 /// Audit every static input artifact under the default policy.
 #[must_use]
-pub fn preflight(fleet: &Fleet, suite: &ProbeSuite) -> AuditReport {
-    preflight_with_policy(fleet, suite, AuditPolicy::default())
+pub fn preflight(fleet: &Fleet, suite: &ProbeSuite, traces: &TraceCache) -> AuditReport {
+    preflight_with_policy(fleet, suite, traces, AuditPolicy::default())
 }
 
 /// [`preflight`] under an explicit policy (allow-list, `--deny-warnings`).
@@ -69,10 +79,11 @@ pub fn preflight(fleet: &Fleet, suite: &ProbeSuite) -> AuditReport {
 pub fn preflight_with_policy(
     fleet: &Fleet,
     suite: &ProbeSuite,
+    traces: &TraceCache,
     policy: AuditPolicy,
 ) -> AuditReport {
     let mut a = Auditor::with_policy(policy);
-    audit_inputs(fleet, suite, &mut a);
+    audit_inputs(fleet, suite, traces, &mut a);
     a.finish()
 }
 
@@ -284,8 +295,78 @@ mod tests {
     fn preflight_is_clean_on_the_shipped_fleet() {
         let f = fleet();
         let suite = ProbeSuite::new();
-        let report = preflight(&f, &suite);
+        let report = preflight(&f, &suite, &TraceCache::new());
         assert!(!report.has_errors(), "{report}");
+    }
+
+    // Preflight reads whatever the suite and trace cache serve. Served from
+    // a warm store (probe and trace loads, gated by their audit-on-load),
+    // it must report exactly what a cold in-memory run reports, read every
+    // probe set and trace from the store, and simulate nothing but one
+    // MS204 pass per machine.
+    #[test]
+    fn warm_store_preflight_matches_a_cold_in_memory_one() {
+        use std::sync::Arc;
+
+        use metasim_apps::tracing::TRACE_KIND;
+        use metasim_cache::ArtifactStore;
+        use metasim_memsim::analytic::ResolvedTier;
+        use metasim_obs::{InMemoryRecorder, Recorder};
+        use metasim_probes::suite::PROBES_KIND;
+
+        // Exact-simulator addresses `f` issues, counted by the obs layer.
+        fn simulated(f: impl FnOnce()) -> u64 {
+            let rec = Arc::new(InMemoryRecorder::new());
+            metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, f);
+            rec.metrics_snapshot().counter("memsim.addresses")
+        }
+
+        let f = fleet();
+        let cold_suite = ProbeSuite::new();
+        let cold_traces = TraceCache::new();
+        let cold = preflight(&f, &cold_suite, &cold_traces);
+
+        // Stage the store with the cold run's artifacts, under the keys a
+        // store-backed run writes them to.
+        let dir = std::env::temp_dir().join(format!("metasim-preflight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir));
+        for m in f.all() {
+            let key = ProbeSuite::store_key_tiered(m, ResolvedTier::Exact);
+            store
+                .store(PROBES_KIND, key, &*cold_suite.measure(m))
+                .unwrap();
+        }
+        for (case, cpus) in all_test_cases() {
+            let w = case.workload(cpus);
+            store
+                .store(
+                    TRACE_KIND,
+                    TraceCache::store_key(&w),
+                    &*cold_traces.trace(&w),
+                )
+                .unwrap();
+        }
+
+        let warm_suite = ProbeSuite::with_store(Arc::clone(&store));
+        let warm_traces = TraceCache::with_store(Arc::clone(&store));
+        let mut warm = AuditReport::default();
+        let warm_addresses = simulated(|| warm = preflight(&f, &warm_suite, &warm_traces));
+        assert_eq!(warm_suite.measurements_performed(), 0, "probes must load");
+        assert_eq!(warm_traces.traces_performed(), 0, "traces must load");
+        assert_eq!(
+            store.traffic().hits,
+            (f.all().count() + all_test_cases().len()) as u64,
+            "every probe set and every trace is read from the store"
+        );
+        let ms204_addresses = simulated(|| {
+            for m in f.all() {
+                let _ = audit_value(|a| audit_hit_fractions(&m.memory, a));
+            }
+        });
+        assert_eq!(warm_addresses, ms204_addresses, "MS204 once per machine");
+        assert_eq!(warm, cold, "same diagnostics, same order");
+        store.clear().unwrap();
     }
 
     #[test]

@@ -125,11 +125,12 @@ impl std::fmt::Display for Coverage {
 /// prints). All values in seconds of host wall clock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StudyTimings {
-    /// Preflight audit, including warming all 11 machines' probe sweeps.
+    /// Preflight audit, including warming all 11 machines' probe sweeps
+    /// and the 15 application traces.
     pub preflight_seconds: f64,
     /// Warming every ground-truth cell (150 target + 15 base executions).
     pub ground_truth_seconds: f64,
-    /// Tracing, dependency analysis, and the 1,350 predictions.
+    /// Dependency analysis and the 1,350 predictions.
     pub prediction_seconds: f64,
     /// End-to-end wall time (load time when served from cache).
     pub total_seconds: f64,
@@ -150,9 +151,10 @@ impl Study {
     ///
     /// The phases are ordered so that no prediction cell ever blocks on
     /// another cell's cold measurement: preflight warms every machine's
-    /// probes, a ground-truth phase warms every (case, cpus, machine) cell
-    /// including the base system, and only then does the prediction pass
-    /// run against purely warm caches. Each phase goes through one
+    /// probes and audits the traces `traces` serves (warming them too), a
+    /// ground-truth phase warms every (case, cpus, machine) cell including
+    /// the base system, and only then does the prediction pass run against
+    /// purely warm caches. Each phase goes through one
     /// [`run_sharded`] call over the phase's independent cells (see
     /// [`crate::executor`]), which runs inline at `jobs <= 1`.
     ///
@@ -178,7 +180,7 @@ impl Study {
         run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
             let _ = suite.try_measure(fleet.get(machine));
         });
-        let report = crate::audit::preflight(fleet, suite);
+        let report = crate::audit::preflight(fleet, suite, traces);
         metasim_obs::counter_add("audit.findings", report.diagnostics.len() as u64);
         let base_cfg = fleet.base();
         // The base system is not degradable: every prediction scales from

@@ -16,20 +16,20 @@
 
 use std::collections::HashSet;
 
-use metasim_apps::groundtruth::{execute, noise_seeds};
-use metasim_apps::tracing::trace_workload;
+use metasim_apps::groundtruth::noise_seeds;
 use metasim_audit::registry::{MS1001, MS1003, MS1004};
-use metasim_audit::{audit_value, Auditor};
+use metasim_audit::{audit_value, AuditReport, Auditor};
+use metasim_core::executor::run_sharded;
 use metasim_core::prediction::predict_all;
 use metasim_machines::MachineConfig;
-use metasim_memsim::analytic::{audit_tier_budget, resolve_tier, Tier};
+use metasim_memsim::analytic::{audit_tier_budget, resolve_tier, ResolvedTier, Tier};
+use metasim_obs::SpanCtx;
 use metasim_probes::suite::MachineProbes;
 use metasim_stats::rng::seed_from_labels;
-use metasim_tracer::analysis::analyze_dependencies;
 use metasim_units::Seconds;
 
-use crate::sampler::{GeneratedApp, GeneratedFleet};
-use crate::study::tagged_case;
+use crate::sampler::GeneratedFleet;
+use crate::study::{tagged_case, AppContext};
 
 /// Relative half-width of the coherent probe band the `MS1004` preflight
 /// pushes through the reference cell.
@@ -149,32 +149,32 @@ fn perturbed(machine: &MachineConfig, eps: f64) -> MachineConfig {
 /// ±ε probe perturbation of the base machine by at most
 /// [`PREFLIGHT_MAX_AMPLIFICATION`] — the same bound the `MS903`
 /// sensitivity lint enforces statically on the shipped grid.
+///
+/// `nominal` is the base machine's probe set measured at `tier`, and `apps`
+/// the per-application base contexts: the ones the study's cells then read,
+/// so the gate checks exactly the runtimes and traces the study uses.
 pub fn preflight_reference(
     base: &MachineConfig,
-    apps: &[GeneratedApp],
-    tier: Tier,
+    nominal: &MachineProbes,
+    apps: &[AppContext],
+    tier: ResolvedTier,
     a: &mut Auditor,
 ) {
-    let resolved = resolve_tier(&base.memory, tier);
-    let nominal = MachineProbes::measure_tiered(base, resolved);
-    let banded = MachineProbes::measure_tiered(&perturbed(base, PREFLIGHT_EPSILON), resolved);
+    let banded = MachineProbes::measure_tiered(&perturbed(base, PREFLIGHT_EPSILON), tier);
     a.scope("reference", |a| {
-        for app in apps {
-            let w = &app.workload;
-            let t_base = execute(base, w).seconds;
+        for ctx in apps {
+            let t_base = ctx.t_base;
             if !(t_base.is_finite() && t_base > 0.0) {
                 a.finding_at(
                     &MS1004,
-                    &app.name,
+                    &ctx.app.name,
                     format!("base runtime {t_base} is not finite and positive"),
                 );
                 continue;
             }
-            let trace = trace_workload(w);
-            let labels = analyze_dependencies(&trace.blocks);
             // With `banded` as the "target", each prediction is exactly the
             // ratio of banded to nominal base-side cost.
-            let ratios = predict_all(&trace, &labels, &banded, &nominal, Seconds::new(1.0));
+            let ratios = predict_all(&ctx.trace, &ctx.labels, &banded, nominal, Seconds::new(1.0));
             for (metric, ratio) in ratios.iter().enumerate() {
                 let r = ratio.get();
                 let amplification = if r.is_finite() && r > 0.0 {
@@ -185,7 +185,7 @@ pub fn preflight_reference(
                 if amplification > PREFLIGHT_MAX_AMPLIFICATION {
                     a.finding_at(
                         &MS1004,
-                        format!("{}.metric{}", app.name, metric + 1),
+                        format!("{}.metric{}", ctx.app.name, metric + 1),
                         format!(
                             "coherent ±{:.0}% band amplified {amplification:.2}x (budget {PREFLIGHT_MAX_AMPLIFICATION})",
                             PREFLIGHT_EPSILON * 100.0
@@ -201,11 +201,62 @@ pub fn preflight_reference(
 /// against the exact simulator on a deterministic subsample of sampled
 /// machines (exhaustive calibration at size 10,000 would dwarf the study
 /// itself). No-op unless the study actually resolves to the analytic tier.
-pub fn audit_tier_subsample(fleet: &GeneratedFleet, tier: Tier, limit: usize, a: &mut Auditor) {
-    for m in fleet.machines.iter().take(limit) {
-        if resolve_tier(&m.config.memory, tier) == metasim_memsim::analytic::ResolvedTier::Analytic
-        {
-            a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
+///
+/// The machines are calibrated across up to `jobs` workers of
+/// [`run_sharded`] under `parent`; their reports merge in machine order, so
+/// the result is the same at any `jobs`.
+pub fn audit_tier_subsample(
+    parent: SpanCtx,
+    jobs: usize,
+    fleet: &GeneratedFleet,
+    tier: Tier,
+    limit: usize,
+) -> AuditReport {
+    let sample: Vec<_> = fleet.machines.iter().take(limit).collect();
+    let mut report = AuditReport::default();
+    for machine in run_sharded(parent, jobs, sample, |m| {
+        audit_value(|a| {
+            if resolve_tier(&m.config.memory, tier) == ResolvedTier::Analytic {
+                a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
+            }
+        })
+    }) {
+        report.merge(machine);
+    }
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sampler::{FleetGenerator, SampledGenerator};
+
+    // Sharding the MS801 subsample changes nothing in its report: the
+    // per-machine reports merge to exactly what one serial auditor walking
+    // the machines in order produces, findings and order alike.
+    #[test]
+    fn sharded_tier_subsample_matches_a_serial_walk() {
+        let mut fleet = SampledGenerator::paper_space().generate(4, 42);
+        // Two geometries the analytic model tracks poorly, so the reports
+        // have findings from more than one machine to order.
+        for level in &mut fleet.machines[2].config.memory.levels {
+            level.line_bytes = 16;
+        }
+        for level in &mut fleet.machines[3].config.memory.levels {
+            level.associativity = 1;
+        }
+        let serial = audit_value(|a| {
+            for m in &fleet.machines {
+                a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
+            }
+        });
+        assert!(
+            serial.diagnostics.len() >= 2,
+            "the doctored machines must fire MS801: {serial}"
+        );
+        for jobs in [1, 3] {
+            let sharded = audit_tier_subsample(SpanCtx::root(), jobs, &fleet, Tier::Analytic, 4);
+            assert_eq!(sharded, serial, "jobs {jobs}");
         }
     }
 }

@@ -19,18 +19,21 @@ use metasim_audit::{audit_value, AuditReport, Severity};
 use metasim_core::executor::run_sharded;
 use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
-use metasim_machines::fleet as paper_fleet;
+use metasim_machines::{fleet as paper_fleet, MachineConfig};
 use metasim_memsim::analytic::{resolve_tier, Tier};
 use metasim_probes::suite::MachineProbes;
 use metasim_report::table::Table;
 use metasim_tracer::analysis::analyze_dependencies;
 use metasim_tracer::block::DependencyClass;
+use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{audit_generated_fleet, audit_tier_subsample, preflight_reference};
 use crate::mutation::FleetMutation;
-use crate::sampler::{FleetGenerator, GeneratedFleet, GeneratedMachine, SampledGenerator};
+use crate::sampler::{
+    FleetGenerator, GeneratedApp, GeneratedFleet, GeneratedMachine, SampledGenerator,
+};
 use crate::spec::{audit_spec, ErrorThresholds, FleetSpec};
 
 /// Schema version of [`FleetBench`] / `BENCH_fleet.json`.
@@ -219,11 +222,36 @@ pub fn region_of(machine: &GeneratedMachine) -> String {
     format!("{memory}/{network}")
 }
 
-struct AppContext {
-    app: crate::sampler::GeneratedApp,
-    trace: metasim_tracer::trace::ApplicationTrace,
-    labels: Vec<DependencyClass>,
-    t_base: f64,
+/// What every cell of one sampled application shares, computed once on
+/// the reference machine: the trace, its dependency labels and the base
+/// runtime. The `MS1004` preflight and every target cell read the same
+/// contexts.
+#[derive(Debug, Clone)]
+pub struct AppContext {
+    /// The sampled application.
+    pub app: GeneratedApp,
+    /// Its trace (the tracer's output does not depend on the machine).
+    pub trace: ApplicationTrace,
+    /// Dependency labels of the trace's blocks.
+    pub labels: Vec<DependencyClass>,
+    /// Ground-truth runtime on the reference machine, seconds.
+    pub t_base: f64,
+}
+
+impl AppContext {
+    /// Trace `app` and run it on the reference machine `base`.
+    #[must_use]
+    pub fn new(base: &MachineConfig, app: &GeneratedApp) -> Self {
+        let trace = trace_workload(&app.workload);
+        let labels = analyze_dependencies(&trace.blocks);
+        let t_base = execute(base, &app.workload).seconds;
+        AppContext {
+            app: app.clone(),
+            trace,
+            labels,
+            t_base,
+        }
+    }
 }
 
 /// Run a fleet study: sample, audit, preflight, predict, aggregate.
@@ -260,30 +288,21 @@ pub fn run_fleet_study(
     if cfg.mutation == Some(FleetMutation::ReferenceCollapse) {
         base.processor.app_flop_efficiency = 0.0;
     }
+    // Base-side context, computed once per application and gated by the
+    // reference preflight before any target cell runs.
+    let base_tier = resolve_tier(&base.memory, cfg.tier);
+    let base_probes = MachineProbes::measure_tiered(&base, base_tier);
+    let contexts: Vec<AppContext> = fleet
+        .apps
+        .iter()
+        .map(|app| AppContext::new(&base, app))
+        .collect();
     report.merge(audit_value(|a| {
-        preflight_reference(&base, &fleet.apps, cfg.tier, a);
+        preflight_reference(&base, &base_probes, &contexts, base_tier, a);
     }));
     if report.has_errors() {
         return Err(report);
     }
-
-    // Base-side context, computed once per application.
-    let base_probes = MachineProbes::measure_tiered(&base, resolve_tier(&base.memory, cfg.tier));
-    let contexts: Vec<AppContext> = fleet
-        .apps
-        .iter()
-        .map(|app| {
-            let trace = trace_workload(&app.workload);
-            let labels = analyze_dependencies(&trace.blocks);
-            let t_base = execute(&base, &app.workload).seconds;
-            AppContext {
-                app: app.clone(),
-                trace,
-                labels,
-                t_base,
-            }
-        })
-        .collect();
 
     // One work item per machine: measure its probes once, then run every
     // sampled application on it. Canonical order is machine index order,
@@ -323,13 +342,19 @@ pub fn run_fleet_study(
                 })
                 .collect()
         });
-    drop(root);
     let observations: Vec<FleetObservation> = per_machine.into_iter().flatten().collect();
 
     // The fleet-scale MS801 guard: calibrate a deterministic subsample.
-    report.merge(audit_value(|a| {
-        audit_tier_subsample(&fleet, cfg.tier, MS801_SUBSAMPLE.min(cfg.size), a);
-    }));
+    let ms801 = root.ctx().span("audit:ms801");
+    report.merge(audit_tier_subsample(
+        ms801.ctx(),
+        cfg.jobs,
+        &fleet,
+        cfg.tier,
+        MS801_SUBSAMPLE.min(cfg.size),
+    ));
+    drop(ms801);
+    drop(root);
 
     let bench = aggregate(&spec, &fleet, &contexts, &observations, &report, cfg);
     Ok(FleetStudyOutput {

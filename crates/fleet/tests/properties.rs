@@ -128,8 +128,9 @@ fn each_mutation_fires_exactly_its_rule() {
     }
 }
 
-// A clean small study: runs, audit-clean, byte-identical across --jobs,
-// and structurally complete (every cell present, buckets partition).
+// A clean small study: runs, audit-clean, byte-identical across --jobs
+// (its export and its full audit report), and structurally complete
+// (every cell present, buckets partition).
 #[test]
 fn clean_study_is_jobs_invariant_and_complete() {
     let spec = FleetSpec::paper_space();
@@ -154,6 +155,10 @@ fn clean_study_is_jobs_invariant_and_complete() {
         "--jobs must not change the bench"
     );
     assert_eq!(serial.observations, sharded.observations);
+    assert_eq!(
+        serial.report, sharded.report,
+        "--jobs must not change a single diagnostic or their order"
+    );
 
     let apps = serial.fleet.apps.len();
     assert_eq!(serial.observations.len(), 5 * apps);

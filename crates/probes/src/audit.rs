@@ -1,15 +1,22 @@
 //! Probe-layer audit rules: the `MS1xx` block plus [`MS204`].
 //!
-//! These rules verify *measured* artifacts — MAPS/ENHANCED MAPS curves and
-//! HPL results — against the physical invariants the paper's convolution
-//! leans on: bandwidth falls as working sets outgrow caches (§3, Figure 1),
-//! dependence never speeds a loop up (ENHANCED MAPS), random access never
-//! beats unit stride, and HPL never beats peak (Table 1).
+//! The `MS1xx` rules verify *measured* artifacts — MAPS/ENHANCED MAPS
+//! curves and HPL results — against the physical invariants the paper's
+//! convolution leans on: bandwidth falls as working sets outgrow caches
+//! (§3, Figure 1), dependence never speeds a loop up (ENHANCED MAPS), random
+//! access never beats unit stride, and HPL never beats peak (Table 1).
+//! [`audit_probes`] runs them on one probe set; it is cheap and reads only
+//! the stored values, so it is also the store's audit-on-load gate.
+//!
+//! [`MS204`] checks the cache *simulator* for a memory spec, not a probe
+//! set: [`audit_hit_fractions`] runs two simulated sweeps, so the study
+//! preflight runs it once per machine rather than on every probe load.
 
 use metasim_audit::registry::{MS101, MS102, MS103, MS104, MS105, MS106, MS204};
 use metasim_audit::Auditor;
 use metasim_machines::MachineConfig;
 use metasim_memsim::bandwidth::{measure_bandwidth, Workload};
+use metasim_memsim::spec::MemorySpec;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 
 use crate::maps::MapsCurve;
@@ -107,7 +114,8 @@ fn audit_dominance(
 }
 
 /// Audit one machine's full probe set, relative to the auditor's current
-/// scope. Covers [`MS101`]–[`MS106`] and [`MS204`].
+/// scope. Covers [`MS101`]–[`MS106`]; reads only the probe values, no
+/// simulation.
 pub fn audit_probes(machine: &MachineConfig, probes: &MachineProbes, a: &mut Auditor) {
     let maps = &probes.maps;
     for (name, curve) in [
@@ -184,16 +192,19 @@ pub fn audit_probes(machine: &MachineConfig, probes: &MachineProbes, a: &mut Aud
             ),
         );
     }
+}
 
-    // MS204: the cache simulator's hit fractions must partition the access
-    // stream. Two cheap samples bracket the hierarchy: an L1-resident
-    // sequential sweep and a DRAM-resident random sweep.
+/// [`MS204`], relative to the auditor's current scope: the cache
+/// simulator's hit fractions for `memory` must partition the access
+/// stream. Two exact samples bracket the hierarchy: an L1-resident
+/// sequential sweep and a DRAM-resident random sweep.
+pub fn audit_hit_fractions(memory: &MemorySpec, a: &mut Auditor) {
     for (name, ws, kind) in [
         ("cache_resident", 16u64 << 10, AccessKind::Sequential),
         ("memory_resident", 64 << 20, AccessKind::Random),
     ] {
         let sample = measure_bandwidth(
-            &machine.memory,
+            memory,
             &Workload::new(ws, kind, DependencyMode::Independent),
         );
         let profile = &sample.profile;
@@ -318,7 +329,10 @@ mod tests {
         for m in f.all() {
             let probes = MachineProbes::measure(m);
             let report = audit_value(|a| {
-                a.scope(m.id.to_string(), |a| audit_probes(m, &probes, a));
+                a.scope(m.id.to_string(), |a| {
+                    audit_probes(m, &probes, a);
+                    audit_hit_fractions(&m.memory, a);
+                });
             });
             assert!(report.is_clean(), "{}:\n{report}", m.id);
         }

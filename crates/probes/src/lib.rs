@@ -48,7 +48,7 @@ pub mod netbench;
 pub mod stream;
 pub mod suite;
 
-pub use audit::{audit_curve, audit_probes};
+pub use audit::{audit_curve, audit_hit_fractions, audit_probes};
 pub use gups::{measure_gups, GupsResult};
 pub use hpl::{measure_hpl, HplResult};
 pub use maps::{measure_maps, DependencyFlavor, MapsCurve, MapsSet};

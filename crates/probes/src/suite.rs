@@ -260,9 +260,11 @@ impl ProbeSuite {
     }
 
     /// Audit-on-load: a persisted probe set is trusted only if it claims the
-    /// right machine identity and passes the MS1xx physics rules with no
-    /// error-severity findings. Anything else is evicted (by the store) and
-    /// re-measured.
+    /// right machine identity and passes the MS1xx physics rules
+    /// ([`audit_probes`]) with no error-severity findings. Anything else is
+    /// evicted (by the store) and re-measured. The gate runs no simulation:
+    /// [`MS204`](metasim_audit::registry::MS204) checks the simulator, not a
+    /// stored entry, and the study preflight runs it once per machine.
     fn load_cached(&self, machine: &MachineConfig, tier: ResolvedTier) -> Option<MachineProbes> {
         let store = self.store.as_ref()?;
         store.load_validated(

@@ -3,6 +3,7 @@
 //! (case, CPU-count) workloads and their traces — passes preflight with zero
 //! error-severity diagnostics, and the individual validators agree.
 
+use metasim::apps::tracing::TraceCache;
 use metasim::audit::{audit_value, AllowRule, AuditPolicy, Severity};
 use metasim::core::{preflight, preflight_with_policy};
 use metasim::machines::fleet;
@@ -12,7 +13,7 @@ use metasim::probes::suite::ProbeSuite;
 fn shipped_artifacts_pass_preflight_without_errors() {
     let f = fleet();
     let suite = ProbeSuite::new();
-    let report = preflight(&f, &suite);
+    let report = preflight(&f, &suite, &TraceCache::new());
     assert!(
         !report.has_errors(),
         "the shipped study must be error-free:\n{report}"
@@ -33,6 +34,7 @@ fn preflight_survives_deny_warnings() {
     let report = preflight_with_policy(
         &f,
         &suite,
+        &TraceCache::new(),
         AuditPolicy {
             allow: vec![],
             deny_warnings: true,
