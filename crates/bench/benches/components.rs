@@ -13,11 +13,12 @@ use metasim_bench::{shared_fleet, shared_probes, shared_study};
 use metasim_core::formula::{cost_expr, eval_cost};
 use metasim_core::metric::MetricId;
 use metasim_machines::MachineId;
-use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload};
+use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload, ELEMENT_BYTES};
 use metasim_memsim::cache::Cache;
 use metasim_memsim::hierarchy::HierarchySim;
-use metasim_memsim::streams::StridedStream;
+use metasim_memsim::streams::{AddressStream, RandomStream, StridedStream};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
+use metasim_memsim::tlb::Tlb;
 use metasim_netsim::collectives::allreduce_time;
 use metasim_netsim::replay::replay;
 use metasim_probes::maps::{sweep_sizes, DependencyFlavor, MapsCurve};
@@ -38,6 +39,26 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             for &a in &addrs {
                 black_box(cache.access(a));
+            }
+        });
+    });
+    // The MS204 memory-resident sample's stream (its warm-up and measured
+    // passes) through ArlOpteron's TLB: nearly every translation misses.
+    let arl = &fleet.get(MachineId::ArlOpteron).memory;
+    let ms204 = Workload::new(64 << 20, AccessKind::Random, DependencyMode::Independent);
+    let mut stream = RandomStream::new(
+        0,
+        ms204.working_set,
+        ELEMENT_BYTES,
+        SeededRng::new(ms204.seed ^ ms204.working_set),
+    );
+    let mut ms204_addrs = vec![0; 65_536];
+    stream.fill(&mut ms204_addrs);
+    group.bench_function("tlb_random_translation", |b| {
+        let mut tlb = Tlb::new(&arl.tlb);
+        b.iter(|| {
+            for &a in &ms204_addrs {
+                black_box(tlb.access(a));
             }
         });
     });

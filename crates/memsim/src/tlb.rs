@@ -5,21 +5,33 @@
 //! penalty so random-access curves keep degrading past the last cache level,
 //! as the paper's MAPS data does.
 //!
-//! Every translation is O(1) whatever the TLB's size: a page→slot hash map
-//! finds a resident page, and a doubly linked recency list threaded through
-//! `u32` slot indices orders the slots from most to least recently used. A
-//! hit moves its slot to the front of the list; a miss on a full TLB evicts
-//! the tail slot and refills it.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! Every translation is O(1) whatever the TLB's size. A bucket array indexed
+//! by the page number's own low bits finds a resident page, and a doubly
+//! linked recency list threaded through `u32` slot indices orders the slots
+//! from most to least recently used. A hit moves its slot to the front of
+//! the list; a miss on a full TLB evicts the tail slot and refills it.
+//!
+//! The bucket array grows on demand to cover the highest page translated,
+//! up to a cap of 2^16 buckets (256 KiB). Below the cap each page has a
+//! bucket of its own, so a miss is one load that finds the bucket empty.
+//! Above it the page's higher bits are xor-folded into the index, and
+//! resident pages that share a bucket chain through their slots, so a TLB's
+//! memory is bounded by a constant, never by the working set it translates.
 
 use crate::spec::TlbSpec;
 
-/// Slot index meaning "no slot" at either end of the recency list.
+/// Slot index meaning "no slot": an empty bucket, or either end of the
+/// recency list or of a bucket chain.
 const NIL: u32 = u32::MAX;
 
-/// One TLB entry and its links in the recency list.
+/// Log2 of [`MAX_BUCKETS`]; the index folds the page number in chunks of
+/// this many bits, four chunks covering all 64.
+const BUCKET_BITS: u32 = 16;
+
+/// Most buckets a TLB ever allocates: 256 KiB of `u32` heads.
+const MAX_BUCKETS: usize = 1 << BUCKET_BITS;
+
+/// One TLB entry, its links in the recency list and its bucket chain.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     page: u64,
@@ -27,17 +39,25 @@ struct Slot {
     prev: u32,
     /// Next less recently used slot, `NIL` at the tail.
     next: u32,
+    /// Next resident slot in the same bucket, `NIL` at the chain's end.
+    chain: u32,
 }
 
 /// Fully-associative, true-LRU translation lookaside buffer.
 ///
 /// Slots fill in order up to `capacity` and are then recycled, never freed
-/// until [`reset`](Self::reset). Invariants: `slot_of` maps exactly the
-/// pages held in `slots` to their indices, and the list from `head` (most
-/// recently used) to `tail` (least recently used) visits every slot once.
+/// until [`reset`](Self::reset). Invariants: the chains hanging off
+/// `buckets` hold exactly the slots in `slots`, each in the bucket
+/// `bucket(page)` names; every resident page is below `grow_at`; and the
+/// list from `head` (most recently used) to `tail` (least recently used)
+/// visits every slot once.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    slot_of: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    /// First slot of each bucket's chain; the length is a power of two.
+    buckets: Vec<u32>,
+    /// Lowest page the buckets do not yet cover: the bucket count below the
+    /// cap, `u64::MAX` once the array is at `MAX_BUCKETS`.
+    grow_at: u64,
     slots: Vec<Slot>,
     head: u32,
     tail: u32,
@@ -65,7 +85,8 @@ impl Tlb {
             "page size must be a power of two"
         );
         Self {
-            slot_of: HashMap::with_capacity_and_hasher(spec.entries, BuildHasherDefault::default()),
+            buckets: Vec::new(),
+            grow_at: 0,
             slots: Vec::with_capacity(spec.entries),
             head: NIL,
             tail: NIL,
@@ -90,11 +111,23 @@ impl Tlb {
             self.hits += 1;
             return true;
         }
-        if let Some(&slot) = self.slot_of.get(&page) {
-            self.hits += 1;
-            self.unlink(slot);
-            self.push_front(slot);
-            return true;
+        if page >= self.grow_at {
+            self.grow(page);
+        }
+        let bucket = self.bucket(page);
+        let mut slot = self.buckets[bucket];
+        let mut walked = 0;
+        while slot != NIL {
+            debug_assert!(walked < self.slots.len(), "bucket chain cycles");
+            walked += 1;
+            let s = self.slots[slot as usize];
+            if s.page == page {
+                self.hits += 1;
+                self.unlink(slot);
+                self.push_front(slot);
+                return true;
+            }
+            slot = s.chain;
         }
         self.misses += 1;
         let slot = if self.slots.len() < self.capacity {
@@ -102,16 +135,19 @@ impl Tlb {
                 page,
                 prev: NIL,
                 next: NIL,
+                chain: NIL,
             });
             (self.slots.len() - 1) as u32
         } else {
             let victim = self.tail;
-            self.slot_of.remove(&self.slots[victim as usize].page);
+            self.unchain(victim);
             self.unlink(victim);
             self.slots[victim as usize].page = page;
             victim
         };
-        self.slot_of.insert(page, slot);
+        // Read the head after the unchain: the victim may have been it.
+        self.slots[slot as usize].chain = self.buckets[bucket];
+        self.buckets[bucket] = slot;
         self.push_front(slot);
         false
     }
@@ -123,6 +159,55 @@ impl Tlb {
     pub(crate) fn touch_repeat(&mut self, reps: u64) {
         debug_assert!(self.head != NIL, "no page translated yet");
         self.hits += reps;
+    }
+
+    /// The bucket of `page`: its low bits, with every higher chunk of
+    /// `BUCKET_BITS` xor-folded in so that pages a multiple of the bucket
+    /// count apart spread out. Below the cap a resident page has no bits
+    /// above the bucket count, so its bucket is the page itself.
+    fn bucket(&self, page: u64) -> usize {
+        let folded = page
+            ^ (page >> BUCKET_BITS)
+            ^ (page >> (2 * BUCKET_BITS))
+            ^ (page >> (3 * BUCKET_BITS));
+        folded as usize & (self.buckets.len() - 1)
+    }
+
+    /// Extend the buckets to cover `page`, doubling at least, up to
+    /// `MAX_BUCKETS`. No resident slot moves: each page below the old
+    /// length is its own bucket at the new length too, so the added buckets
+    /// start empty.
+    #[cold]
+    fn grow(&mut self, page: u64) {
+        let len = if page < MAX_BUCKETS as u64 {
+            (page as usize + 1).next_power_of_two()
+        } else {
+            MAX_BUCKETS
+        };
+        self.buckets.resize(len, NIL);
+        self.grow_at = if len == MAX_BUCKETS {
+            u64::MAX
+        } else {
+            len as u64
+        };
+    }
+
+    /// Detach `slot` from its bucket's chain.
+    fn unchain(&mut self, slot: u32) {
+        let bucket = self.bucket(self.slots[slot as usize].page);
+        let after = self.slots[slot as usize].chain;
+        let mut link = self.buckets[bucket];
+        if link == slot {
+            self.buckets[bucket] = after;
+            return;
+        }
+        let mut walked = 0;
+        while self.slots[link as usize].chain != slot {
+            debug_assert!(walked < self.slots.len(), "bucket chain cycles");
+            walked += 1;
+            link = self.slots[link as usize].chain;
+        }
+        self.slots[link as usize].chain = after;
     }
 
     /// Detach `slot` from the recency list.
@@ -158,9 +243,9 @@ impl Tlb {
         self.page_shift
     }
 
-    /// Reset contents and statistics.
+    /// Reset contents and statistics. The bucket array keeps its length.
     pub fn reset(&mut self) {
-        self.slot_of.clear();
+        self.buckets.fill(NIL);
         self.slots.clear();
         self.head = NIL;
         self.tail = NIL;
@@ -184,29 +269,6 @@ impl Tlb {
     #[must_use]
     pub fn reach_bytes(&self) -> u64 {
         (self.capacity as u64) << self.page_shift
-    }
-}
-
-/// Fibonacci hashing of page numbers: one multiply by 2^64/φ, with the
-/// high half folded into the low bits the table indexes by, so that pages
-/// a power-of-two stride apart still spread over the buckets. The keys are
-/// page numbers of the simulator's own address streams, so the default
-/// hasher's defence against crafted collisions would buy nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("PageHasher only hashes u64 page numbers");
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -414,6 +476,90 @@ mod tests {
             }
             prop_assert_eq!(fast.hits(), reference.hits);
             prop_assert_eq!(fast.misses(), reference.misses);
+        }
+    }
+
+    /// Page number `k` of one sparse family, for the reference proptest
+    /// beyond the cap. `step` of `steps` drives the climbing family.
+    fn sparse_page(family: usize, k: u64, step: usize, steps: usize) -> u64 {
+        let bits = 1 + (step * 50 / steps) as u32;
+        match family {
+            // Raw pages up to 2^40: every index folds.
+            0 => k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 24,
+            // A multiple of the bucket count apart: one chain if the fold
+            // ever drops the high bits.
+            1 => k << BUCKET_BITS,
+            // The fold's diagonal: all in bucket 5, so chains grow long
+            // and evictions unchain mid-chain.
+            2 => (k << BUCKET_BITS) | ((k ^ 5) & (MAX_BUCKETS as u64 - 1)),
+            // A resident low working set, interleaved with pages that
+            // climb past each power of two while the TLB is full.
+            _ if k.is_multiple_of(2) => k,
+            _ => (1 << bits) - 1 + (k >> 1 & 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The same replay on sparse page families that reach the bucket
+        // cap and beyond it: folded indices, long chains with mid-chain
+        // evictions, and growth while every slot is live.
+        #[test]
+        fn matches_the_reference_beyond_the_bucket_cap(
+            family in 0usize..4,
+            cap_idx in 0usize..4,
+            universe_idx in 0usize..3,
+            ops in prop::collection::vec((0u64..1 << 40, 1u64..4, 0u64..4), 1..3000),
+        ) {
+            let capacity = [1usize, 3, 64, 1024][cap_idx];
+            let universe = [capacity as u64, 2 * capacity as u64 + 1, 8 * capacity as u64][universe_idx];
+            let mut fast = Tlb::new(&spec(capacity));
+            let mut reference = ReferenceTlb::new(capacity);
+            for (step, &(raw, run, repeat)) in ops.iter().enumerate() {
+                let page = sparse_page(family, raw % universe, step, ops.len());
+                for _ in 0..run {
+                    prop_assert_eq!(
+                        fast.access_page(page),
+                        reference.access_page(page),
+                        "step {} page {:#x}", step, page
+                    );
+                }
+                if repeat == 0 {
+                    fast.touch_repeat(run);
+                    reference.touch_repeat(run);
+                }
+                prop_assert!(fast.buckets.len() <= MAX_BUCKETS);
+            }
+            prop_assert_eq!(fast.hits(), reference.hits);
+            prop_assert_eq!(fast.misses(), reference.misses);
+        }
+    }
+
+    #[test]
+    fn bucket_memory_is_bounded_by_the_cap_not_the_working_set() {
+        let mut t = Tlb::new(&spec(1024));
+        for page in 0..100 {
+            t.access_page(page);
+        }
+        assert_eq!(t.buckets.len(), 128, "grows only to cover the pages seen");
+        let mut pages = Vec::new();
+        for bit in 0..=50u32 {
+            for delta in [0u64, 1, 3 << 20] {
+                let page = (1u64 << bit) + delta;
+                pages.push(page);
+                t.access_page(page);
+                assert!(t.buckets.len() <= MAX_BUCKETS, "page {page:#x}");
+            }
+        }
+        assert_eq!(t.buckets.len(), MAX_BUCKETS);
+        t.reset();
+        assert_eq!(t.buckets.len(), MAX_BUCKETS, "reset keeps the array");
+        pages.extend(0..100);
+        pages.sort_unstable();
+        pages.dedup();
+        for page in pages {
+            assert!(!t.access_page(page), "page {page:#x} survived reset");
         }
     }
 }
