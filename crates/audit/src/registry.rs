@@ -348,13 +348,8 @@ rules! {
         summary: "An observed chaos probe-noise prediction landed outside the statically derived interval for its cell — the abstract interpretation is unsound or the noise model drifted",
         paper: "Cross-validates the static error propagation against the paper's measured-variation framing",
     };
-    MS905 = {
-        code: "MS905",
-        name: "sense-budget-stale",
-        severity: Warn,
-        summary: "The sensitivity budget file is missing, unparseable, or written against a different schema; thresholds fell back to built-in defaults",
-        paper: "Section 5: error budgets only bind when the thresholds under test are the ones on record",
-    };
+    // MS905 (stale sensitivity budget file) is retired with the file; the
+    // code is never reused.
     MS1001 = {
         code: "MS1001",
         name: "fleet-degenerate-hierarchy",
@@ -397,7 +392,7 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_sorted() {
-        // Numeric order, not lexicographic: "MS1001" follows "MS905".
+        // Numeric order, not lexicographic: "MS1001" follows "MS904".
         let nums: Vec<u32> = ALL.iter().map(|r| r.code[2..].parse().unwrap()).collect();
         let mut sorted = nums.clone();
         sorted.sort_unstable();

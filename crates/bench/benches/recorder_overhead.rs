@@ -1,6 +1,5 @@
 //! Recorder overhead: what span + metric instrumentation costs on the
-//! hot path with (a) no recorder installed, (b) the in-memory recorder,
-//! and (c) the streaming Chrome-trace recorder.
+//! hot path with (a) no recorder installed and (b) the in-memory recorder.
 //!
 //! The contract under test: the disabled path is one relaxed atomic
 //! load per check, so leaving instrumentation compiled into probe and
@@ -12,7 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use metasim_obs::export::StreamingTraceRecorder;
 use metasim_obs::{InMemoryRecorder, Recorder};
 
 const SPANS_PER_ITER: u64 = 1_000;
@@ -46,16 +44,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
             b.iter(instrumented_loop);
         });
-    });
-
-    // (c) Streaming trace recorder: one JSON event written per span
-    // transition (metrics are deliberate no-ops on this path).
-    group.bench_function("trace_streaming", |b| {
-        let rec = Arc::new(StreamingTraceRecorder::new(Box::new(std::io::sink())));
-        metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
-            b.iter(instrumented_loop);
-        });
-        rec.finish().expect("sink never fails");
     });
 
     group.finish();

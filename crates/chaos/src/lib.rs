@@ -14,11 +14,13 @@
 //!   faults in any execution order — two runs of `metasim chaos run
 //!   --seed 42` are byte-identical.
 //! * **Fault points** — instrumented crates ask the free functions
-//!   [`fires`] and [`factor`] whether the installed plan injects a fault at
-//!   a named site. With no plan installed both collapse to one relaxed
-//!   atomic load (the same zero-cost pattern as `metasim_obs::Recorder`),
-//!   and an installed *empty* plan answers exactly like no plan at all —
-//!   study outputs stay bit-for-bit identical.
+//!   [`fires`] and [`factor`] whether the calling thread's plan injects a
+//!   fault at a named site. A plan is scoped to one thread by [`with_plan`]
+//!   (the study's sharded executor hands it on to each worker it spawns).
+//!   With no plan on any thread both collapse to one relaxed atomic load
+//!   (the same zero-cost pattern as `metasim_obs::Recorder`), and an
+//!   *empty* plan answers exactly like no plan at all — study outputs stay
+//!   bit-for-bit identical.
 //! * **Retries** — [`RetryPolicy`] wraps probe measurement and cache loads
 //!   in bounded retry-with-deterministic-backoff; attempts are observable
 //!   through the `chaos.retry.*` obs counters, and backoff is *virtual*
@@ -37,7 +39,7 @@ pub mod retry;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 pub use plan::{FaultPlan, FaultSpec, NOISE_TOLERANCE};
 pub use retry::RetryPolicy;
@@ -70,34 +72,14 @@ pub trait FaultPoint: Send + Sync {
     fn factor(&self, site: &str, labels: &[&str]) -> f64;
 }
 
-/// Number of fault points currently reachable (global install +
-/// thread-local overrides). The instrumentation fast path is one relaxed
-/// load of this counter: zero means [`fires`] and [`factor`] are no-ops.
+/// Number of [`with_plan`] scopes open on any thread. The instrumentation
+/// fast path is one relaxed load of this counter: zero means [`fires`] and
+/// [`factor`] are no-ops.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// The process-wide fault point, installed by the CLI for one chaos run.
-static GLOBAL: RwLock<Option<Arc<dyn FaultPoint>>> = RwLock::new(None);
-
 thread_local! {
-    /// Per-thread fault-point override ([`with_plan`]); beats the global.
+    /// This thread's fault point ([`with_plan`]).
     static LOCAL: RefCell<Option<Arc<dyn FaultPoint>>> = const { RefCell::new(None) };
-}
-
-/// Install `point` process-wide, replacing any previous one. Every
-/// instrumented seam consults it until [`uninstall`].
-pub fn install(point: Arc<dyn FaultPoint>) {
-    let mut slot = GLOBAL.write().expect("chaos global lock");
-    if slot.replace(point).is_none() {
-        ACTIVE.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Remove the process-wide fault point, returning injection to no-ops.
-pub fn uninstall() {
-    let mut slot = GLOBAL.write().expect("chaos global lock");
-    if slot.take().is_some() {
-        ACTIVE.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// Decrements [`ACTIVE`] and clears the thread-local fault point even when
@@ -113,10 +95,10 @@ impl Drop for LocalGuard {
     }
 }
 
-/// Run `f` with `point` installed for *this thread only* — the injection
-/// point tests use so parallel test binaries never share a fault plan. The
-/// previous thread-local point (if any) is restored afterwards, panics
-/// included.
+/// Run `f` with `point` installed for *this thread only*, so parallel tests
+/// never share a fault plan. Threads `f` spawns see no plan unless they are
+/// handed one. The previous thread-local point (if any) is restored
+/// afterwards, panics included.
 pub fn with_plan<R>(point: Arc<dyn FaultPoint>, f: impl FnOnce() -> R) -> R {
     let prev = LOCAL.with(|l| l.borrow_mut().replace(point));
     ACTIVE.fetch_add(1, Ordering::SeqCst);
@@ -124,19 +106,17 @@ pub fn with_plan<R>(point: Arc<dyn FaultPoint>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The fault point injection should consult right now, if any: the
-/// thread-local override first, then the global install.
+/// The fault point this thread's injection sites consult right now, if
+/// any.
 #[must_use]
 pub fn point() -> Option<Arc<dyn FaultPoint>> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    LOCAL
-        .with(|l| l.borrow().clone())
-        .or_else(|| GLOBAL.read().expect("chaos global lock").clone())
+    LOCAL.with(|l| l.borrow().clone())
 }
 
-/// Whether any fault point is reachable (cheap: one relaxed atomic load).
+/// Whether any thread has a fault point (cheap: one relaxed atomic load).
 /// Consumers use this to skip perturbation code entirely, keeping the
 /// fault-free path byte-identical to a build without this crate.
 #[must_use]
@@ -144,8 +124,8 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-/// Does the installed plan fire a fault at this coordinate? `false` (one
-/// relaxed load) when no plan is installed. Fired faults bump the
+/// Does this thread's plan fire a fault at this coordinate? `false` (one
+/// relaxed load) when no thread has a plan. Fired faults bump the
 /// `chaos.faults.injected` obs counter.
 #[must_use]
 pub fn fires(site: &str, labels: &[&str]) -> bool {
@@ -158,8 +138,8 @@ pub fn fires(site: &str, labels: &[&str]) -> bool {
     }
 }
 
-/// The installed plan's multiplicative factor at this coordinate, or
-/// exactly `1.0` when no plan is installed. Consumers must skip the
+/// This thread's plan's multiplicative factor at this coordinate, or
+/// exactly `1.0` without a plan. Consumers must skip the
 /// multiplication when the factor is exactly `1.0` so an empty plan cannot
 /// perturb values through floating-point rounding.
 #[must_use]

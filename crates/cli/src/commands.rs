@@ -121,25 +121,22 @@ commands:
                      profile (MS9xx); --mutate seeds a named defect
                      (eq1-multiply, drop-maps, drop-network-terms,
                      drop-target, single-dep-class, uncancelled-bias,
-                     dead-flop-term, cancelling-denominator, noise-blind,
-                     stale-budget) to show its rule fire
+                     dead-flop-term, cancelling-denominator, noise-blind)
+                     to show its rule fire
   sense [--json] [--deny-warnings] [--allow RULE[@subject]]...
-        [--budget FILE.json] [--mutate NAME] [--epsilon E] [--seed N]
-        [--reference] [--jobs N]
+        [--mutate NAME] [--reference] [--jobs N]
                      static sensitivity and error-propagation analysis over
                      the formula IR: abstract interpretation derives
-                     interval bounds on every prediction under a ±E probe
+                     interval bounds on every prediction under a ±5% probe
                      perturbation plus first-order elasticities (condition
                      numbers) per probe quantity, ranked most-sensitive
                      first, then cross-validates the intervals against a
-                     chaos probe-noise run at the same amplitude (MS901
-                     ill-conditioned, MS902 single-probe-dominated, MS903
-                     non-Lipschitz amplification, MS904 interval violated
-                     by the observed run, MS905 stale budget); --budget
-                     loads thresholds from a committed JSON file (MS905 if
-                     missing or stale); --reference analyzes only the
-                     reference cell instead of the full 150-cell grid;
-                     --mutate seeds formula or sense defects
+                     seed-42 chaos probe-noise run at the same amplitude
+                     (MS901 ill-conditioned, MS902 single-probe-dominated,
+                     MS903 non-Lipschitz amplification, MS904 interval
+                     violated by the observed run); --reference analyzes
+                     only the reference cell instead of the full 150-cell
+                     grid; --mutate seeds formula or sense defects
   study [--timings] [--jobs N] [--cache-dir DIR] [--no-cache]
         [--tier exact|analytic|auto] [--export FILE.csv]
         [--bench-out FILE.json] [--obs-out FILE.json]
@@ -395,9 +392,6 @@ fn sense(rest: &[String]) -> Result<(), String> {
     let mut deny_warnings = false;
     let mut allow = Vec::new();
     let mut mutation: Option<AnyMutation> = None;
-    let mut budget_path: Option<String> = None;
-    let mut epsilon: Option<f64> = None;
-    let mut seed: Option<u64> = None;
     let mut reference = false;
     let mut jobs: usize = 1;
     let mut args = rest.iter();
@@ -414,17 +408,6 @@ fn sense(rest: &[String]) -> Result<(), String> {
             "--mutate" => {
                 let name = args.next().ok_or("--mutate needs a mutation name")?;
                 mutation = Some(AnyMutation::parse(name)?);
-            }
-            "--budget" => {
-                budget_path = Some(args.next().ok_or("--budget needs a path")?.clone());
-            }
-            "--epsilon" => {
-                let e = args.next().ok_or("--epsilon needs a band half-width")?;
-                epsilon = Some(e.parse().map_err(|_| format!("bad --epsilon `{e}`"))?);
-            }
-            "--seed" => {
-                let s = args.next().ok_or("--seed needs an integer")?;
-                seed = Some(s.parse().map_err(|_| format!("bad --seed `{s}`"))?);
             }
             "--reference" => reference = true,
             "--jobs" => {
@@ -444,16 +427,6 @@ fn sense(rest: &[String]) -> Result<(), String> {
         SenseScope::FullGrid
     };
     let mut model = SenseModel::shipped(scope);
-    if let Some(path) = &budget_path {
-        model.load_budget(path);
-    }
-    if let Some(e) = epsilon {
-        model.epsilon = e;
-        model.observed_epsilon = e;
-    }
-    if let Some(s) = seed {
-        model.seed = s;
-    }
     if let Some(m) = mutation {
         let announce = format!(
             "seeding mutation `{}` (expect {})",
@@ -683,19 +656,17 @@ fn study(rest: &[String]) -> Result<(), String> {
     // downstream (a manifest or the benchmark file) will consume it.
     let recorder = (obs_out.is_some() || bench_out.is_some() || trace_out.is_some())
         .then(|| Arc::new(InMemoryRecorder::new()));
-    if let Some(rec) = &recorder {
-        metasim_obs::install(Arc::clone(rec) as Arc<dyn Recorder>);
-    }
     let run = || Study::run_with_store_jobs(&f, &suite, &gt, store.as_deref(), jobs);
-    let (study, timings) = match &plan {
+    let run_planned = || match &plan {
         Some(p) => {
             metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn metasim_chaos::FaultPoint>, run)
         }
         None => run(),
     };
-    if recorder.is_some() {
-        metasim_obs::uninstall();
-    }
+    let (study, timings) = match &recorder {
+        Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, run_planned),
+        None => run_planned(),
+    };
     let manifest = recorder.as_ref().map(|rec| {
         let cache = store.as_ref().map(|s| {
             let stats = s.stats();
@@ -933,17 +904,16 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     );
 
     let recorder = obs_out.is_some().then(|| Arc::new(InMemoryRecorder::new()));
-    if let Some(rec) = &recorder {
-        metasim_obs::install(Arc::clone(rec) as Arc<dyn Recorder>);
-    }
     let f = fleet();
-    let study =
+    let run = || {
         metasim_chaos::with_plan(Arc::new(plan) as Arc<dyn metasim_chaos::FaultPoint>, || {
             Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
-        });
-    if recorder.is_some() {
-        metasim_obs::uninstall();
-    }
+        })
+    };
+    let study = match &recorder {
+        Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, run),
+        None => run(),
+    };
 
     let coverage = study.coverage();
     println!(
@@ -1972,7 +1942,6 @@ mod tests {
             "dead-flop-term",
             "cancelling-denominator",
             "noise-blind",
-            "stale-budget",
         ] {
             assert!(err.contains(name), "error must list `{name}`: {err}");
         }
@@ -2047,9 +2016,16 @@ mod tests {
         assert!(dispatch("sense", &["--frobnicate".into()]).is_err());
         assert!(dispatch("sense", &["--mutate".into()]).is_err());
         assert!(dispatch("sense", &["--mutate".into(), "no-such-defect".into()]).is_err());
-        assert!(dispatch("sense", &["--epsilon".into(), "wide".into()]).is_err());
         assert!(dispatch("sense", &["--jobs".into(), "0".into()]).is_err());
-        assert!(dispatch("sense", &["--budget".into()]).is_err());
+        // The thresholds, band and seed are fixed: no flag selects them.
+        for (flag, value) in [
+            ("--budget", "ci/sense-budget.json"),
+            ("--epsilon", "0.05"),
+            ("--seed", "42"),
+        ] {
+            let err = dispatch("sense", &[flag.into(), value.into()]).unwrap_err();
+            assert!(err.contains("unknown sense flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -2065,13 +2041,13 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("error"), "{name}: {err}");
         }
-        // ...and the MS905 warning only fails under --deny-warnings.
+        // ...and the MS902 warning only fails under --deny-warnings.
         assert!(dispatch(
             "sense",
             &[
                 "--reference".into(),
                 "--mutate".into(),
-                "stale-budget".into()
+                "dead-flop-term".into()
             ]
         )
         .is_ok());
@@ -2080,7 +2056,7 @@ mod tests {
             &[
                 "--reference".into(),
                 "--mutate".into(),
-                "stale-budget".into(),
+                "dead-flop-term".into(),
                 "--deny-warnings".into()
             ]
         )

@@ -192,12 +192,12 @@ impl Mutation {
 /// A seeded defect from either analysis family: a formula/probe-plan
 /// mutation (`MS5xx`, [`Mutation`]) or a sensitivity mutation (`MS9xx`,
 /// [`SenseMutation`]). `metasim lint --mutate NAME` accepts any of the
-/// ten names; an unknown name lists them all.
+/// nine names; an unknown name lists them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnyMutation {
     /// A formula-model defect, caught by MS501–MS505.
     Formula(Mutation),
-    /// A sensitivity-model defect, caught by MS901–MS905.
+    /// A sensitivity-model defect, caught by MS901–MS904.
     Sense(SenseMutation),
 }
 
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn any_mutation_spans_both_families() {
-        assert_eq!(AnyMutation::all_names().len(), 10);
+        assert_eq!(AnyMutation::all_names().len(), 9);
         for m in Mutation::ALL {
             assert_eq!(
                 AnyMutation::parse(m.name()).unwrap(),

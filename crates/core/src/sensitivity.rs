@@ -25,8 +25,10 @@
 //! so the nominal value component *is* the prediction
 //! [`crate::formula::eval_prediction`] computes — not a parallel copy.
 //!
-//! Five lint rules consume the analysis, each pinned by a seeded
-//! [`SenseMutation`] exactly as MS501–MS505 are:
+//! Four lint rules consume the analysis, each pinned by a seeded
+//! [`SenseMutation`] exactly as MS501–MS505 are, against the fixed
+//! thresholds [`EPSILON`], [`MAX_CONDITION`], [`MAX_DOMINANCE`] and
+//! [`MAX_AMPLIFICATION`]:
 //!
 //! * **MS901** — a *coherent* probe miscalibration (the same relative
 //!   bias on target and base machine) must cancel through Equation 1's
@@ -40,17 +42,14 @@
 //!   prediction is not Lipschitz in its probe inputs.
 //! * **MS904** — the empirical closure: a chaos probe-noise run at ±ε
 //!   must land inside the static intervals, for every cell and metric.
-//! * **MS905** — the sensitivity budget file is missing or written
-//!   against a different schema, so the thresholds under test are not
-//!   the ones on record.
 
 use std::sync::{Arc, LazyLock};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use metasim_apps::registry::{all_test_cases, TestCase};
 use metasim_apps::tracing::trace_workload;
-use metasim_audit::registry::{MS901, MS902, MS903, MS904, MS905};
+use metasim_audit::registry::{MS901, MS902, MS903, MS904};
 use metasim_audit::Auditor;
 use metasim_cache::SingleFlight;
 use metasim_chaos::{FaultPlan, FaultSpec};
@@ -76,69 +75,9 @@ const NQ: usize = ProbeQuantity::ALL.len();
 /// beyond a few ulps of drift is a real violation.
 const CONTAINMENT_SLACK: f64 = 1e-9;
 
-/// Schema version of [`SenseBudget`] files; bump on any field change so
-/// MS905 can flag budgets written by an older layout.
-pub const SENSE_BUDGET_SCHEMA: u32 = 1;
-
 // ---------------------------------------------------------------------------
 // Model
 // ---------------------------------------------------------------------------
-
-/// Thresholds the sensitivity lint checks the analysis against —
-/// versioned so a committed budget file (`ci/sense-budget.json`) can pin
-/// them in CI.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SenseBudget {
-    /// Layout version; must equal [`SENSE_BUDGET_SCHEMA`].
-    pub schema: u32,
-    /// Half-width of the relative probe-perturbation band (±ε).
-    pub epsilon: f64,
-    /// MS901: maximum tolerated coherent condition number.
-    pub max_condition: f64,
-    /// MS902: maximum tolerated share of one quantity in a multi-probe
-    /// formula's total sensitivity mass.
-    pub max_dominance: f64,
-    /// MS903: maximum tolerated interval amplification — relative interval
-    /// half-width divided by ε.
-    pub max_amplification: f64,
-}
-
-impl Default for SenseBudget {
-    fn default() -> Self {
-        SenseBudget {
-            schema: SENSE_BUDGET_SCHEMA,
-            epsilon: 0.05,
-            max_condition: 1.25,
-            max_dominance: 0.985,
-            max_amplification: 3.0,
-        }
-    }
-}
-
-/// Where the active [`SenseBudget`] came from — MS905's subject matter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BudgetStatus {
-    /// Built-in defaults; nothing to check.
-    Builtin,
-    /// Loaded cleanly from a file.
-    Loaded {
-        /// The file the budget came from.
-        path: String,
-    },
-    /// The named file does not exist; defaults are in effect.
-    Missing {
-        /// The path that was requested.
-        path: String,
-    },
-    /// The file exists but is unparseable or schema-mismatched; defaults
-    /// are in effect.
-    Stale {
-        /// The path that was requested.
-        path: String,
-        /// What went wrong.
-        detail: String,
-    },
-}
 
 /// How much of the 150-cell prediction grid the analysis walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,8 +91,7 @@ pub enum SenseScope {
 }
 
 /// The model the sensitivity lint analyzes: the nine prediction formulas
-/// plus the perturbation band, the chaos cross-check configuration, and
-/// the thresholds to hold the results to.
+/// plus the perturbation band and the chaos cross-check configuration.
 #[derive(Debug, Clone)]
 pub struct SenseModel {
     /// The metric prediction formulas, in metric order.
@@ -168,29 +106,22 @@ pub struct SenseModel {
     pub seed: u64,
     /// Grid coverage.
     pub scope: SenseScope,
-    /// Active thresholds.
-    pub budget: SenseBudget,
-    /// Where the thresholds came from.
-    pub budget_status: BudgetStatus,
 }
 
 impl SenseModel {
-    /// The study as shipped: all nine formulas, built-in budget, a ±5%
-    /// band, seed-42 chaos cross-check. Lints clean.
+    /// The study as shipped: all nine formulas, a ±[`EPSILON`] band,
+    /// seed-42 chaos cross-check. Lints clean.
     #[must_use]
     pub fn shipped(scope: SenseScope) -> Self {
-        let budget = SenseBudget::default();
         SenseModel {
             formulas: MetricId::ALL
                 .into_iter()
                 .map(|m| (m, prediction_expr(m)))
                 .collect(),
-            epsilon: budget.epsilon,
-            observed_epsilon: budget.epsilon,
+            epsilon: EPSILON,
+            observed_epsilon: EPSILON,
             seed: 42,
             scope,
-            budget,
-            budget_status: BudgetStatus::Builtin,
         }
     }
 
@@ -200,43 +131,6 @@ impl SenseModel {
         let mut model = Self::shipped(scope);
         mutation.apply(&mut model);
         model
-    }
-
-    /// Load thresholds from a JSON budget file. A missing, unparseable, or
-    /// schema-mismatched file keeps the built-in defaults and records the
-    /// problem in [`budget_status`](Self::budget_status) for MS905.
-    pub fn load_budget(&mut self, path: &str) {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.budget_status = BudgetStatus::Missing { path: path.into() };
-                return;
-            }
-        };
-        let parsed: SenseBudget = match serde_json::from_str(&text) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.budget_status = BudgetStatus::Stale {
-                    path: path.into(),
-                    detail: format!("unparseable: {e}"),
-                };
-                return;
-            }
-        };
-        if parsed.schema != SENSE_BUDGET_SCHEMA {
-            self.budget_status = BudgetStatus::Stale {
-                path: path.into(),
-                detail: format!(
-                    "schema {} (this build expects {SENSE_BUDGET_SCHEMA})",
-                    parsed.schema
-                ),
-            };
-            return;
-        }
-        self.epsilon = parsed.epsilon;
-        self.observed_epsilon = parsed.epsilon;
-        self.budget = parsed;
-        self.budget_status = BudgetStatus::Loaded { path: path.into() };
     }
 }
 
@@ -265,18 +159,15 @@ pub enum SenseMutation {
     /// still perturbs at the observed sigma: every noisy prediction falls
     /// outside its point interval. Caught by **MS904**.
     NoiseBlind,
-    /// The budget file marked stale. Caught by **MS905**.
-    StaleBudget,
 }
 
 impl SenseMutation {
     /// Every named sensitivity mutation, in help order.
-    pub const ALL: [SenseMutation; 5] = [
+    pub const ALL: [SenseMutation; 4] = [
         SenseMutation::UncancelledBias,
         SenseMutation::DeadFlopTerm,
         SenseMutation::CancellingDenominator,
         SenseMutation::NoiseBlind,
-        SenseMutation::StaleBudget,
     ];
 
     /// The CLI spelling.
@@ -287,7 +178,6 @@ impl SenseMutation {
             SenseMutation::DeadFlopTerm => "dead-flop-term",
             SenseMutation::CancellingDenominator => "cancelling-denominator",
             SenseMutation::NoiseBlind => "noise-blind",
-            SenseMutation::StaleBudget => "stale-budget",
         }
     }
 
@@ -299,7 +189,6 @@ impl SenseMutation {
             SenseMutation::DeadFlopTerm => "MS902",
             SenseMutation::CancellingDenominator => "MS903",
             SenseMutation::NoiseBlind => "MS904",
-            SenseMutation::StaleBudget => "MS905",
         }
     }
 
@@ -314,9 +203,8 @@ impl SenseMutation {
             })
     }
 
-    /// Seed this defect into `model`, preserving its scope, band, and
-    /// budget configuration (except where the defect itself is the band
-    /// or budget).
+    /// Seed this defect into `model`, preserving its scope and band
+    /// (except where the defect itself is the band).
     pub fn apply(self, model: &mut SenseModel) {
         match self {
             SenseMutation::UncancelledBias => {
@@ -358,12 +246,6 @@ impl SenseMutation {
             }
             SenseMutation::NoiseBlind => {
                 model.epsilon = 0.0;
-            }
-            SenseMutation::StaleBudget => {
-                model.budget_status = BudgetStatus::Stale {
-                    path: "ci/sense-budget.json".into(),
-                    detail: format!("schema 0 (this build expects {SENSE_BUDGET_SCHEMA})"),
-                };
             }
         }
     }
@@ -921,32 +803,30 @@ pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
 // Lint rules
 // ---------------------------------------------------------------------------
 
-/// Check an already-computed report against the model's budget, emitting
-/// MS901–MS905 findings into `a`.
+/// Half-width of the relative probe-perturbation band (±ε) the shipped
+/// model's static intervals cover and its chaos cross-check perturbs at.
+pub const EPSILON: f64 = 0.05;
+
+/// MS901: maximum tolerated coherent condition number. Equation 1's base
+/// ratio keeps it near zero; a multiply in place of the divide squares the
+/// bias instead (condition 2).
+pub const MAX_CONDITION: f64 = 1.25;
+
+/// MS902: maximum tolerated share of one quantity in a multi-probe
+/// formula's potential sensitivity mass.
+pub const MAX_DOMINANCE: f64 = 0.985;
+
+/// MS903: maximum tolerated interval amplification — relative interval
+/// half-width divided by ε.
+pub const MAX_AMPLIFICATION: f64 = 3.0;
+
+/// Check an already-computed report against the fixed thresholds,
+/// emitting MS901–MS904 findings into `a`.
 pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Auditor) {
     a.scope("sense", |a| {
-        match &model.budget_status {
-            BudgetStatus::Builtin | BudgetStatus::Loaded { .. } => {}
-            BudgetStatus::Missing { path } => a.finding_at(
-                &MS905,
-                path,
-                format!(
-                    "sensitivity budget `{path}` does not exist; \
-                     built-in thresholds are in effect"
-                ),
-            ),
-            BudgetStatus::Stale { path, detail } => a.finding_at(
-                &MS905,
-                path,
-                format!(
-                    "sensitivity budget `{path}` is stale ({detail}); \
-                     built-in thresholds are in effect"
-                ),
-            ),
-        }
         for m in &report.metrics {
             let subject = format!("#{}", m.number);
-            if m.coherent_condition > model.budget.max_condition {
+            if m.coherent_condition > MAX_CONDITION {
                 a.finding_at(
                     &MS901,
                     &subject,
@@ -954,11 +834,11 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
                         "{}: a coherent probe miscalibration reaches the prediction \
                          amplified ×{:.2} (budget {:.2}) — Equation 1's base ratio \
                          is not cancelling it",
-                        m.metric, m.coherent_condition, model.budget.max_condition
+                        m.metric, m.coherent_condition, MAX_CONDITION
                     ),
                 );
             }
-            if m.ranked.len() >= 2 && m.dominance > model.budget.max_dominance {
+            if m.ranked.len() >= 2 && m.dominance > MAX_DOMINANCE {
                 a.finding_at(
                     &MS902,
                     &subject,
@@ -968,7 +848,7 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
                         m.metric,
                         m.dominant,
                         m.dominance * 100.0,
-                        model.budget.max_dominance * 100.0
+                        MAX_DOMINANCE * 100.0
                     ),
                 );
             }
@@ -983,14 +863,14 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
                         model.epsilon * 100.0
                     ),
                 );
-            } else if model.epsilon > 0.0 && m.amplification > model.budget.max_amplification {
+            } else if model.epsilon > 0.0 && m.amplification > MAX_AMPLIFICATION {
                 a.finding_at(
                     &MS903,
                     &subject,
                     format!(
                         "{}: the static interval widens ×{:.2} per unit of probe \
                          perturbation (budget {:.2})",
-                        m.metric, m.amplification, model.budget.max_amplification
+                        m.metric, m.amplification, MAX_AMPLIFICATION
                     ),
                 );
             }
@@ -1135,47 +1015,6 @@ mod tests {
             "Equation 1 must cancel coherent bias: {}",
             m1.coherent_condition
         );
-    }
-
-    #[test]
-    fn budget_file_round_trips_and_staleness_is_detected() {
-        let dir = std::env::temp_dir().join(format!("metasim-sense-budget-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.json");
-        std::fs::write(
-            &good,
-            serde_json::to_string(&SenseBudget::default()).unwrap(),
-        )
-        .unwrap();
-        let mut model = SenseModel::shipped(SenseScope::Reference);
-        model.load_budget(good.to_str().unwrap());
-        assert!(matches!(model.budget_status, BudgetStatus::Loaded { .. }));
-
-        let stale = dir.join("stale.json");
-        let old = SenseBudget {
-            schema: 0,
-            ..SenseBudget::default()
-        };
-        std::fs::write(&stale, serde_json::to_string(&old).unwrap()).unwrap();
-        let mut model = SenseModel::shipped(SenseScope::Reference);
-        model.load_budget(stale.to_str().unwrap());
-        assert!(matches!(model.budget_status, BudgetStatus::Stale { .. }));
-
-        let mut model = SenseModel::shipped(SenseScope::Reference);
-        model.load_budget(dir.join("absent.json").to_str().unwrap());
-        assert!(matches!(model.budget_status, BudgetStatus::Missing { .. }));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn committed_ci_budget_matches_the_builtin_defaults() {
-        // The committed budget file must parse under the current schema
-        // and agree with the built-in thresholds, or MS905's "on record"
-        // promise is hollow.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/sense-budget.json");
-        let text = std::fs::read_to_string(path).expect("ci/sense-budget.json must exist");
-        let parsed: SenseBudget = serde_json::from_str(&text).expect("budget must parse");
-        assert_eq!(parsed, SenseBudget::default());
     }
 
     #[test]

@@ -360,11 +360,11 @@ impl Study {
         store: Option<&ArtifactStore>,
         jobs: usize,
     ) -> (Self, StudyTimings) {
-        // A run under an installed fault plan neither reads nor writes the
-        // whole-study store: a cached full grid would mask the injected
-        // faults, and a partial grid must never poison fault-free runs.
-        // `point`, not the process-wide `active`: a plan another thread
-        // installed with `with_plan` does not reach this run.
+        // A run under a fault plan neither reads nor writes the whole-study
+        // store: a cached full grid would mask the injected faults, and a
+        // partial grid must never poison fault-free runs. Plans are
+        // per-thread, so ask `point` (this thread's plan), not `active`,
+        // which counts `with_plan` scopes open on any thread.
         let store = store.filter(|_| metasim_chaos::point().is_none());
         let root = metasim_obs::span("study");
         let ctx = root.ctx();

@@ -32,12 +32,12 @@ use crate::sampler::GeneratedFleet;
 use crate::study::{tagged_case, AppContext};
 
 /// Relative half-width of the coherent probe band the `MS1004` preflight
-/// pushes through the reference cell.
-pub const PREFLIGHT_EPSILON: f64 = 0.05;
+/// pushes through the reference cell: the `MS9xx` band.
+pub const PREFLIGHT_EPSILON: f64 = metasim_core::sensitivity::EPSILON;
 
 /// Maximum tolerated amplification of that band by any metric's base-side
-/// cost (the `MS9xx` sensitivity budget's `max_amplification`).
-pub const PREFLIGHT_MAX_AMPLIFICATION: f64 = 3.0;
+/// cost: the `MS903` bound.
+pub const PREFLIGHT_MAX_AMPLIFICATION: f64 = metasim_core::sensitivity::MAX_AMPLIFICATION;
 
 /// Audit every sampled machine's physics (**MS1001**) and the sampling
 /// streams' disjointness from the study RNG namespace (**MS1003**).

@@ -1,31 +1,21 @@
-//! Chrome Trace Format export: turn a run manifest's span tree (or a live
-//! run) into a JSON file that `chrome://tracing` and Perfetto open directly.
+//! Chrome Trace Format export: turn a run manifest's span tree into a JSON
+//! file that `chrome://tracing` and Perfetto open directly.
 //!
-//! Two producers share one consumer-side validator:
+//! [`chrome_trace`] renders an already-built [`RunManifest`] — the path
+//! behind `metasim obs export-trace MANIFEST.json` and
+//! `metasim study --trace-out FILE`. Shard subtrees (`shard:K`) land on
+//! their own track (`tid = K + 2`) so a `--jobs 8` run shows eight worker
+//! lanes under the main lane.
 //!
-//! * [`chrome_trace`] renders an already-built [`RunManifest`] — the path
-//!   behind `metasim obs export-trace MANIFEST.json` and
-//!   `metasim study --trace-out FILE`. Shard subtrees (`shard:K`) land on
-//!   their own track (`tid = K + 2`) so a `--jobs 8` run shows eight worker
-//!   lanes under the main lane.
-//! * [`StreamingTraceRecorder`] is a live [`Recorder`] sink that writes one
-//!   trace event per span transition as it happens, holding its lock only
-//!   long enough to stamp and write — the "profile a run too big to buffer"
-//!   path, and the third leg of the recorder-overhead bench.
-//!
-//! [`validate_chrome_trace`] checks either output (and anything else
-//! claiming to be a Chrome trace): valid JSON, known event types, per-track
-//! monotone timestamps, and matched begin/end pairs.
+//! [`validate_chrome_trace`] checks that output (and anything else claiming
+//! to be a Chrome trace): valid JSON, known event types, per-track monotone
+//! timestamps, and matched begin/end pairs.
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::sync::Mutex;
-use std::time::Instant;
 
 use serde::Value;
 
 use crate::manifest::{RunManifest, SpanNode};
-use crate::recorder::{Recorder, SpanId};
 
 /// The `pid` every event carries: one study run is one logical process.
 const TRACE_PID: u64 = 1;
@@ -272,157 +262,11 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
     })
 }
 
-/// Guts of a [`StreamingTraceRecorder`], behind its one mutex.
-struct StreamState {
-    out: Box<dyn Write + Send>,
-    /// Next span id to hand out (ids are only used to pair exits).
-    next_id: SpanId,
-    /// Open span names by id, for the end event.
-    open: HashMap<SpanId, String>,
-    /// Sequential tids by OS thread, assigned on first event.
-    tids: HashMap<std::thread::ThreadId, u64>,
-    /// High-water timestamp: the written stream stays globally monotone.
-    last_us: f64,
-    events: usize,
-    finished: bool,
-    error: Option<String>,
-}
-
-/// A live [`Recorder`] that writes each span transition straight to a
-/// Chrome-trace event stream (the bare-array streaming form) instead of
-/// buffering the run — the profiling path for runs too large to hold in an
-/// [`InMemoryRecorder`](crate::InMemoryRecorder).
-///
-/// Span events carry the tid of the OS thread that recorded them, assigned
-/// sequentially on first use, so a parallel run naturally fans out into
-/// worker lanes. Metrics calls are deliberately no-ops: this sink trades
-/// the registry for a bounded memory footprint. Timestamps are stamped
-/// *under the write lock*, so the stream is globally monotone and passes
-/// [`validate_chrome_trace`] as written.
-///
-/// Call [`finish`](Self::finish) to close the JSON array; until then the
-/// output is the truncated-but-loadable streaming form Chrome accepts.
-pub struct StreamingTraceRecorder {
-    epoch: Instant,
-    state: Mutex<StreamState>,
-}
-
-impl StreamingTraceRecorder {
-    /// A recorder streaming trace events into `out`, epoch "now".
-    #[must_use]
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        StreamingTraceRecorder {
-            epoch: Instant::now(),
-            state: Mutex::new(StreamState {
-                out,
-                next_id: 1,
-                open: HashMap::new(),
-                tids: HashMap::new(),
-                last_us: 0.0,
-                events: 0,
-                finished: false,
-                error: None,
-            }),
-        }
-    }
-
-    fn write_event(&self, ph: &str, name: &str, id_for_exit: Option<SpanId>) -> SpanId {
-        let now_us = self.epoch.elapsed().as_secs_f64() * US_PER_SEC;
-        let thread = std::thread::current().id();
-        let mut st = self.state.lock().expect("trace stream lock");
-        if st.finished {
-            return 0;
-        }
-        let next_tid = MAIN_TID + st.tids.len() as u64;
-        let tid = *st.tids.entry(thread).or_insert(next_tid);
-        let ts = now_us.max(st.last_us);
-        st.last_us = ts;
-        let id = match id_for_exit {
-            Some(id) => {
-                st.open.remove(&id);
-                id
-            }
-            None => {
-                let id = st.next_id;
-                st.next_id += 1;
-                st.open.insert(id, name.to_string());
-                id
-            }
-        };
-        let ev = duration_event(ph, name, ts, tid).value;
-        let sep = if st.events == 0 { "[\n" } else { ",\n" };
-        let line = format!(
-            "{sep}{}",
-            serde_json::to_string(&ev).expect("trace values are finite")
-        );
-        if let Err(e) = st.out.write_all(line.as_bytes()) {
-            st.error.get_or_insert_with(|| e.to_string());
-        }
-        st.events += 1;
-        id
-    }
-
-    /// Close the JSON array and flush. Idempotent.
-    ///
-    /// # Errors
-    /// The first write error seen over the stream's lifetime, if any.
-    pub fn finish(&self) -> Result<(), String> {
-        let mut st = self.state.lock().expect("trace stream lock");
-        if !st.finished {
-            st.finished = true;
-            let tail: &[u8] = if st.events == 0 { b"[]\n" } else { b"\n]\n" };
-            let res = st.out.write_all(tail).and_then(|()| st.out.flush());
-            if let Err(e) = res {
-                st.error.get_or_insert_with(|| e.to_string());
-            }
-        }
-        match &st.error {
-            Some(e) => Err(format!("trace stream write failed: {e}")),
-            None => Ok(()),
-        }
-    }
-
-    /// Events written so far (diagnostics/tests).
-    #[must_use]
-    pub fn events_written(&self) -> usize {
-        self.state.lock().expect("trace stream lock").events
-    }
-}
-
-impl Recorder for StreamingTraceRecorder {
-    fn span_enter(&self, _parent: SpanId, name: String) -> SpanId {
-        self.write_event("B", &name, None)
-    }
-
-    fn span_exit(&self, id: SpanId, _dur_ns: u64) {
-        let name = {
-            let st = self.state.lock().expect("trace stream lock");
-            st.open.get(&id).cloned()
-        };
-        // Unknown id: the begin was never streamed (foreign recorder) —
-        // writing an end would unbalance the stream.
-        if let Some(name) = name {
-            let _ = self.write_event("E", &name, Some(id));
-        }
-    }
-
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-
-    fn gauge_set(&self, _name: &str, _value: f64) {}
-
-    fn observe(&self, _name: &str, _value: f64) {}
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manifest::{ManifestMeta, RunManifest};
-    use crate::recorder::InMemoryRecorder;
-    use std::sync::Arc;
+    use crate::recorder::{InMemoryRecorder, Recorder};
 
     /// An `InMemoryRecorder` run shaped like a sharded study: a phase span
     /// with two shard subtrees plus serial work on the main lane.
@@ -496,49 +340,5 @@ mod tests {
         assert!(validate_chrome_trace(regress)
             .unwrap_err()
             .contains("regresses"));
-    }
-
-    #[test]
-    fn streaming_recorder_writes_a_valid_trace_live() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let rec = Arc::new(StreamingTraceRecorder::new(Box::new(Shared(Arc::clone(
-            &buf,
-        )))));
-        crate::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
-            let outer = crate::span("outer");
-            {
-                let _inner = outer.ctx().span("inner");
-            }
-            drop(outer);
-        });
-        // Ignoring a foreign exit must not unbalance the stream.
-        rec.span_exit(999, 1);
-        rec.finish().expect("no write errors");
-        rec.finish().expect("finish is idempotent");
-
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let stats = validate_chrome_trace(&text).expect("streamed trace validates");
-        assert_eq!(stats.pairs, 2);
-        assert_eq!(stats.events, 4);
-        assert_eq!(rec.events_written(), 4);
-        assert!(text.trim_end().ends_with(']'), "finish closes the array");
-    }
-
-    #[test]
-    fn empty_stream_finishes_as_an_empty_array() {
-        let rec = StreamingTraceRecorder::new(Box::new(Vec::<u8>::new()));
-        rec.finish().unwrap();
-        assert_eq!(rec.events_written(), 0);
     }
 }

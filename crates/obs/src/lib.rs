@@ -7,7 +7,7 @@
 //!
 //! * **Spans** — hierarchical wall-time intervals
 //!   (study → phase → app → cpu-count → machine → metric), recorded through
-//!   the [`Recorder`] trait. When no recorder is installed the
+//!   the [`Recorder`] trait. When no thread has a recorder the
 //!   instrumentation collapses to one relaxed atomic load per call site, so
 //!   library users who never ask for observability pay nothing and study
 //!   outputs are byte-identical either way.
@@ -22,9 +22,10 @@
 //!   the `MS4xx` audit rules ([`audit`]) statically validate it.
 //!
 //! Instrumented crates call the free functions here ([`span`],
-//! [`counter_add`], [`observe`], [`gauge_set`]); the CLI installs an
-//! [`InMemoryRecorder`] globally for one run, and tests inject a private
-//! recorder with [`with_recorder`] for isolation.
+//! [`counter_add`], [`observe`], [`gauge_set`]). A recorder is reachable
+//! from one thread only: the CLI and tests scope an [`InMemoryRecorder`]
+//! to the calling thread with [`with_recorder`], and the study's sharded
+//! executor hands the caller's recorder on to each worker it spawns.
 
 pub mod audit;
 pub mod diff;
@@ -38,7 +39,7 @@ pub mod summarize;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub use hdr::HdrSnapshot;
@@ -47,36 +48,16 @@ pub use recorder::{
     InMemoryRecorder, Recorder, SpanId, SpanRecord, WorkerSpanBuffer, WORKER_SPAN_ID_BASE,
 };
 
-/// Number of recorders currently reachable (global install + thread-local
-/// overrides). The instrumentation fast path is a single relaxed load of
-/// this counter: zero means every call below is a no-op.
+/// Number of [`with_recorder`] scopes open on any thread. The
+/// instrumentation fast path is a single relaxed load of this counter:
+/// zero means every call below is a no-op.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// The process-wide recorder, installed by the CLI for one run.
-static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-
 thread_local! {
-    /// Per-thread recorder override ([`with_recorder`]); beats the global.
+    /// This thread's recorder ([`with_recorder`]).
     static LOCAL: RefCell<Option<Arc<dyn Recorder>>> = const { RefCell::new(None) };
     /// The innermost live span on this thread (0 = root).
     static CURRENT: Cell<SpanId> = const { Cell::new(0) };
-}
-
-/// Install `recorder` process-wide, replacing any previous one. Spans and
-/// metrics from every thread flow into it until [`uninstall`].
-pub fn install(recorder: Arc<dyn Recorder>) {
-    let mut slot = GLOBAL.write().expect("obs global lock");
-    if slot.replace(recorder).is_none() {
-        ACTIVE.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Remove the process-wide recorder, returning instrumentation to no-ops.
-pub fn uninstall() {
-    let mut slot = GLOBAL.write().expect("obs global lock");
-    if slot.take().is_some() {
-        ACTIVE.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// Decrements [`ACTIVE`] and clears the thread-local recorder even when the
@@ -92,10 +73,10 @@ impl Drop for LocalGuard {
     }
 }
 
-/// Run `f` with `recorder` installed for *this thread only* — the injection
-/// point tests use so parallel test binaries never share a recorder. The
-/// previous thread-local recorder (if any) is restored afterwards, panics
-/// included.
+/// Run `f` with `recorder` installed for *this thread only*, so parallel
+/// tests never share a recorder. Threads `f` spawns see no recorder unless
+/// they are handed one. The previous thread-local recorder (if any) is
+/// restored afterwards, panics included.
 pub fn with_recorder<R>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
     let prev = LOCAL.with(|l| l.borrow_mut().replace(recorder));
     ACTIVE.fetch_add(1, Ordering::SeqCst);
@@ -103,19 +84,16 @@ pub fn with_recorder<R>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R
     f()
 }
 
-/// The recorder instrumentation should write to right now, if any:
-/// the thread-local override first, then the global install.
+/// The recorder this thread's instrumentation writes to right now, if any.
 #[must_use]
 pub fn recorder() -> Option<Arc<dyn Recorder>> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    LOCAL
-        .with(|l| l.borrow().clone())
-        .or_else(|| GLOBAL.read().expect("obs global lock").clone())
+    LOCAL.with(|l| l.borrow().clone())
 }
 
-/// Whether any recorder is reachable (cheap: one relaxed atomic load).
+/// Whether any thread has a recorder (cheap: one relaxed atomic load).
 /// Callers may use this to skip building expensive span names.
 #[must_use]
 pub fn recording() -> bool {
@@ -259,7 +237,7 @@ mod tests {
 
     #[test]
     fn disabled_instrumentation_is_inert() {
-        assert!(recorder().is_none() || recording());
+        assert!(recorder().is_none());
         counter_add("noop.counter", 5);
         observe("noop.histogram", 1.0);
         gauge_set("noop.gauge", 2.0);
@@ -298,32 +276,5 @@ mod tests {
         assert!(result.is_err());
         assert!(recorder().is_none(), "local recorder must be cleared");
         counter_add("after.panic", 1); // must be a no-op, not a poisoned lock
-    }
-
-    #[test]
-    fn global_install_reaches_other_threads() {
-        // Serialize against any other test touching the global slot.
-        static GLOBAL_TEST: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _lock = GLOBAL_TEST.lock().unwrap();
-        let rec = Arc::new(InMemoryRecorder::new());
-        install(rec.clone());
-        let parent = span("cross-thread-parent");
-        let ctx = parent.ctx();
-        std::thread::spawn(move || {
-            let _child = ctx.span("cross-thread-child");
-        })
-        .join()
-        .unwrap();
-        drop(parent);
-        uninstall();
-        assert!(recorder().is_none());
-        let records = rec.span_records();
-        assert_eq!(records.len(), 2);
-        let child = records.iter().find(|r| r.name.contains("child")).unwrap();
-        let parent = records.iter().find(|r| r.name.contains("parent")).unwrap();
-        assert_eq!(
-            child.parent, parent.id,
-            "explicit ctx must parent across threads"
-        );
     }
 }

@@ -34,7 +34,6 @@ pub mod bootstrap;
 pub mod correlation;
 pub mod descriptive;
 pub mod error_metrics;
-pub mod histogram;
 pub mod regression;
 pub mod rng;
 
