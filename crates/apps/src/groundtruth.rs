@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use metasim_cache::{content_key, ArtifactKey, ArtifactStore, SingleFlight};
 use metasim_machines::{MachineConfig, MachineId};
-use metasim_memsim::bandwidth::{measure_bandwidth, Workload as MemWorkload};
+use metasim_memsim::bandwidth::{measure_bandwidth_memo, ProfileMemo, Workload as MemWorkload};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_netsim::replay::replay;
 use metasim_stats::rng::{seed_from_labels, SeededRng};
@@ -69,8 +69,9 @@ fn dependency_mode(class: DependencyClass) -> DependencyMode {
 }
 
 /// Memory time for one block across all invocations: each stride class runs
-/// through the cache simulator at the block's working set.
-fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock) -> f64 {
+/// through the cache simulator at the block's working set, its profile read
+/// through `profiles`.
+fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock, profiles: &ProfileMemo) -> f64 {
     let (s1, short, random) = block.class_refs();
     let deps = dependency_mode(block.dependency);
     let classes = [
@@ -83,9 +84,10 @@ fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock) -> f64 {
         if refs == 0 {
             continue;
         }
-        let sample = measure_bandwidth(
+        let sample = measure_bandwidth_memo(
             &machine.memory,
             &MemWorkload::new(block.working_set, kind, deps),
+            profiles,
         );
         let bw = sample.bytes_per_second();
         debug_assert!(bw > 0.0, "zero bandwidth for {kind:?}");
@@ -157,9 +159,21 @@ pub fn idiosyncrasy_factor(app: &str, case: &str, machine: &MachineConfig, p: u6
 /// Execute a workload on a machine at full detail.
 #[must_use]
 pub fn execute(machine: &MachineConfig, workload: &AppWorkload) -> RunResult {
+    execute_memo(machine, workload, &ProfileMemo::new())
+}
+
+/// [`execute`], reading the blocks' simulated memory profiles through
+/// `profiles`, so executions on machines that share a cache hierarchy
+/// simulate each (working set, pattern) once. Identical results.
+#[must_use]
+pub fn execute_memo(
+    machine: &MachineConfig,
+    workload: &AppWorkload,
+    profiles: &ProfileMemo,
+) -> RunResult {
     let mut compute = 0.0;
     for block in &workload.blocks {
-        let mem = block_memory_seconds(machine, block);
+        let mem = block_memory_seconds(machine, block, profiles);
         let flop = block_flop_seconds(machine, block);
         let overlapped = mem.max(flop) + OVERLAP_RECOVERY * mem.min(flop);
         compute += overlapped;
@@ -188,6 +202,9 @@ pub const GROUND_TRUTH_KIND: &str = "groundtruth";
 pub struct GroundTruth {
     /// One cell per (case, processors, machine).
     cells: SingleFlight<(TestCase, u64, MachineId), RunResult>,
+    /// The exact memory profiles the executions simulate, shared by every
+    /// cell of this runner and by no other runner.
+    profiles: ProfileMemo,
     store: Option<Arc<ArtifactStore>>,
     executions: AtomicUsize,
 }
@@ -230,7 +247,7 @@ impl GroundTruth {
             let _span = metasim_obs::recording()
                 .then(|| metasim_obs::span(format!("execute:{case}@{p}:{}", machine.id)));
             let workload = case.workload(p);
-            let result = execute(machine, &workload);
+            let result = execute_memo(machine, &workload, &self.profiles);
             self.executions.fetch_add(1, Ordering::Relaxed);
             metasim_obs::counter_add("groundtruth.executions", 1);
             if let Some(store) = &self.store {
@@ -308,6 +325,32 @@ mod tests {
             p655.seconds,
             p3.seconds
         );
+    }
+
+    #[test]
+    fn one_memo_across_a_shared_hierarchy_changes_no_result() {
+        // The four Power4/Power4+ systems share one cache hierarchy; with
+        // one memo, every execution after the first simulates nothing new
+        // and still matches a fresh execution bit for bit.
+        let f = fleet();
+        let w = TestCase::HycomStandard.workload(96);
+        let profiles = ProfileMemo::new();
+        let simulated = || profiles.count_ready(|_| true);
+        let base = f.get(MachineId::NavoP690Base);
+        assert_eq!(execute_memo(base, &w, &profiles), execute(base, &w));
+        let shared = simulated();
+        for id in [
+            MachineId::Mhpcc690_13,
+            MachineId::Arl690_17,
+            MachineId::Navo655,
+        ] {
+            let m = f.get(id);
+            assert_eq!(execute_memo(m, &w, &profiles), execute(m, &w), "{id}");
+            assert_eq!(simulated(), shared, "{id} shares the base hierarchy");
+        }
+        let p3 = f.get(MachineId::NavoP3);
+        assert_eq!(execute_memo(p3, &w, &profiles), execute(p3, &w));
+        assert!(simulated() > shared, "a new hierarchy simulates");
     }
 
     #[test]

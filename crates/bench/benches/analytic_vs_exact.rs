@@ -21,7 +21,7 @@ use std::hint::black_box;
 
 use metasim_bench::shared_fleet;
 use metasim_memsim::analytic::{analytic_bandwidth, max_tier_divergence};
-use metasim_memsim::bandwidth::{measure_bandwidth, Workload};
+use metasim_memsim::bandwidth::{measure_bandwidth, ProfileMemo, Workload};
 use metasim_memsim::spec::MemorySpec;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_probes::maps::measure_maps_tiered;
@@ -45,17 +45,21 @@ fn bench_single_point(c: &mut Criterion) {
 fn bench_maps_sweep(c: &mut Criterion) {
     let fleet = shared_fleet();
     let machine = fleet.base();
-    c.bench_function("maps_sweep/exact", |b| {
-        b.iter(|| black_box(measure_maps_tiered(black_box(machine), ResolvedTier::Exact)));
-    });
-    c.bench_function("maps_sweep/analytic", |b| {
-        b.iter(|| {
-            black_box(measure_maps_tiered(
-                black_box(machine),
-                ResolvedTier::Analytic,
-            ))
+    // A fresh profile memo per sweep: every iteration simulates.
+    for (name, tier) in [
+        ("maps_sweep/exact", ResolvedTier::Exact),
+        ("maps_sweep/analytic", ResolvedTier::Analytic),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(measure_maps_tiered(
+                    black_box(machine),
+                    tier,
+                    &ProfileMemo::new(),
+                ))
+            });
         });
-    });
+    }
 }
 
 fn bench_calibration(c: &mut Criterion) {

@@ -1,6 +1,6 @@
 //! The one in-process memo table of the study pipeline: probe sets, ground
-//! truth cells, application traces and the sensitivity analysis' inputs
-//! are all memoized through [`SingleFlight`].
+//! truth cells, application traces, simulated memory profiles and the
+//! sensitivity analysis' inputs are all memoized through [`SingleFlight`].
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -26,7 +26,8 @@ const SCALING_TOLERANCE: f64 = 1.05;
 
 /// Audit every static input artifact relative to the auditor's current
 /// scope: the fleet (`MS00x`), the measured probe set of each machine
-/// (`MS10x`) with its cache simulator (`MS204`), and the fifteen (case,
+/// (`MS10x`) with its cache simulator (`MS204`, whose samples are read
+/// through the suite's profile memo), and the fifteen (case,
 /// processor-count) workloads with the traces `traces` serves for them
 /// (`MS20x`).
 ///
@@ -54,7 +55,7 @@ pub fn audit_inputs(fleet: &Fleet, suite: &ProbeSuite, traces: &TraceCache, a: &
         a.scope("probes", |a| {
             a.scope(m.id.to_string(), |a| {
                 audit_probes(m, &probes, a);
-                audit_hit_fractions(&m.memory, a);
+                audit_hit_fractions(&m.memory, suite.profiles(), a);
             });
         });
     }
@@ -303,7 +304,7 @@ mod tests {
     // a warm store (probe and trace loads, gated by their audit-on-load),
     // it must report exactly what a cold in-memory run reports, read every
     // probe set and trace from the store, and simulate nothing but one
-    // MS204 pass per machine.
+    // MS204 pass per distinct cache hierarchy.
     #[test]
     fn warm_store_preflight_matches_a_cold_in_memory_one() {
         use std::sync::Arc;
@@ -311,6 +312,7 @@ mod tests {
         use metasim_apps::tracing::TRACE_KIND;
         use metasim_cache::ArtifactStore;
         use metasim_memsim::analytic::ResolvedTier;
+        use metasim_memsim::bandwidth::ProfileMemo;
         use metasim_obs::{InMemoryRecorder, Recorder};
         use metasim_probes::suite::PROBES_KIND;
 
@@ -359,12 +361,26 @@ mod tests {
             (f.all().count() + all_test_cases().len()) as u64,
             "every probe set and every trace is read from the store"
         );
+        // One machine per distinct hierarchy: the paper's 11 machines have 7.
+        let mut hierarchies = Vec::new();
+        let mut representatives = Vec::new();
+        for m in f.all() {
+            let h = m.memory.hierarchy();
+            if !hierarchies.contains(&h) {
+                hierarchies.push(h);
+                representatives.push(m);
+            }
+        }
+        assert_eq!(representatives.len(), 7, "distinct paper hierarchies");
         let ms204_addresses = simulated(|| {
-            for m in f.all() {
-                let _ = audit_value(|a| audit_hit_fractions(&m.memory, a));
+            for m in representatives {
+                let _ = audit_value(|a| audit_hit_fractions(&m.memory, &ProfileMemo::new(), a));
             }
         });
-        assert_eq!(warm_addresses, ms204_addresses, "MS204 once per machine");
+        assert_eq!(
+            warm_addresses, ms204_addresses,
+            "MS204 once per distinct hierarchy"
+        );
         assert_eq!(warm, cold, "same diagnostics, same order");
         store.clear().unwrap();
     }

@@ -13,8 +13,10 @@ use metasim_apps::tracing::TraceCache;
 use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
 use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_memsim::analytic::Tier;
+use metasim_memsim::bandwidth::measure_bandwidth_memo;
 use metasim_obs::hdr::LAT_PREDICTION;
 use metasim_obs::SpanCtx;
+use metasim_probes::audit::hit_fraction_samples;
 use metasim_probes::suite::ProbeSuite;
 use metasim_stats::error_metrics::{percent_error, ErrorAccumulator};
 use metasim_tracer::analysis::analyze_dependencies;
@@ -174,11 +176,18 @@ impl Study {
         // closes *before* the error gate below so a failed preflight still
         // shows up — with its wall time — in the recorder.
         let pre = ctx.span("phase:preflight");
-        // Warm every machine's probe sweep so the audit below reads purely
-        // warm single-flight cells. A failing sweep is not an error here —
-        // the audit and the alive filter below decide what a failure means.
+        // Warm every machine's probe sweep and its two MS204 samples so the
+        // audit below reads purely warm single-flight cells. A failing sweep
+        // is not an error here — the audit and the alive filter below decide
+        // what a failure means — and leaves MS204 unsampled, as the audit
+        // skips it too.
         run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
-            let _ = suite.try_measure(fleet.get(machine));
+            let m = fleet.get(machine);
+            if suite.try_measure(m).is_ok() {
+                for (_, workload) in hit_fraction_samples() {
+                    let _ = measure_bandwidth_memo(&m.memory, &workload, suite.profiles());
+                }
+            }
         });
         let report = crate::audit::preflight(fleet, suite, traces);
         metasim_obs::counter_add("audit.findings", report.diagnostics.len() as u64);

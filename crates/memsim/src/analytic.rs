@@ -48,8 +48,8 @@ use metasim_audit::Auditor;
 use metasim_stats::rng::fnv1a;
 
 use crate::bandwidth::{
-    measure_bandwidth, BandwidthSample, Workload, ELEMENT_BYTES, MAX_MEASURED_ACCESSES,
-    MIN_MEASURED_ACCESSES,
+    measure_bandwidth, measure_bandwidth_memo, BandwidthSample, ProfileMemo, Workload,
+    ELEMENT_BYTES, MAX_MEASURED_ACCESSES, MIN_MEASURED_ACCESSES,
 };
 use crate::hierarchy::AccessProfile;
 use crate::spec::MemorySpec;
@@ -186,18 +186,21 @@ impl CacheModel for AnalyticModel {
 
 /// Measure under an explicit tier, recording
 /// `memsim.tier.{exact,analytic,fallback}` counters. Returns the sample and
-/// the tier that actually ran.
+/// the tier that actually ran. The exact tier reads its simulated profile
+/// through `memo` ([`measure_bandwidth_memo`]); the counter counts calls,
+/// hit or miss.
 #[must_use]
 pub fn measure_bandwidth_tiered(
     spec: &MemorySpec,
     workload: &Workload,
     tier: Tier,
+    memo: &ProfileMemo,
 ) -> (BandwidthSample, ResolvedTier) {
     let resolved = resolve_tier(spec, tier);
     match resolved {
         ResolvedTier::Exact => {
             metasim_obs::counter_add("memsim.tier.exact", 1);
-            (measure_bandwidth(spec, workload), resolved)
+            (measure_bandwidth_memo(spec, workload, memo), resolved)
         }
         ResolvedTier::Analytic => {
             metasim_obs::counter_add("memsim.tier.analytic", 1);
@@ -711,10 +714,10 @@ mod tests {
     fn tiered_measurement_matches_its_model() {
         let w = Workload::new(1 << 20, AccessKind::Random, DependencyMode::Independent);
         let s = spec();
-        let (exact, rt) = measure_bandwidth_tiered(&s, &w, Tier::Exact);
+        let (exact, rt) = measure_bandwidth_tiered(&s, &w, Tier::Exact, &ProfileMemo::new());
         assert_eq!(rt, ResolvedTier::Exact);
         assert_eq!(exact, measure_bandwidth(&s, &w));
-        let (analytic, rt) = measure_bandwidth_tiered(&s, &w, Tier::Analytic);
+        let (analytic, rt) = measure_bandwidth_tiered(&s, &w, Tier::Analytic, &ProfileMemo::new());
         assert_eq!(rt, ResolvedTier::Analytic);
         assert_eq!(analytic, analytic_bandwidth(&s, &w));
     }

@@ -9,13 +9,24 @@
 //! Measurements follow benchmarking discipline: a warm-up pass populates the
 //! caches and TLB, the profile is cleared, and only then is the measured
 //! pass accumulated.
+//!
+//! A measurement is two steps. The first drives the address stream through
+//! the cache and TLB simulator, so the [`AccessProfile`] is a function of
+//! the spec's [`Hierarchy`] and the [`Workload`] alone. The
+//! [`TimingModel`] then turns that profile into seconds from the machine's
+//! full [`MemorySpec`]: bandwidths, latencies, memory-level parallelism,
+//! prefetch and penalties. Machines that share a hierarchy therefore share
+//! profiles but not timings, and [`measure_bandwidth_memo`] simulates each
+//! (hierarchy, address stream) once per [`ProfileMemo`] while timing every
+//! call with its own spec.
 
 use serde::{Deserialize, Serialize};
 
+use metasim_cache::SingleFlight;
 use metasim_stats::rng::SeededRng;
 use metasim_units::{Bytes, BytesPerSec, Seconds};
 
-use crate::hierarchy::{AccessProfile, HierarchySim};
+use crate::hierarchy::{AccessProfile, Hierarchy, HierarchySim};
 use crate::spec::MemorySpec;
 use crate::streams::{AddressStream, RandomStream, StridedStream};
 use crate::timing::{AccessKind, DependencyMode, TimingModel};
@@ -32,7 +43,7 @@ pub const MAX_MEASURED_ACCESSES: u64 = 1 << 15;
 pub const MIN_MEASURED_ACCESSES: u64 = 1 << 13;
 
 /// A memory measurement request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Workload {
     /// Working-set size in bytes.
     pub working_set: u64,
@@ -129,12 +140,67 @@ pub fn drive<S: AddressStream>(sim: &mut HierarchySim, stream: &mut S, n: u64) {
     }
 }
 
+/// Simulated profiles, each computed once per (hierarchy, address stream).
+///
+/// The key's [`Workload`] has its `deps` cleared to
+/// [`DependencyMode::Independent`]: the dependency mode only changes how the
+/// timing model prices a profile, never the addresses the simulator sees,
+/// so a MAPS sweep's chained and branchy curves reuse its independent one.
+/// Owned by whoever scopes the reuse — a probe suite, a ground-truth
+/// runner — never process-wide.
+pub type ProfileMemo = SingleFlight<(Hierarchy, Workload), AccessProfile>;
+
 /// Measure delivered bandwidth for `workload` on the memory system described
 /// by `spec`. Deterministic: equal inputs yield identical samples.
+///
+/// # Panics
+/// Panics if the spec fails validation.
 #[must_use]
 pub fn measure_bandwidth(spec: &MemorySpec, workload: &Workload) -> BandwidthSample {
-    let mut sim = HierarchySim::new(spec);
+    measure_bandwidth_memo(spec, workload, &ProfileMemo::new())
+}
+
+/// [`measure_bandwidth`], reading the simulated profile through `memo`: the
+/// first call for a (hierarchy, address stream) simulates it, later calls
+/// on any spec with the same hierarchy reuse it. Every call validates its
+/// own spec and times the profile with it, so the sample equals
+/// [`measure_bandwidth`]'s.
+///
+/// # Panics
+/// Panics if the spec fails validation, whether or not the profile is
+/// already in `memo`.
+#[must_use]
+pub fn measure_bandwidth_memo(
+    spec: &MemorySpec,
+    workload: &Workload,
+    memo: &ProfileMemo,
+) -> BandwidthSample {
     let model = TimingModel::new(spec.clone(), ELEMENT_BYTES);
+    let hierarchy = spec.hierarchy();
+    let stream = Workload {
+        deps: DependencyMode::Independent,
+        ..*workload
+    };
+    let profile = memo.get_or_init((hierarchy.clone(), stream), || {
+        simulate_profile(&hierarchy, workload)
+    });
+    let seconds = model.time(&profile, workload.kind, workload.deps);
+    BandwidthSample {
+        workload: *workload,
+        seconds,
+        bytes: profile.requested_bytes,
+        profile,
+    }
+}
+
+/// Drive `workload`'s address stream through a fresh simulator of
+/// `hierarchy`: a warm-up pass, then the measured pass whose profile is
+/// returned. Reads the working set, access kind and seed; not `deps`.
+///
+/// # Panics
+/// Panics if the hierarchy's geometry is invalid.
+fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile {
+    let mut sim = HierarchySim::new(hierarchy);
 
     let per_pass = workload.accesses_per_pass();
     let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
@@ -168,15 +234,7 @@ pub fn measure_bandwidth(spec: &MemorySpec, workload: &Workload) -> BandwidthSam
             drive(&mut sim, &mut stream, measured);
         }
     }
-
-    let profile = sim.profile().clone();
-    let seconds = model.time(&profile, workload.kind, workload.deps);
-    BandwidthSample {
-        workload: *workload,
-        seconds,
-        bytes: profile.requested_bytes,
-        profile,
-    }
+    sim.profile().clone()
 }
 
 #[cfg(test)]
@@ -297,7 +355,10 @@ mod tests {
         let n = (DRIVE_BATCH as u64) * 3 + 17;
         for kind in [AccessKind::Sequential, AccessKind::Random] {
             let w = Workload::new(1 << 20, kind, DependencyMode::Independent);
-            let (mut batched, mut scalar) = (HierarchySim::new(&s), HierarchySim::new(&s));
+            let (mut batched, mut scalar) = (
+                HierarchySim::new(&s.hierarchy()),
+                HierarchySim::new(&s.hierarchy()),
+            );
             match kind {
                 AccessKind::Random => {
                     let rng = SeededRng::new(w.seed ^ w.working_set);
@@ -323,6 +384,122 @@ mod tests {
             }
             assert_eq!(batched.profile(), scalar.profile(), "{kind:?}");
         }
+    }
+
+    /// `spec` with a second hierarchy-sharing twin whose every timing
+    /// field differs.
+    fn retimed(s: &MemorySpec) -> MemorySpec {
+        let mut t = s.clone();
+        for l in &mut t.levels {
+            l.load_bandwidth *= 0.5;
+            l.latency *= 1.5;
+        }
+        t.memory.stream_bandwidth *= 0.5;
+        t.memory.latency *= 1.5;
+        t.tlb.miss_penalty *= 2.0;
+        t.mlp += 1.0;
+        t.short_stride_prefetch *= 0.5;
+        t.dependency_chain_latency *= 2.0;
+        t.branch_penalty *= 2.0;
+        t
+    }
+
+    #[test]
+    fn hierarchy_holds_every_geometry_field_and_no_timing_field() {
+        let s = spec();
+        let h = s.hierarchy();
+        let geometry_edits: [fn(&mut MemorySpec); 8] = [
+            |s| s.levels[0].capacity_bytes *= 2,
+            |s| s.levels[1].capacity_bytes *= 2,
+            |s| s.levels[0].line_bytes *= 2,
+            |s| s.levels[1].line_bytes *= 2,
+            |s| s.levels[0].associativity *= 2,
+            |s| s.levels[1].associativity *= 2,
+            |s| s.tlb.entries *= 2,
+            |s| s.tlb.page_bytes *= 2,
+        ];
+        for (i, edit) in geometry_edits.iter().enumerate() {
+            let mut t = s.clone();
+            edit(&mut t);
+            assert_ne!(t.hierarchy(), h, "geometry edit {i} must change the key");
+        }
+        let mut dropped = s.clone();
+        dropped.levels.pop();
+        assert_ne!(
+            dropped.hierarchy(),
+            h,
+            "a removed level must change the key"
+        );
+
+        let timing_edits: [fn(&mut MemorySpec); 11] = [
+            |s| s.levels[0].load_bandwidth *= 2.0,
+            |s| s.levels[1].load_bandwidth *= 0.5,
+            |s| s.levels[0].latency *= 0.5,
+            |s| s.levels[1].latency *= 2.0,
+            |s| s.memory.stream_bandwidth *= 0.5,
+            |s| s.memory.latency *= 2.0,
+            |s| s.mlp *= 2.0,
+            |s| s.short_stride_prefetch *= 0.5,
+            |s| s.dependency_chain_latency *= 2.0,
+            |s| s.branch_penalty *= 2.0,
+            |s| s.tlb.miss_penalty *= 2.0,
+        ];
+        for (i, edit) in timing_edits.iter().enumerate() {
+            let mut t = s.clone();
+            edit(&mut t);
+            assert_ne!(t, s, "timing edit {i} must change the spec");
+            assert_eq!(t.hierarchy(), h, "timing edit {i} must not change the key");
+        }
+        assert_eq!(retimed(&s).hierarchy(), h);
+    }
+
+    #[test]
+    fn a_memo_hit_is_timed_with_its_own_spec() {
+        let (s, t) = (spec(), retimed(&spec()));
+        let memo = ProfileMemo::new();
+        for kind in [
+            AccessKind::Sequential,
+            AccessKind::Strided(4),
+            AccessKind::Random,
+        ] {
+            for deps in [
+                DependencyMode::Independent,
+                DependencyMode::Chained,
+                DependencyMode::Branchy,
+            ] {
+                let w = Workload::new(256 << 10, kind, deps);
+                let (a, b) = (
+                    measure_bandwidth_memo(&s, &w, &memo),
+                    measure_bandwidth_memo(&t, &w, &memo),
+                );
+                assert_eq!(a, measure_bandwidth(&s, &w), "{w:?}");
+                assert_eq!(b, measure_bandwidth(&t, &w), "{w:?}");
+                assert_eq!(a.profile, b.profile, "one hierarchy, one profile");
+                assert_ne!(
+                    a.seconds, b.seconds,
+                    "{w:?}: timing leaked from the first spec"
+                );
+            }
+        }
+        // The dependency mode prices a profile but never changes it: one
+        // simulation per access kind.
+        assert_eq!(memo.count_ready(|_| true), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid memory spec")]
+    fn a_memo_hit_still_validates_the_spec() {
+        let memo = ProfileMemo::new();
+        let w = Workload::new(
+            64 << 10,
+            AccessKind::Sequential,
+            DependencyMode::Independent,
+        );
+        let _ = measure_bandwidth_memo(&spec(), &w, &memo);
+        let mut invalid = spec();
+        invalid.mlp = 0.5;
+        assert_eq!(invalid.hierarchy(), spec().hierarchy());
+        let _ = measure_bandwidth_memo(&invalid, &w, &memo);
     }
 
     #[test]

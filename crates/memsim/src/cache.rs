@@ -9,7 +9,7 @@
 //! sit at the tail of their set, so they are consumed before any eviction
 //! happens.
 
-use crate::spec::LevelSpec;
+use crate::spec::CacheGeometry;
 use crate::tag_pool::TagPool;
 
 /// Marks an empty way; line `u64::MAX` aliases it.
@@ -39,25 +39,26 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache from a validated [`LevelSpec`].
+    /// Build a cache of the given geometry
+    /// ([`LevelSpec::geometry`](crate::spec::LevelSpec::geometry)).
     ///
     /// # Panics
-    /// Panics if the spec fails validation — construct specs through the
-    /// `machines` crate or validate first.
+    /// Panics if the geometry fails validation — construct specs through
+    /// the `machines` crate or validate first.
     #[must_use]
-    pub fn new(spec: &LevelSpec) -> Self {
-        Self::new_in(spec, &TAGS)
+    pub fn new(geometry: &CacheGeometry) -> Self {
+        Self::new_in(geometry, &TAGS)
     }
 
-    fn new_in(spec: &LevelSpec, pool: &'static TagPool) -> Self {
-        spec.validate().expect("invalid cache spec");
-        let sets = spec.sets();
-        let assoc = spec.associativity as usize;
+    fn new_in(geometry: &CacheGeometry, pool: &'static TagPool) -> Self {
+        geometry.validate().expect("invalid cache spec");
+        let sets = geometry.sets();
+        let assoc = geometry.associativity as usize;
         Self {
             ways: pool.take(sets as usize * assoc, EMPTY),
             assoc,
             set_mask: sets - 1,
-            line_shift: spec.line_bytes.trailing_zeros(),
+            line_shift: geometry.line_bytes.trailing_zeros(),
             hits: 0,
             misses: 0,
             last_line: EMPTY,
@@ -173,17 +174,14 @@ impl Drop for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::LevelSpec;
     use proptest::prelude::*;
 
     fn tiny(assoc: u32, sets: u64) -> Cache {
         // line 64B
-        Cache::new(&LevelSpec {
+        Cache::new(&CacheGeometry {
             capacity_bytes: 64 * u64::from(assoc) * sets,
             line_bytes: 64,
             associativity: assoc,
-            load_bandwidth: 1e9,
-            latency: 1e-9,
         })
     }
 
@@ -323,12 +321,10 @@ mod tests {
     #[test]
     fn dropped_tag_arrays_are_recycled_empty() {
         static POOL: TagPool = TagPool::new();
-        let spec = LevelSpec {
+        let spec = CacheGeometry {
             capacity_bytes: 64 << 20,
             line_bytes: 64,
             associativity: 8,
-            load_bandwidth: 1e9,
-            latency: 1e-9,
         };
         let mut c = Cache::new_in(&spec, &POOL);
         for line in 0..64 {

@@ -1,11 +1,36 @@
 //! The multi-level hierarchy simulator: caches + TLB driven by address
 //! streams, producing per-level access profiles for the timing model.
+//!
+//! The simulator reads only a memory system's [`Hierarchy`]: each cache
+//! level's capacity, line size and associativity, and the TLB's entry count
+//! and page size. Bandwidths, latencies, memory-level parallelism, prefetch
+//! efficiency and the penalties belong to the [`TimingModel`], which reads
+//! the full [`MemorySpec`]. So an [`AccessProfile`] is a function of the
+//! hierarchy and the address stream alone, and machines that share a
+//! hierarchy share their profiles
+//! ([`measure_bandwidth_memo`](crate::bandwidth::measure_bandwidth_memo)).
+//!
+//! [`TimingModel`]: crate::timing::TimingModel
 
 use serde::{Deserialize, Serialize};
 
 use crate::cache::Cache;
-use crate::spec::MemorySpec;
+use crate::spec::{CacheGeometry, TlbGeometry};
 use crate::tlb::Tlb;
+
+#[cfg(doc)]
+use crate::spec::MemorySpec;
+
+/// Everything the hierarchy simulator reads of a [`MemorySpec`]
+/// ([`MemorySpec::hierarchy`]), so two specs with equal hierarchies yield
+/// equal profiles for every address stream.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Hierarchy {
+    /// Cache levels ordered L1 first.
+    pub levels: Vec<CacheGeometry>,
+    /// The TLB.
+    pub tlb: TlbGeometry,
+}
 
 /// Which level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,14 +124,14 @@ pub struct HierarchySim {
 }
 
 impl HierarchySim {
-    /// Build a simulator for a validated [`MemorySpec`].
+    /// Build a simulator for a hierarchy ([`MemorySpec::hierarchy`]).
     ///
     /// # Panics
-    /// Panics if the spec fails validation.
+    /// Panics if a cache level's geometry fails validation or the TLB has
+    /// no entries or a page size that is not a power of two.
     #[must_use]
-    pub fn new(spec: &MemorySpec) -> Self {
-        spec.validate().expect("invalid memory spec");
-        let caches = spec.levels.iter().map(Cache::new).collect::<Vec<_>>();
+    pub fn new(hierarchy: &Hierarchy) -> Self {
+        let caches = hierarchy.levels.iter().map(Cache::new).collect::<Vec<_>>();
         let profile = AccessProfile {
             level_hits: vec![0; caches.len()],
             ..AccessProfile::default()
@@ -117,7 +142,7 @@ impl HierarchySim {
         };
         Self {
             caches,
-            tlb: Tlb::new(&spec.tlb),
+            tlb: Tlb::new(&hierarchy.tlb),
             profile,
             scratch,
         }
@@ -289,7 +314,7 @@ mod tests {
     #[test]
     fn l1_resident_sweep_hits_l1_after_warmup() {
         let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec);
+        let mut sim = HierarchySim::new(&spec.hierarchy());
         let lines = (spec.levels[0].capacity_bytes / spec.levels[0].line_bytes) / 2;
         for _ in 0..2 {
             for i in 0..lines {
@@ -309,7 +334,7 @@ mod tests {
     #[test]
     fn l2_resident_sweep_served_by_l2() {
         let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec);
+        let mut sim = HierarchySim::new(&spec.hierarchy());
         // Working set: half of L2 but 8x L1 — cyclic sweep defeats L1's LRU.
         let ws = spec.levels[1].capacity_bytes / 2;
         let lines = ws / 64;
@@ -334,7 +359,7 @@ mod tests {
     #[test]
     fn oversized_sweep_reaches_memory() {
         let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec);
+        let mut sim = HierarchySim::new(&spec.hierarchy());
         let ws = spec.levels[1].capacity_bytes * 4;
         let lines = ws / 64;
         for _ in 0..2 {
@@ -386,7 +411,7 @@ mod tests {
     #[test]
     fn reset_restores_cold_state() {
         let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec);
+        let mut sim = HierarchySim::new(&spec.hierarchy());
         sim.access(0, 8);
         sim.access(0, 8);
         sim.reset();

@@ -60,7 +60,9 @@ pub use analytic::{
     analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, AnalyticModel, CacheModel,
     ExactModel, ResolvedTier, Tier, TIER_ERROR_BUDGET,
 };
-pub use bandwidth::{measure_bandwidth, BandwidthSample, Workload};
-pub use hierarchy::{HierarchySim, LevelHit};
-pub use spec::{LevelSpec, MainMemorySpec, MemorySpec};
+pub use bandwidth::{
+    measure_bandwidth, measure_bandwidth_memo, BandwidthSample, ProfileMemo, Workload,
+};
+pub use hierarchy::{Hierarchy, HierarchySim, LevelHit};
+pub use spec::{CacheGeometry, LevelSpec, MainMemorySpec, MemorySpec, TlbGeometry};
 pub use timing::{AccessKind, DependencyMode, TimingModel};

@@ -10,6 +10,8 @@ use metasim_audit::registry::{MS003, MS004, MS005};
 use metasim_audit::{audit_value, AuditReport, Auditor};
 use serde::{Deserialize, Serialize};
 
+use crate::hierarchy::Hierarchy;
+
 /// True when `x` is a finite, strictly positive number (NaN-rejecting).
 fn positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
@@ -38,8 +40,58 @@ pub struct LevelSpec {
 }
 
 impl LevelSpec {
-    /// Emit [`MS003`] cache-geometry diagnostics for this level.
+    /// The part of this level the cache simulator reads.
+    #[must_use]
+    pub fn geometry(&self) -> CacheGeometry {
+        CacheGeometry {
+            capacity_bytes: self.capacity_bytes,
+            line_bytes: self.line_bytes,
+            associativity: self.associativity,
+        }
+    }
+
+    /// Emit [`MS003`] diagnostics for this level: its geometry first, then
+    /// its timing.
     pub fn audit(&self, a: &mut Auditor) {
+        self.geometry().audit(a);
+        if !positive(self.load_bandwidth) {
+            a.finding_at(&MS003, "load_bandwidth", "load bandwidth must be positive");
+        }
+        if !positive(self.latency) {
+            a.finding_at(&MS003, "latency", "latency must be positive");
+        }
+    }
+
+    /// Validate internal consistency.
+    ///
+    /// # Errors
+    /// The audit report, when any error-severity finding fires.
+    pub fn validate(&self) -> Result<(), AuditReport> {
+        audit_value(|a| self.audit(a)).into_result().map(|_| ())
+    }
+
+    /// Number of sets implied by capacity/line/associativity.
+    #[must_use]
+    pub fn sets(&self) -> u64 {
+        self.geometry().sets()
+    }
+}
+
+/// The shape of one cache level: every [`LevelSpec`] field the cache
+/// simulator reads, and none of the timing fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheGeometry {
+    /// Total capacity in bytes.
+    pub capacity_bytes: u64,
+    /// Cache line size in bytes (power of two).
+    pub line_bytes: u64,
+    /// Set associativity (ways).
+    pub associativity: u32,
+}
+
+impl CacheGeometry {
+    /// Emit [`MS003`] cache-geometry diagnostics.
+    pub(crate) fn audit(&self, a: &mut Auditor) {
         if self.capacity_bytes == 0 {
             a.finding_at(&MS003, "capacity_bytes", "cache capacity must be nonzero");
         }
@@ -75,25 +127,19 @@ impl LevelSpec {
                 }
             }
         }
-        if !positive(self.load_bandwidth) {
-            a.finding_at(&MS003, "load_bandwidth", "load bandwidth must be positive");
-        }
-        if !positive(self.latency) {
-            a.finding_at(&MS003, "latency", "latency must be positive");
-        }
     }
 
-    /// Validate internal consistency.
+    /// Validate the geometry.
     ///
     /// # Errors
     /// The audit report, when any error-severity finding fires.
-    pub fn validate(&self) -> Result<(), AuditReport> {
+    pub(crate) fn validate(&self) -> Result<(), AuditReport> {
         audit_value(|a| self.audit(a)).into_result().map(|_| ())
     }
 
     /// Number of sets implied by capacity/line/associativity.
     #[must_use]
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         self.capacity_bytes / (self.line_bytes * u64::from(self.associativity))
     }
 }
@@ -134,6 +180,27 @@ pub struct TlbSpec {
     pub page_bytes: u64,
     /// Penalty of a TLB miss, seconds.
     pub miss_penalty: f64,
+}
+
+impl TlbSpec {
+    /// The part of the TLB the simulator reads: everything but the miss
+    /// penalty.
+    #[must_use]
+    pub fn geometry(&self) -> TlbGeometry {
+        TlbGeometry {
+            entries: self.entries,
+            page_bytes: self.page_bytes,
+        }
+    }
+}
+
+/// The shape of a TLB: every [`TlbSpec`] field the simulator reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TlbGeometry {
+    /// Number of TLB entries (fully associative model).
+    pub entries: usize,
+    /// Page size in bytes (power of two).
+    pub page_bytes: u64,
 }
 
 impl Default for TlbSpec {
@@ -291,6 +358,16 @@ impl MemorySpec {
     /// The audit report, when any error-severity finding fires.
     pub fn validate(&self) -> Result<(), AuditReport> {
         audit_value(|a| self.audit(a)).into_result().map(|_| ())
+    }
+
+    /// The hierarchy geometry: everything the cache and TLB simulator
+    /// reads of this spec, and nothing the timing model alone reads.
+    #[must_use]
+    pub fn hierarchy(&self) -> Hierarchy {
+        Hierarchy {
+            levels: self.levels.iter().map(LevelSpec::geometry).collect(),
+            tlb: self.tlb.geometry(),
+        }
     }
 
     /// Innermost cache line size in bytes.

@@ -24,7 +24,7 @@ use crate::hierarchy::AccessProfile;
 use crate::spec::MemorySpec;
 
 /// Spatial pattern of an access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AccessKind {
     /// Unit stride (consecutive elements).
     Sequential,
@@ -49,7 +49,7 @@ impl AccessKind {
 }
 
 /// Dependency structure of the loop issuing the accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum DependencyMode {
     /// Iterations are independent; the machine may overlap misses.
     #[default]

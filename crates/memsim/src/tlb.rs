@@ -18,7 +18,7 @@
 //! resident pages that share a bucket chain through their slots, so a TLB's
 //! memory is bounded by a constant, never by the working set it translates.
 
-use crate::spec::TlbSpec;
+use crate::spec::TlbGeometry;
 
 /// Slot index meaning "no slot": an empty bucket, or either end of the
 /// recency list or of a bucket chain.
@@ -68,13 +68,14 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Build from a [`TlbSpec`].
+    /// Build a TLB of the given geometry
+    /// ([`TlbSpec::geometry`](crate::spec::TlbSpec::geometry)).
     ///
     /// # Panics
     /// Panics if `entries` is zero or does not fit a `u32` slot index, or
     /// if `page_bytes` is not a power of two.
     #[must_use]
-    pub fn new(spec: &TlbSpec) -> Self {
+    pub fn new(spec: &TlbGeometry) -> Self {
         assert!(spec.entries > 0, "TLB needs at least one entry");
         assert!(
             spec.entries < NIL as usize,
@@ -277,11 +278,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn spec(entries: usize) -> TlbSpec {
-        TlbSpec {
+    fn spec(entries: usize) -> TlbGeometry {
+        TlbGeometry {
             entries,
             page_bytes: 4096,
-            miss_penalty: 50e-9,
         }
     }
 

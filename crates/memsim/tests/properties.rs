@@ -26,8 +26,8 @@ proptest! {
         let spec = small_level(4, 2);
         let mut rng = SeededRng::new(seed);
         let addrs: Vec<u64> = (0..n).map(|_| rng.next_below(1 << 16)).collect();
-        let mut a = Cache::new(&spec);
-        let mut b = Cache::new(&spec);
+        let mut a = Cache::new(&spec.geometry());
+        let mut b = Cache::new(&spec.geometry());
         let ra: Vec<bool> = addrs.iter().map(|&x| a.access(x)).collect();
         let rb: Vec<bool> = addrs.iter().map(|&x| b.access(x)).collect();
         prop_assert_eq!(ra, rb);
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn immediate_repeat_always_hits(seed in 0u64..1000) {
         let spec = small_level(4, 2);
-        let mut c = Cache::new(&spec);
+        let mut c = Cache::new(&spec.geometry());
         let mut rng = SeededRng::new(seed);
         for _ in 0..500 {
             let a = rng.next_below(1 << 20);
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn conservation_of_accesses(seed in 0u64..1000, n in 1u64..4000) {
         let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec);
+        let mut sim = HierarchySim::new(&spec.hierarchy());
         let mut rng = SeededRng::new(seed);
         for _ in 0..n {
             sim.access(rng.next_below(1 << 22), 8);
@@ -180,8 +180,8 @@ proptest! {
         spec in arb_spec(),
         addrs in arb_addresses(),
     ) {
-        let mut batched = HierarchySim::new(&spec);
-        let mut scalar = HierarchySim::new(&spec);
+        let mut batched = HierarchySim::new(&spec.hierarchy());
+        let mut scalar = HierarchySim::new(&spec.hierarchy());
         for chunk in addrs.chunks(DRIVE_BATCH) {
             batched.access_batch(chunk, 8);
         }

@@ -9,13 +9,15 @@
 //! the stored values, so it is also the store's audit-on-load gate.
 //!
 //! [`MS204`] checks the cache *simulator* for a memory spec, not a probe
-//! set: [`audit_hit_fractions`] runs two simulated sweeps, so the study
-//! preflight runs it once per machine rather than on every probe load.
+//! set: [`audit_hit_fractions`] takes two simulated samples, so the study
+//! preflight runs it once per machine rather than on every probe load, and
+//! reads the samples through the probe suite's profile memo, which
+//! simulates them once per distinct cache hierarchy.
 
 use metasim_audit::registry::{MS101, MS102, MS103, MS104, MS105, MS106, MS204};
 use metasim_audit::Auditor;
 use metasim_machines::MachineConfig;
-use metasim_memsim::bandwidth::{measure_bandwidth, Workload};
+use metasim_memsim::bandwidth::{measure_bandwidth_memo, ProfileMemo, Workload};
 use metasim_memsim::spec::MemorySpec;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 
@@ -194,19 +196,34 @@ pub fn audit_probes(machine: &MachineConfig, probes: &MachineProbes, a: &mut Aud
     }
 }
 
+/// The two exact samples [`MS204`] takes, by name: an L1-resident
+/// sequential sweep and a DRAM-resident random sweep, bracketing the
+/// hierarchy.
+#[must_use]
+pub fn hit_fraction_samples() -> [(&'static str, Workload); 2] {
+    [
+        (
+            "cache_resident",
+            Workload::new(
+                16 << 10,
+                AccessKind::Sequential,
+                DependencyMode::Independent,
+            ),
+        ),
+        (
+            "memory_resident",
+            Workload::new(64 << 20, AccessKind::Random, DependencyMode::Independent),
+        ),
+    ]
+}
+
 /// [`MS204`], relative to the auditor's current scope: the cache
 /// simulator's hit fractions for `memory` must partition the access
-/// stream. Two exact samples bracket the hierarchy: an L1-resident
-/// sequential sweep and a DRAM-resident random sweep.
-pub fn audit_hit_fractions(memory: &MemorySpec, a: &mut Auditor) {
-    for (name, ws, kind) in [
-        ("cache_resident", 16u64 << 10, AccessKind::Sequential),
-        ("memory_resident", 64 << 20, AccessKind::Random),
-    ] {
-        let sample = measure_bandwidth(
-            memory,
-            &Workload::new(ws, kind, DependencyMode::Independent),
-        );
+/// stream, on each of the [`hit_fraction_samples`], whose profiles are read
+/// through `profiles`.
+pub fn audit_hit_fractions(memory: &MemorySpec, profiles: &ProfileMemo, a: &mut Auditor) {
+    for (name, workload) in hit_fraction_samples() {
+        let sample = measure_bandwidth_memo(memory, &workload, profiles);
         let profile = &sample.profile;
         let mut sum = profile.memory_fraction();
         let mut in_range = (0.0..=1.0).contains(&sum);
@@ -231,6 +248,7 @@ mod tests {
     use crate::maps::DependencyFlavor;
     use metasim_audit::audit_value;
     use metasim_machines::{fleet, MachineId};
+    use metasim_memsim::analytic::ResolvedTier;
 
     fn curve(points: Vec<(u64, f64)>) -> MapsCurve {
         MapsCurve::new(
@@ -326,12 +344,13 @@ mod tests {
     #[test]
     fn shipped_fleet_probes_are_clean() {
         let f = fleet();
+        let profiles = ProfileMemo::new();
         for m in f.all() {
-            let probes = MachineProbes::measure(m);
+            let probes = MachineProbes::measure_memo(m, ResolvedTier::Exact, &profiles);
             let report = audit_value(|a| {
                 a.scope(m.id.to_string(), |a| {
                     audit_probes(m, &probes, a);
-                    audit_hit_fractions(&m.memory, a);
+                    audit_hit_fractions(&m.memory, &profiles, a);
                 });
             });
             assert!(report.is_clean(), "{}:\n{report}", m.id);

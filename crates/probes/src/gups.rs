@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use metasim_machines::MachineConfig;
 use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
-use metasim_memsim::bandwidth::{Workload, ELEMENT_BYTES};
+use metasim_memsim::bandwidth::{ProfileMemo, Workload, ELEMENT_BYTES};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_units::{BytesPerSec, UpdatesPerSec};
 
@@ -49,18 +49,24 @@ pub fn gups_table_bytes(machine: &MachineConfig) -> u64 {
 /// Run the GUPS probe.
 #[must_use]
 pub fn measure_gups(machine: &MachineConfig) -> GupsResult {
-    measure_gups_tiered(machine, ResolvedTier::Exact)
+    measure_gups_tiered(machine, ResolvedTier::Exact, &ProfileMemo::new())
 }
 
 /// [`measure_gups`] under an explicit resolved model tier (the exact tier
-/// is byte-identical to [`measure_gups`]).
+/// is byte-identical to [`measure_gups`]); the exact tier reads its profile
+/// through `profiles`.
 #[must_use]
-pub fn measure_gups_tiered(machine: &MachineConfig, tier: ResolvedTier) -> GupsResult {
+pub fn measure_gups_tiered(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    profiles: &ProfileMemo,
+) -> GupsResult {
     let table_bytes = gups_table_bytes(machine);
     let (sample, _) = measure_bandwidth_tiered(
         &machine.memory,
         &Workload::new(table_bytes, AccessKind::Random, DependencyMode::Independent),
         tier.as_tier(),
+        profiles,
     );
     let updates = sample.profile.total_accesses() as f64;
     GupsResult {

@@ -18,7 +18,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use metasim_machines::MachineConfig;
 use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
-use metasim_memsim::bandwidth::Workload;
+use metasim_memsim::bandwidth::{ProfileMemo, Workload};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_units::BytesPerSec;
 
@@ -206,6 +206,7 @@ fn measure_curve(
     kind: AccessKind,
     flavor: DependencyFlavor,
     tier: ResolvedTier,
+    profiles: &ProfileMemo,
 ) -> MapsCurve {
     let points: Vec<(u64, f64)> = sweep_sizes()
         .iter()
@@ -214,6 +215,7 @@ fn measure_curve(
                 &machine.memory,
                 &Workload::new(ws, kind, flavor.mode()),
                 tier.as_tier(),
+                profiles,
             );
             (ws, sample.bytes_per_second().get())
         })
@@ -244,41 +246,55 @@ fn cap_curve(curve: &mut MapsCurve, bound: &MapsCurve) {
 /// far below unit stride and the cap never binds.
 #[must_use]
 pub fn measure_maps(machine: &MachineConfig) -> MapsSet {
-    measure_maps_tiered(machine, ResolvedTier::Exact)
+    measure_maps_tiered(machine, ResolvedTier::Exact, &ProfileMemo::new())
 }
 
 /// [`measure_maps`] under an explicit resolved model tier. The exact tier is
 /// byte-identical to [`measure_maps`]; the analytic tier shares the same
 /// sweep grid and curve-capping pipeline, only the per-point sample comes
-/// from the closed-form model.
+/// from the closed-form model. Exact-tier profiles are read through
+/// `profiles`.
 #[must_use]
-pub fn measure_maps_tiered(machine: &MachineConfig, tier: ResolvedTier) -> MapsSet {
+pub fn measure_maps_tiered(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    profiles: &ProfileMemo,
+) -> MapsSet {
     let unit = measure_curve(
         machine,
         AccessKind::Sequential,
         DependencyFlavor::Independent,
         tier,
+        profiles,
     );
     let mut random = measure_curve(
         machine,
         AccessKind::Random,
         DependencyFlavor::Independent,
         tier,
+        profiles,
     );
     let unit_chained = measure_curve(
         machine,
         AccessKind::Sequential,
         DependencyFlavor::Chained,
         tier,
+        profiles,
     );
     let unit_branchy = measure_curve(
         machine,
         AccessKind::Sequential,
         DependencyFlavor::Branchy,
         tier,
+        profiles,
     );
-    let mut random_chained =
-        measure_curve(machine, AccessKind::Random, DependencyFlavor::Chained, tier);
+    let mut random_chained = measure_curve(
+        machine,
+        AccessKind::Random,
+        DependencyFlavor::Chained,
+        tier,
+        profiles,
+    );
     cap_curve(&mut random, &unit);
     cap_curve(&mut random_chained, &unit_chained);
     cap_curve(&mut random_chained, &random);

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use metasim_machines::MachineConfig;
 use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
-use metasim_memsim::bandwidth::Workload;
+use metasim_memsim::bandwidth::{ProfileMemo, Workload};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_units::BytesPerSec;
 
@@ -44,13 +44,18 @@ pub fn stream_working_set(machine: &MachineConfig) -> u64 {
 /// Run the STREAM probe.
 #[must_use]
 pub fn measure_stream(machine: &MachineConfig) -> StreamResult {
-    measure_stream_tiered(machine, ResolvedTier::Exact)
+    measure_stream_tiered(machine, ResolvedTier::Exact, &ProfileMemo::new())
 }
 
 /// [`measure_stream`] under an explicit resolved model tier (the exact tier
-/// is byte-identical to [`measure_stream`]).
+/// is byte-identical to [`measure_stream`]); the exact tier reads its profile
+/// through `profiles`.
 #[must_use]
-pub fn measure_stream_tiered(machine: &MachineConfig, tier: ResolvedTier) -> StreamResult {
+pub fn measure_stream_tiered(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    profiles: &ProfileMemo,
+) -> StreamResult {
     let working_set = stream_working_set(machine);
     let (sample, _) = measure_bandwidth_tiered(
         &machine.memory,
@@ -60,6 +65,7 @@ pub fn measure_stream_tiered(machine: &MachineConfig, tier: ResolvedTier) -> Str
             DependencyMode::Independent,
         ),
         tier.as_tier(),
+        profiles,
     );
     StreamResult {
         working_set,

@@ -34,6 +34,7 @@ use metasim_machines::{MachineConfig, MachineId};
 use crate::audit::audit_probes;
 
 use metasim_memsim::analytic::{resolve_tier, ResolvedTier, Tier};
+use metasim_memsim::bandwidth::ProfileMemo;
 
 use crate::gups::{measure_gups_tiered, GupsResult};
 use crate::hpl::{measure_hpl, HplResult};
@@ -74,12 +75,24 @@ impl MachineProbes {
     /// The exact tier is byte-identical to [`measure`](Self::measure).
     #[must_use]
     pub fn measure_tiered(machine: &MachineConfig, tier: ResolvedTier) -> Self {
+        Self::measure_memo(machine, tier, &ProfileMemo::new())
+    }
+
+    /// [`measure_tiered`](Self::measure_tiered), reading exact-tier memory
+    /// profiles through `profiles`, so machines that share a cache
+    /// hierarchy simulate each sweep point once. Identical results.
+    #[must_use]
+    pub fn measure_memo(
+        machine: &MachineConfig,
+        tier: ResolvedTier,
+        profiles: &ProfileMemo,
+    ) -> Self {
         Self {
             id: machine.id,
             hpl: measure_hpl(machine, HPL_PROCESSES),
-            stream: measure_stream_tiered(machine, tier),
-            gups: measure_gups_tiered(machine, tier),
-            maps: measure_maps_tiered(machine, tier),
+            stream: measure_stream_tiered(machine, tier, profiles),
+            gups: measure_gups_tiered(machine, tier, profiles),
+            maps: measure_maps_tiered(machine, tier, profiles),
             netbench: measure_netbench(machine),
         }
     }
@@ -114,9 +127,18 @@ impl std::error::Error for ProbeFailure {}
 
 /// Memoizing probe runner with single-flight semantics and an optional
 /// persistent backing store.
+///
+/// Besides one cell per machine, the suite owns the memo of the exact
+/// memory profiles its sweeps simulate, keyed by cache hierarchy and
+/// workload: machines that share a hierarchy simulate each sweep point
+/// once, and the study preflight reads [`MS204`]'s samples from the same
+/// memo. Nothing is shared between suites.
+///
+/// [`MS204`]: metasim_audit::registry::MS204
 #[derive(Debug)]
 pub struct ProbeSuite {
     cells: SingleFlight<MachineId, Result<Arc<MachineProbes>, ProbeFailure>>,
+    profiles: ProfileMemo,
     store: Option<Arc<ArtifactStore>>,
     measurements: AtomicUsize,
     tier: Tier,
@@ -129,6 +151,7 @@ impl Default for ProbeSuite {
     fn default() -> Self {
         Self {
             cells: SingleFlight::new(),
+            profiles: ProfileMemo::new(),
             store: None,
             measurements: AtomicUsize::new(0),
             tier: Tier::Exact,
@@ -166,6 +189,12 @@ impl ProbeSuite {
     #[must_use]
     pub fn tier(&self) -> Tier {
         self.tier
+    }
+
+    /// The suite's memo of simulated memory profiles.
+    #[must_use]
+    pub fn profiles(&self) -> &ProfileMemo {
+        &self.profiles
     }
 
     /// The tier measurements on `machine` would run with (`Auto` resolved
@@ -245,7 +274,7 @@ impl ProbeSuite {
         } else {
             let span = metasim_obs::recording()
                 .then(|| metasim_obs::span(format!("probe-sweep:{}", machine.id)));
-            let probes = MachineProbes::measure_tiered(machine, tier);
+            let probes = MachineProbes::measure_memo(machine, tier, &self.profiles);
             self.measurements.fetch_add(1, Ordering::Relaxed);
             metasim_obs::counter_add("probes.sweeps", 1);
             if let Some(span) = span {
@@ -374,6 +403,83 @@ mod tests {
         let b = suite.measure(f.get(MachineId::ArlXeon));
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
         assert_eq!(suite.measured_count(), 1);
+    }
+
+    /// The exact-simulator addresses `f` issues on this thread.
+    fn simulated(f: impl FnOnce()) -> u64 {
+        use metasim_obs::{with_recorder, InMemoryRecorder, Recorder};
+        let rec = Arc::new(InMemoryRecorder::new());
+        with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, f);
+        rec.metrics_snapshot().counter("memsim.addresses")
+    }
+
+    #[test]
+    fn each_suite_simulates_for_itself() {
+        // The profile memo belongs to the suite: a second fresh suite
+        // re-simulates everything the first did, while a machine that
+        // shares a hierarchy with one the suite already swept simulates
+        // nothing at all.
+        let f = fleet();
+        let (first, second) = (ProbeSuite::new(), ProbeSuite::new());
+        let a = simulated(|| drop(first.measure(f.get(MachineId::NavoP3))));
+        let b = simulated(|| drop(second.measure(f.get(MachineId::NavoP3))));
+        assert!(a > 0);
+        assert_eq!(a, b, "a fresh suite must not see another suite's profiles");
+        let f_p3 = f.get(MachineId::MhpccP3);
+        assert_eq!(
+            f_p3.memory.hierarchy(),
+            f.get(MachineId::NavoP3).memory.hierarchy()
+        );
+        assert_eq!(simulated(|| drop(first.measure(f_p3))), 0);
+        assert_eq!(*first.measure(f_p3), MachineProbes::measure(f_p3));
+    }
+
+    #[test]
+    fn shared_hierarchies_reuse_profiles_but_not_timings() {
+        use metasim_memsim::bandwidth::{measure_bandwidth, measure_bandwidth_memo, Workload};
+        use metasim_memsim::timing::{AccessKind, DependencyMode};
+
+        let f = fleet();
+        let machines: Vec<_> = f.all().collect();
+        let mut workloads: Vec<Workload> = crate::audit::hit_fraction_samples()
+            .iter()
+            .map(|&(_, w)| w)
+            .collect();
+        for ws in [4u64 << 10, 48 << 10, 3 << 20, 128 << 20] {
+            for kind in [AccessKind::Sequential, AccessKind::Random] {
+                for deps in [DependencyMode::Independent, DependencyMode::Chained] {
+                    workloads.push(Workload::new(ws, kind, deps));
+                }
+            }
+        }
+        let mut pairs = 0;
+        for (i, a) in machines.iter().enumerate() {
+            for b in &machines[i + 1..] {
+                if a.memory.hierarchy() != b.memory.hierarchy() {
+                    continue;
+                }
+                pairs += 1;
+                let memo = ProfileMemo::new();
+                let mut retimed = 0;
+                for w in &workloads {
+                    let first = measure_bandwidth_memo(&a.memory, w, &memo);
+                    let hit = measure_bandwidth_memo(&b.memory, w, &memo);
+                    assert_eq!(first, measure_bandwidth(&a.memory, w), "{} {w:?}", a.id);
+                    assert_eq!(hit, measure_bandwidth(&b.memory, w), "{} {w:?}", b.id);
+                    assert_eq!(first.profile, hit.profile);
+                    if first.seconds != hit.seconds {
+                        retimed += 1;
+                    }
+                }
+                // Specs that share a hierarchy differ in their timing
+                // fields, and the memo hit must carry that difference.
+                assert_ne!(a.memory, b.memory);
+                assert!(retimed > 0, "{} and {} timed alike", a.id, b.id);
+            }
+        }
+        // MHPCC_690_1.3, ARL_690_1.7, NAVO_655 and NAVO_690_BASE share one
+        // hierarchy (six pairs), MHPCC_P3 and NAVO_P3 another (one pair).
+        assert_eq!(pairs, 7);
     }
 
     #[test]
