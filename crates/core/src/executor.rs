@@ -1,13 +1,18 @@
-//! The sharded study executor: a std-thread worker pool that partitions a
-//! canonical work list into contiguous shards, runs them concurrently, and
-//! hands the results back in exactly the input order.
+//! The sharded study executor: a std-thread worker pool that runs a
+//! canonical work list concurrently and hands the results back in exactly
+//! the input order.
+//!
+//! Workers do not own fixed slices of the list. Each one claims the next
+//! unclaimed item from one shared queue, so items are claimed in input
+//! order and a slow item (a sampled machine with a 64 MiB cache, say)
+//! holds back only the worker running it while the others drain the rest.
 //!
 //! Sharding moves no output bit because of three properties, each pinned
 //! by a test on the code that has it:
 //!
-//! * results are index-addressed and the shards are *contiguous* slices of
-//!   the canonical list, so the merged output order is the input order no
-//!   matter which worker finishes first (the tests below);
+//! * every result is placed by its item's index, so the merged output
+//!   order is the input order no matter which worker ran which item or
+//!   finished first (the tests below);
 //! * every worker re-installs the spawning thread's observability recorder
 //!   and chaos plan before touching the work, and each ground-truth noise
 //!   stream is seeded from its full cell coordinates
@@ -16,42 +21,23 @@
 //!   fault decisions are the same pure functions of the task they are
 //!   serially;
 //! * shared memo tables (probes, ground truth, traces) are
-//!   [`SingleFlight`](metasim_cache::SingleFlight), so two shards hitting
+//!   [`SingleFlight`](metasim_cache::SingleFlight), so two workers hitting
 //!   the same cold cell coalesce instead of racing.
 //!
 //! End to end, the study tests `parallel_study_matches_serial_exactly` and
 //! `degraded_runs_are_identical_at_any_job_count` compare whole sharded
 //! runs with serial ones.
 //!
-//! Each worker opens a `shard:K` span under the caller's span context, so
-//! the run manifest shows the actual shard layout of a `--jobs N` run.
+//! Each worker opens a `shard:K` span under the caller's span context, and
+//! the spans of the items it ran nest under it, so the run manifest records
+//! which worker ran which item in that run. The outputs are canonical; the
+//! span log is a record of the schedule.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use metasim_chaos::FaultPoint;
 use metasim_obs::hdr::LAT_SHARD;
 use metasim_obs::{Recorder, SpanCtx, WorkerSpanBuffer};
-
-/// Contiguous, balanced shard boundaries: `len` items split into at most
-/// `shards` chunks of sizes differing by at most one, returned as
-/// `(start, end)` half-open ranges in order. Empty shards are omitted.
-#[must_use]
-pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.clamp(1, len.max(1));
-    let base = len / shards;
-    let extra = len % shards;
-    let mut bounds = Vec::new();
-    let mut start = 0;
-    for k in 0..shards {
-        let size = base + usize::from(k < extra);
-        if size == 0 {
-            break;
-        }
-        bounds.push((start, start + size));
-        start += size;
-    }
-    bounds
-}
 
 /// Re-install the spawning thread's ambient contexts (observability
 /// recorder, chaos plan) on the current worker thread, then run `f`.
@@ -71,20 +57,21 @@ fn with_contexts<R>(
 /// Run `f` over `items` across up to `jobs` worker threads, returning the
 /// results in input order.
 ///
-/// The items are split into contiguous shards by [`shard_bounds`]; worker
-/// `k` processes shard `k` in order under a `shard:k` span parented at
-/// `parent`. With `jobs <= 1` (or a single item) everything runs inline on
-/// the calling thread, in input order, with no threads spawned and no shard
-/// spans — so a serial run makes the same calls in the same order as a
-/// sharded one, only on one thread.
+/// `min(jobs, items.len())` workers each open a `shard:K` span parented at
+/// `parent`, then repeatedly claim the next unclaimed item (in input
+/// order) until none is left. With `jobs <= 1` (or a single item)
+/// everything runs inline on the calling thread, in input order, with no
+/// threads spawned and no shard spans — so a serial run makes the same
+/// calls in the same order as a sharded one, only on one thread.
 pub fn run_sharded<T, R, F>(parent: SpanCtx, jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let bounds = shard_bounds(items.len(), jobs);
-    if jobs <= 1 || bounds.len() <= 1 {
+    let len = items.len();
+    let workers = jobs.min(len);
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
 
@@ -93,30 +80,21 @@ where
     let recorder = metasim_obs::recorder();
     let plan = metasim_chaos::point();
 
-    // One private span buffer per shard: workers record spans without ever
-    // taking the shared recorder's log lock (metrics pass straight through
-    // as lock-free atomics), and the buffers flush in shard-index order
-    // after the join — so the merged span log is canonical no matter which
-    // worker finishes first, the same discipline the result merge
-    // follows.
-    let buffers: Vec<Option<Arc<WorkerSpanBuffer>>> = (0..bounds.len())
+    // One private span buffer per worker: workers record spans without
+    // ever taking the shared recorder's log lock (metrics pass straight
+    // through as lock-free atomics), and the buffers flush in worker order
+    // after the join.
+    let buffers: Vec<Option<Arc<WorkerSpanBuffer>>> = (0..workers)
         .map(|_| recorder.clone().map(|r| Arc::new(WorkerSpanBuffer::new(r))))
         .collect();
 
-    // Carve the items into per-shard vectors (contiguous, in order).
-    let mut remaining = items;
-    let mut shards: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
-    for &(start, end) in bounds.iter().rev() {
-        let _ = start;
-        let tail = remaining.split_off(remaining.len() - (end - start));
-        shards.push(tail);
-    }
-    shards.reverse();
-
-    let f = &f;
-    let mut results: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards.len());
-        for ((k, shard), buffer) in shards.into_iter().enumerate().zip(&buffers) {
+    // The shared queue: claiming an item is one `next()` under the lock,
+    // so claim order is input order. `f` never runs under the lock.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (f, queue) = (&f, &queue);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for (k, buffer) in buffers.iter().enumerate() {
             let worker_rec = buffer.as_ref().map(|b| Arc::clone(b) as Arc<dyn Recorder>);
             let plan = plan.clone();
             handles.push(scope.spawn(move || {
@@ -124,7 +102,15 @@ where
                     // The guard must be created on this thread (it is not
                     // Send); the Copy context crosses instead.
                     let span = parent.span(format!("shard:{k}"));
-                    let out = shard.into_iter().map(f).collect::<Vec<R>>();
+                    let mut out = Vec::new();
+                    loop {
+                        let next = queue
+                            .lock()
+                            .expect("a worker panicked while claiming")
+                            .next();
+                        let Some((index, item)) = next else { break };
+                        out.push((index, f(item)));
+                    }
                     metasim_obs::observe_hdr(LAT_SHARD, span.finish());
                     out
                 })
@@ -137,58 +123,47 @@ where
     });
 
     // Workers have joined; hand each buffer's spans to the shared recorder
-    // in shard order.
+    // in worker order.
     for buffer in buffers.iter().flatten() {
         buffer.flush();
     }
 
-    // Canonical merge: shard order == input order because shards are
-    // contiguous prefixes/suffixes, never interleaved.
-    let mut merged = Vec::with_capacity(results.iter().map(Vec::len).sum());
-    for shard in &mut results {
-        merged.append(shard);
+    // Place every result at its item's index: the output order is the
+    // input order whoever ran the item.
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
+    for (index, result) in claimed.into_iter().flatten() {
+        slots[index] = Some(result);
     }
-    merged
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item is claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use metasim_obs::InMemoryRecorder;
-
-    #[test]
-    fn bounds_are_contiguous_and_balanced() {
-        assert_eq!(shard_bounds(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
-        assert_eq!(shard_bounds(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(shard_bounds(0, 4), Vec::<(usize, usize)>::new());
-        assert_eq!(shard_bounds(5, 1), vec![(0, 5)]);
-        // Cover, no gaps, no overlaps, sizes within one of each other.
-        for len in 0..40 {
-            for shards in 1..10 {
-                let b = shard_bounds(len, shards);
-                let mut cursor = 0;
-                for &(s, e) in &b {
-                    assert_eq!(s, cursor);
-                    assert!(e > s);
-                    cursor = e;
-                }
-                assert_eq!(cursor, len);
-                assert_eq!(b.iter().map(|&(s, e)| e - s).sum::<usize>(), len);
-                if let (Some(max), Some(min)) = (
-                    b.iter().map(|&(s, e)| e - s).max(),
-                    b.iter().map(|&(s, e)| e - s).min(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<u64> = (0..100).collect();
         let out = run_sharded(SpanCtx::root(), 7, items.clone(), |x| x * 3);
         assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        // Uneven item costs make workers finish out of input order.
+        for jobs in [2, 3, 8] {
+            let out = run_sharded(SpanCtx::root(), jobs, (0..24u64).collect(), |x| {
+                std::thread::sleep(Duration::from_millis((x * 7) % 5));
+                x * 3
+            });
+            assert_eq!(
+                out,
+                (0..24u64).map(|x| x * 3).collect::<Vec<_>>(),
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]
@@ -235,43 +210,72 @@ mod tests {
     }
 
     #[test]
-    fn buffered_span_log_is_canonical_regardless_of_finish_order() {
-        // Shard 0 is forced to finish last; the flushed log must still list
-        // shard 0 first, because flush order is shard order, not finish
-        // order. The per-shard latency histogram records one entry per
-        // shard either way.
-        let run = || {
-            let rec = std::sync::Arc::new(InMemoryRecorder::new());
-            let names: Vec<String> = metasim_obs::with_recorder(rec.clone(), || {
-                let root = metasim_obs::span("study");
-                run_sharded(root.ctx(), 3, (0..6u64).collect::<Vec<_>>(), |x| {
-                    let _s = metasim_obs::span(format!("cell:{x}"));
-                    if x < 2 {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    x
-                });
-                drop(root);
-                rec.span_records().iter().map(|s| s.name.clone()).collect()
-            });
-            (names, rec)
+    fn a_slow_item_does_not_hold_back_the_rest() {
+        // Item 0 finishes only after every other item has: a worker that
+        // owned a fixed slice starting at item 0 could never run the rest
+        // of that slice, so only claiming the next item avoids the timeout.
+        const N: u64 = 8;
+        let done = (Mutex::new(0u64), Condvar::new());
+        let rec = Arc::new(InMemoryRecorder::new());
+        let out = metasim_obs::with_recorder(rec.clone(), || {
+            let root = metasim_obs::span("study");
+            run_sharded(root.ctx(), 2, (0..N).collect(), |x| {
+                let _s = metasim_obs::span(format!("cell:{x}"));
+                let (count, cv) = &done;
+                let mut count = count.lock().unwrap();
+                if x == 0 {
+                    let (count, timeout) = cv
+                        .wait_timeout_while(count, Duration::from_secs(10), |c| *c < N - 1)
+                        .unwrap();
+                    assert!(
+                        !timeout.timed_out(),
+                        "item 0 waited on {} of {}",
+                        *count,
+                        N - 1
+                    );
+                } else {
+                    *count += 1;
+                    cv.notify_all();
+                }
+                x
+            })
+        });
+        assert_eq!(out, (0..N).collect::<Vec<_>>());
+
+        // The log lists the worker containers in worker order, each
+        // followed by the cells it ran, in claim order: one worker ran
+        // item 0 alone, the other everything else.
+        let spans = rec.span_records();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let rest: Vec<String> = (1..N).map(|x| format!("cell:{x}")).collect();
+        let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+        let (first, second) = if names[2] == "cell:0" {
+            (vec!["cell:0"], rest)
+        } else {
+            (rest, vec!["cell:0"])
         };
-        let (names, rec) = run();
-        assert_eq!(
-            names,
-            [
-                "study", "shard:0", "cell:0", "cell:1", "shard:1", "cell:2", "cell:3", "shard:2",
-                "cell:4", "cell:5"
-            ],
-            "canonical shard-order log"
-        );
+        let expected: Vec<&str> = std::iter::once("study")
+            .chain(std::iter::once("shard:0"))
+            .chain(first)
+            .chain(std::iter::once("shard:1"))
+            .chain(second)
+            .collect();
+        assert_eq!(names, expected);
+        // Every cell sits under the shard span of the worker that ran it.
+        for cell in spans.iter().filter(|s| s.name.starts_with("cell:")) {
+            let parent = spans.iter().find(|s| s.id == cell.parent).unwrap();
+            assert!(
+                parent.name.starts_with("shard:"),
+                "{} under {}",
+                cell.name,
+                parent.name
+            );
+        }
         assert_eq!(
             rec.metrics_snapshot().hdr("lat.shard").unwrap().count(),
-            3,
-            "one lat.shard observation per shard"
+            2,
+            "one lat.shard observation per worker"
         );
-        // And the order is reproducible run to run.
-        assert_eq!(names, run().0);
     }
 
     #[test]

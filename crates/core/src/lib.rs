@@ -17,8 +17,8 @@
 //!   (`T′(X) = C(X)/C(X₀) · T(X₀)`), which makes Metric #4 reduce exactly to
 //!   Metric #1, as the paper observes.
 //! * [`study`] — the full 150-observation × 9-metric driver behind Table 4,
-//!   Table 5, and Figures 2–7, sharded across workers into contiguous,
-//!   index-addressed chunks of independent cells. The grid here is the
+//!   Table 5, and Figures 2–7, its independent cells sharded across
+//!   workers that claim them in order and merge them back by index. The grid here is the
 //!   paper's own (ten target machines × fifteen workloads); `metasim-fleet`
 //!   reruns the same methodology over *sampled* machine and application
 //!   spaces through the pure entry points ([`prediction::predict_all`],

@@ -54,7 +54,7 @@ use metasim_audit::Auditor;
 use metasim_cache::SingleFlight;
 use metasim_chaos::{FaultPlan, FaultSpec};
 use metasim_machines::{fleet, MachineConfig, MachineId};
-use metasim_probes::suite::{MachineProbes, ProbeSuite};
+use metasim_probes::suite::{apply_probe_noise, MachineProbes, ProbeSuite};
 use metasim_tracer::analysis::analyze_dependencies;
 use metasim_tracer::block::DependencyClass;
 use metasim_tracer::trace::ApplicationTrace;
@@ -447,20 +447,29 @@ fn nominal_probes(machine: &MachineConfig) -> Arc<MachineProbes> {
     SUITE.measure(machine)
 }
 
-/// Probes measured under a deterministic chaos probe-noise plan — the
-/// observed side of the MS904 cross-check. `sigma == 0` short-circuits to
-/// the nominal probes (the injector's factor is exactly 1.0 there).
+/// Probes as a deterministic chaos probe-noise plan perturbs them — the
+/// observed side of the MS904 cross-check. The noise perturbs a raw
+/// measurement after the fact, so the nominal suite's sweep is reused, not
+/// repeated. `sigma == 0` short-circuits to the nominal probes (the
+/// injector's factor is exactly 1.0 there).
 fn noisy_probes(machine: &MachineConfig, seed: u64, sigma: f64) -> Arc<MachineProbes> {
     static CACHE: Memo<(&'static str, u64, u64), MachineProbes> = LazyLock::new(SingleFlight::new);
     if sigma == 0.0 {
         return nominal_probes(machine);
     }
     CACHE.get_or_init((machine.id.label(), seed, sigma.to_bits()), || {
-        let plan = Arc::new(FaultPlan {
-            seed,
-            faults: vec![FaultSpec::ProbeNoise { sigma }],
-        });
-        metasim_chaos::with_plan(plan, || ProbeSuite::new().measure(machine))
+        let raw = (*nominal_probes(machine)).clone();
+        Arc::new(metasim_chaos::with_plan(
+            probe_noise_plan(seed, sigma),
+            || apply_probe_noise(machine, raw),
+        ))
+    })
+}
+
+fn probe_noise_plan(seed: u64, sigma: f64) -> Arc<FaultPlan> {
+    Arc::new(FaultPlan {
+        seed,
+        faults: vec![FaultSpec::ProbeNoise { sigma }],
     })
 }
 
@@ -668,26 +677,8 @@ pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
     let f = fleet();
     let cell_list = cells_for(model.scope);
 
-    // Warm the shared caches sequentially so parallel cells never race to
-    // measure the same machine twice.
-    let mut machines: Vec<MachineId> = cell_list.iter().map(|&(_, _, m)| m).collect();
-    machines.push(f.base().id);
-    machines.dedup();
-    for m in &machines {
-        let config = if *m == f.base().id {
-            f.base()
-        } else {
-            f.get(*m)
-        };
-        let _ = nominal_probes(config);
-        let _ = noisy_probes(config, model.seed, model.observed_epsilon);
-    }
-    let mut grid: Vec<(TestCase, u64)> = cell_list.iter().map(|&(c, p, _)| (c, p)).collect();
-    grid.dedup();
-    for (case, cpus) in grid {
-        let _ = trace_for(case, cpus);
-    }
-
+    // The probe and trace memos are single-flight, so workers that reach
+    // the same cold machine or trace wait for one measurement.
     let outs: Vec<Vec<CellOut>> = run_sharded(
         metasim_obs::current_ctx(),
         jobs,
@@ -1081,6 +1072,21 @@ mod tests {
             report.total_violations() > 0,
             "seed {seed}: just-over-band noise must escape some static interval"
         );
+    }
+
+    #[test]
+    fn noisy_probes_equal_a_fresh_sweep_under_the_same_plan() {
+        let f = fleet();
+        for machine in [f.base(), f.get(MachineId::TARGETS[0])] {
+            for sigma in [0.05, NOISE_TOLERANCE] {
+                let fresh = metasim_chaos::with_plan(probe_noise_plan(42, sigma), || {
+                    ProbeSuite::new().measure(machine)
+                });
+                let noisy = noisy_probes(machine, 42, sigma);
+                assert_eq!(*noisy, *fresh, "{} at sigma {sigma}", machine.id);
+                assert_ne!(*noisy, *nominal_probes(machine), "the plan perturbs");
+            }
+        }
     }
 
     #[test]

@@ -569,7 +569,7 @@ mod tests {
 
     #[test]
     fn parallel_study_matches_serial_exactly() {
-        // Index-addressed contiguous shards, disjoint per-cell noise
+        // Index-addressed results, disjoint per-cell noise
         // streams and single-flight memos, checked end to end: sharding
         // the study moves no output bit.
         let serial = study();

@@ -19,16 +19,14 @@ use std::collections::HashSet;
 use metasim_apps::groundtruth::noise_seeds;
 use metasim_audit::registry::{MS1001, MS1003, MS1004};
 use metasim_audit::{audit_value, AuditReport, Auditor};
-use metasim_core::executor::run_sharded;
 use metasim_core::prediction::predict_all;
 use metasim_machines::MachineConfig;
 use metasim_memsim::analytic::{audit_tier_budget, resolve_tier, ResolvedTier, Tier};
-use metasim_obs::SpanCtx;
 use metasim_probes::suite::MachineProbes;
 use metasim_stats::rng::seed_from_labels;
 use metasim_units::Seconds;
 
-use crate::sampler::GeneratedFleet;
+use crate::sampler::{GeneratedFleet, GeneratedMachine};
 use crate::study::{tagged_case, AppContext};
 
 /// Relative half-width of the coherent probe band the `MS1004` preflight
@@ -197,66 +195,19 @@ pub fn preflight_reference(
     });
 }
 
-/// The fleet-scale `MS801` guard: cross-check the analytic memory tier
-/// against the exact simulator on a deterministic subsample of sampled
-/// machines (exhaustive calibration at size 10,000 would dwarf the study
-/// itself). No-op unless the study actually resolves to the analytic tier.
+/// The fleet-scale `MS801` guard on one sampled machine: cross-check the
+/// analytic memory tier against the exact simulator on its hierarchy.
+/// No-op unless the machine actually resolves to the analytic tier. A
+/// study calibrates only its first [`MS801_SUBSAMPLE`] machines, since
+/// exhaustive calibration at size 10,000 would dwarf the study itself.
 ///
-/// The machines are calibrated across up to `jobs` workers of
-/// [`run_sharded`] under `parent`; their reports merge in machine order, so
-/// the result is the same at any `jobs`.
-pub fn audit_tier_subsample(
-    parent: SpanCtx,
-    jobs: usize,
-    fleet: &GeneratedFleet,
-    tier: Tier,
-    limit: usize,
-) -> AuditReport {
-    let sample: Vec<_> = fleet.machines.iter().take(limit).collect();
-    let mut report = AuditReport::default();
-    for machine in run_sharded(parent, jobs, sample, |m| {
-        audit_value(|a| {
-            if resolve_tier(&m.config.memory, tier) == ResolvedTier::Analytic {
-                a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
-            }
-        })
-    }) {
-        report.merge(machine);
-    }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sampler::{FleetGenerator, SampledGenerator};
-
-    // Sharding the MS801 subsample changes nothing in its report: the
-    // per-machine reports merge to exactly what one serial auditor walking
-    // the machines in order produces, findings and order alike.
-    #[test]
-    fn sharded_tier_subsample_matches_a_serial_walk() {
-        let mut fleet = SampledGenerator::paper_space().generate(4, 42);
-        // Two geometries the analytic model tracks poorly, so the reports
-        // have findings from more than one machine to order.
-        for level in &mut fleet.machines[2].config.memory.levels {
-            level.line_bytes = 16;
+/// [`MS801_SUBSAMPLE`]: crate::study::MS801_SUBSAMPLE
+pub(crate) fn calibrate_tier(machine: &GeneratedMachine, tier: Tier) -> AuditReport {
+    audit_value(|a| {
+        if resolve_tier(&machine.config.memory, tier) == ResolvedTier::Analytic {
+            a.scope(machine.name.clone(), |a| {
+                audit_tier_budget(&machine.config.memory, a);
+            });
         }
-        for level in &mut fleet.machines[3].config.memory.levels {
-            level.associativity = 1;
-        }
-        let serial = audit_value(|a| {
-            for m in &fleet.machines {
-                a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
-            }
-        });
-        assert!(
-            serial.diagnostics.len() >= 2,
-            "the doctored machines must fire MS801: {serial}"
-        );
-        for jobs in [1, 3] {
-            let sharded = audit_tier_subsample(SpanCtx::root(), jobs, &fleet, Tier::Analytic, 4);
-            assert_eq!(sharded, serial, "jobs {jobs}");
-        }
-    }
+    })
 }

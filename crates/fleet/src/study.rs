@@ -7,9 +7,10 @@
 //! [`metasim_apps::groundtruth::GroundTruth`]) — they drive the pure
 //! pipeline functions directly: [`MachineProbes::measure_tiered`] →
 //! [`trace_workload`] / [`analyze_dependencies`] → [`execute`] →
-//! [`predict_all`]. Cells shard over machines via
-//! [`metasim_core::executor::run_sharded`], so any `--jobs N` produces a
-//! byte-identical [`FleetBench`].
+//! [`predict_all`]. Each sampled machine is one work item of
+//! [`metasim_core::executor::run_sharded`] (its `MS801` calibration when it
+//! is in the subsample, its probes, then its cells), so any `--jobs N`
+//! produces a byte-identical [`FleetBench`].
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -21,6 +22,7 @@ use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
 use metasim_machines::{fleet as paper_fleet, MachineConfig};
 use metasim_memsim::analytic::{resolve_tier, Tier};
+use metasim_obs::SpanCtx;
 use metasim_probes::suite::MachineProbes;
 use metasim_report::table::Table;
 use metasim_tracer::analysis::analyze_dependencies;
@@ -29,7 +31,7 @@ use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{audit_generated_fleet, audit_tier_subsample, preflight_reference};
+use crate::audit::{audit_generated_fleet, calibrate_tier, preflight_reference};
 use crate::mutation::FleetMutation;
 use crate::sampler::{
     FleetGenerator, GeneratedApp, GeneratedFleet, GeneratedMachine, SampledGenerator,
@@ -254,6 +256,75 @@ impl AppContext {
     }
 }
 
+/// What one sampled machine contributes to a fleet study.
+struct MachineRun {
+    /// Its `MS801` calibration findings (none outside the subsample).
+    calibration: AuditReport,
+    /// Its cells, in sampled-application order.
+    cells: Vec<FleetObservation>,
+}
+
+/// Run every sampled machine as one work item across `cfg.jobs` workers.
+/// A machine among the first [`MS801_SUBSAMPLE`] is calibrated first;
+/// then its probes are measured once and every sampled application runs
+/// on it. Workers claim machines in index order and the runs come back in
+/// that order, so merging them gives the same cells and findings at any
+/// `jobs`. The machine stays the unit: splitting it into cells would let
+/// two workers simulate one large hierarchy at once.
+fn run_machines(
+    parent: SpanCtx,
+    cfg: &FleetStudyConfig,
+    machines: &[GeneratedMachine],
+    contexts: &[AppContext],
+    base_probes: &MachineProbes,
+) -> Vec<MachineRun> {
+    run_sharded(
+        parent,
+        cfg.jobs,
+        machines.iter().enumerate().collect(),
+        |(index, machine)| {
+            let calibration = if index < MS801_SUBSAMPLE {
+                let _span = metasim_obs::span("audit:ms801");
+                calibrate_tier(machine, cfg.tier)
+            } else {
+                AuditReport::default()
+            };
+            let tier = resolve_tier(&machine.config.memory, cfg.tier);
+            let probes = MachineProbes::measure_tiered(&machine.config, tier);
+            let region = region_of(machine);
+            let cells = contexts
+                .iter()
+                .map(|ctx| {
+                    let predictions = predict_all(
+                        &ctx.trace,
+                        &ctx.labels,
+                        &probes,
+                        base_probes,
+                        Seconds::new(ctx.t_base),
+                    );
+                    let mut ground = ctx.app.workload.clone();
+                    ground.case = tagged_case(&ground.case, &machine.name);
+                    let actual = execute(&machine.config, &ground).seconds;
+                    let mut preds = [0.0; 9];
+                    for (slot, p) in preds.iter_mut().zip(predictions.iter()) {
+                        *slot = p.get();
+                    }
+                    FleetObservation {
+                        machine: machine.name.clone(),
+                        region: region.clone(),
+                        app: ctx.app.name.clone(),
+                        processes: ctx.app.workload.processes,
+                        actual,
+                        base_actual: ctx.t_base,
+                        predictions: preds,
+                    }
+                })
+                .collect();
+            MachineRun { calibration, cells }
+        },
+    )
+}
+
 /// Run a fleet study: sample, audit, preflight, predict, aggregate.
 ///
 /// # Errors
@@ -290,13 +361,13 @@ pub fn run_fleet_study(
     }
     // Base-side context, computed once per application and gated by the
     // reference preflight before any target cell runs.
+    let root = metasim_obs::span("fleet-study");
     let base_tier = resolve_tier(&base.memory, cfg.tier);
     let base_probes = MachineProbes::measure_tiered(&base, base_tier);
-    let contexts: Vec<AppContext> = fleet
-        .apps
-        .iter()
-        .map(|app| AppContext::new(&base, app))
-        .collect();
+    let contexts: Vec<AppContext> =
+        run_sharded(root.ctx(), cfg.jobs, fleet.apps.iter().collect(), |app| {
+            AppContext::new(&base, app)
+        });
     report.merge(audit_value(|a| {
         preflight_reference(&base, &base_probes, &contexts, base_tier, a);
     }));
@@ -304,56 +375,11 @@ pub fn run_fleet_study(
         return Err(report);
     }
 
-    // One work item per machine: measure its probes once, then run every
-    // sampled application on it. Canonical order is machine index order,
-    // which `run_sharded` preserves for any jobs value.
-    let root = metasim_obs::span("fleet-study");
-    let per_machine: Vec<Vec<FleetObservation>> =
-        run_sharded(root.ctx(), cfg.jobs, fleet.machines.clone(), |machine| {
-            let tier = resolve_tier(&machine.config.memory, cfg.tier);
-            let probes = MachineProbes::measure_tiered(&machine.config, tier);
-            let region = region_of(&machine);
-            contexts
-                .iter()
-                .map(|ctx| {
-                    let predictions = predict_all(
-                        &ctx.trace,
-                        &ctx.labels,
-                        &probes,
-                        &base_probes,
-                        Seconds::new(ctx.t_base),
-                    );
-                    let mut ground = ctx.app.workload.clone();
-                    ground.case = tagged_case(&ground.case, &machine.name);
-                    let actual = execute(&machine.config, &ground).seconds;
-                    let mut preds = [0.0; 9];
-                    for (slot, p) in preds.iter_mut().zip(predictions.iter()) {
-                        *slot = p.get();
-                    }
-                    FleetObservation {
-                        machine: machine.name.clone(),
-                        region: region.clone(),
-                        app: ctx.app.name.clone(),
-                        processes: ctx.app.workload.processes,
-                        actual,
-                        base_actual: ctx.t_base,
-                        predictions: preds,
-                    }
-                })
-                .collect()
-        });
-    let observations: Vec<FleetObservation> = per_machine.into_iter().flatten().collect();
-
-    // The fleet-scale MS801 guard: calibrate a deterministic subsample.
-    let ms801 = root.ctx().span("audit:ms801");
-    report.merge(audit_tier_subsample(
-        ms801.ctx(),
-        cfg.jobs,
-        &fleet,
-        cfg.tier,
-        MS801_SUBSAMPLE.min(cfg.size),
-    ));
-    drop(ms801);
+    let mut observations = Vec::with_capacity(fleet.machines.len() * contexts.len());
+    for run in run_machines(root.ctx(), cfg, &fleet.machines, &contexts, &base_probes) {
+        report.merge(run.calibration);
+        observations.extend(run.cells);
+    }
     drop(root);
 
     let bench = aggregate(&spec, &fleet, &contexts, &observations, &report, cfg);
@@ -497,4 +523,59 @@ pub fn render_report(bench: &FleetBench) -> String {
         ]);
     }
     format!("{}\n{}", regions.render(), buckets.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metasim_memsim::analytic::{audit_tier_budget, ResolvedTier};
+
+    // Calibrating each subsampled machine inside its own work item changes
+    // nothing in the MS801 findings: the per-machine reports merge to
+    // exactly what one serial auditor walking the machines in order
+    // produces, findings and order alike.
+    #[test]
+    fn sharded_tier_subsample_matches_a_serial_walk() {
+        let mut fleet = SampledGenerator::paper_space().generate(MS801_SUBSAMPLE, 42);
+        // Two geometries the analytic model tracks poorly, so the reports
+        // have findings from more than one machine to order.
+        for level in &mut fleet.machines[2].config.memory.levels {
+            level.line_bytes = 16;
+        }
+        for level in &mut fleet.machines[3].config.memory.levels {
+            level.associativity = 1;
+        }
+        let serial = audit_value(|a| {
+            for m in &fleet.machines {
+                a.scope(m.name.clone(), |a| audit_tier_budget(&m.config.memory, a));
+            }
+        });
+        assert!(
+            serial.diagnostics.len() >= 2,
+            "the doctored machines must fire MS801: {serial}"
+        );
+
+        let base = paper_fleet().base().clone();
+        let base_probes = MachineProbes::measure_tiered(&base, ResolvedTier::Analytic);
+        let contexts = [AppContext::new(&base, &fleet.apps[0])];
+        for jobs in [1, 3] {
+            let cfg = FleetStudyConfig {
+                tier: Tier::Analytic,
+                jobs,
+                ..FleetStudyConfig::default()
+            };
+            let mut sharded = AuditReport::default();
+            for run in run_machines(
+                SpanCtx::root(),
+                &cfg,
+                &fleet.machines,
+                &contexts,
+                &base_probes,
+            ) {
+                assert_eq!(run.cells.len(), 1);
+                sharded.merge(run.calibration);
+            }
+            assert_eq!(sharded, serial, "jobs {jobs}");
+        }
+    }
 }

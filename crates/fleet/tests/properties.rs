@@ -129,57 +129,58 @@ fn each_mutation_fires_exactly_its_rule() {
 }
 
 // A clean small study: runs, audit-clean, byte-identical across --jobs
-// (its export and its full audit report), and structurally complete
-// (every cell present, buckets partition).
+// on both memory tiers (its export and its full audit report), and
+// structurally complete (every cell present, buckets partition).
 #[test]
 fn clean_study_is_jobs_invariant_and_complete() {
     let spec = FleetSpec::paper_space();
-    let serial = run_fleet_study(&spec, &analytic_cfg(5, 11, None)).expect("clean study runs");
-    let sharded = run_fleet_study(
-        &spec,
-        &FleetStudyConfig {
-            jobs: 3,
+    for tier in [Tier::Analytic, Tier::Exact] {
+        let cfg = |jobs| FleetStudyConfig {
+            tier,
+            jobs,
             ..analytic_cfg(5, 11, None)
-        },
-    )
-    .expect("sharded study runs");
-
-    assert!(
-        !serial.report.has_errors(),
-        "{}",
-        serial.report.summary_line()
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&serial.bench).unwrap(),
-        serde_json::to_string_pretty(&sharded.bench).unwrap(),
-        "--jobs must not change the bench"
-    );
-    assert_eq!(serial.observations, sharded.observations);
-    assert_eq!(
-        serial.report, sharded.report,
-        "--jobs must not change a single diagnostic or their order"
-    );
-
-    let apps = serial.fleet.apps.len();
-    assert_eq!(serial.observations.len(), 5 * apps);
-    assert_eq!(serial.bench.overall.cells, (5 * apps) as u64);
-    assert_eq!(serial.bench.overall.machines, 5);
-    assert_eq!(serial.bench.overall.metrics.len(), 9);
-    let region_cells: u64 = serial.bench.regions.iter().map(|r| r.cells).sum();
-    assert_eq!(region_cells, serial.bench.overall.cells);
-    for stats in &serial.bench.overall.metrics {
-        let total = stats.frac_good + stats.frac_marginal + stats.frac_poor;
+        };
+        let serial = run_fleet_study(&spec, &cfg(1)).expect("clean study runs");
         assert!(
-            (total - 1.0).abs() < 1e-9,
-            "{}: buckets sum to {total}",
-            stats.metric
+            !serial.report.has_errors(),
+            "{tier}: {}",
+            serial.report.summary_line()
         );
-        assert!(stats.mean_abs.is_finite() && stats.mean_abs >= 0.0);
-        assert!(stats.worst_abs >= stats.p90_abs && stats.p90_abs >= stats.median_abs);
-    }
-    for obs in &serial.observations {
-        assert!(obs.actual.is_finite() && obs.actual > 0.0);
-        assert!(obs.predictions.iter().all(|p| p.is_finite() && *p > 0.0));
+        for jobs in [2, 3] {
+            let sharded = run_fleet_study(&spec, &cfg(jobs)).expect("sharded study runs");
+            assert_eq!(
+                serde_json::to_string_pretty(&serial.bench).unwrap(),
+                serde_json::to_string_pretty(&sharded.bench).unwrap(),
+                "{tier}: --jobs {jobs} must not change the bench"
+            );
+            assert_eq!(serial.observations, sharded.observations);
+            assert_eq!(
+                serial.report, sharded.report,
+                "{tier}: --jobs {jobs} must not change a single diagnostic or their order"
+            );
+        }
+
+        let apps = serial.fleet.apps.len();
+        assert_eq!(serial.observations.len(), 5 * apps);
+        assert_eq!(serial.bench.overall.cells, (5 * apps) as u64);
+        assert_eq!(serial.bench.overall.machines, 5);
+        assert_eq!(serial.bench.overall.metrics.len(), 9);
+        let region_cells: u64 = serial.bench.regions.iter().map(|r| r.cells).sum();
+        assert_eq!(region_cells, serial.bench.overall.cells);
+        for stats in &serial.bench.overall.metrics {
+            let total = stats.frac_good + stats.frac_marginal + stats.frac_poor;
+            assert!(
+                (total - 1.0).abs() < 1e-9,
+                "{}: buckets sum to {total}",
+                stats.metric
+            );
+            assert!(stats.mean_abs.is_finite() && stats.mean_abs >= 0.0);
+            assert!(stats.worst_abs >= stats.p90_abs && stats.p90_abs >= stats.median_abs);
+        }
+        for obs in &serial.observations {
+            assert!(obs.actual.is_finite() && obs.actual > 0.0);
+            assert!(obs.predictions.iter().all(|p| p.is_finite() && *p > 0.0));
+        }
     }
 }
 

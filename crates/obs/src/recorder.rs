@@ -92,10 +92,9 @@ pub trait Recorder: Send + Sync {
 /// it) and forwards metrics straight through (those are lock-free atomics
 /// in the registry). At shard close the executor calls [`flush`], which
 /// hands the whole batch to the inner recorder's `merge_spans` in one lock
-/// acquisition — and because the executor flushes buffers in shard-index
-/// order after all workers join, the merged log is *canonical*: the same
-/// shard layout yields the same log order regardless of which worker
-/// finished first.
+/// acquisition. The executor flushes buffers in worker order after all
+/// workers join, so each worker's spans stay together in the merged log,
+/// whichever worker finished first.
 ///
 /// [`flush`]: WorkerSpanBuffer::flush
 pub struct WorkerSpanBuffer {

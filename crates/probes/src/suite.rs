@@ -331,8 +331,8 @@ impl ProbeSuite {
     }
 }
 
-/// Apply the installed fault plan's `probe-noise` perturbation to a freshly
-/// acquired probe set. With no plan installed (or a plan without a
+/// Apply the installed fault plan's `probe-noise` perturbation to a raw
+/// probe set (every acquisition passes its measurement through here). With no plan installed (or a plan without a
 /// `ProbeNoise` fault) this is the identity — not even a `* 1.0` touches
 /// the values, so fault-free results stay bit-identical.
 ///
@@ -342,7 +342,8 @@ impl ProbeSuite {
 /// scaling preserves the MS102 monotonicity and MS103/MS104 dominance
 /// invariants), and the perturbed HPL Rmax is clamped to the machine's
 /// theoretical peak so MS105 keeps holding.
-fn apply_probe_noise(machine: &MachineConfig, mut probes: MachineProbes) -> MachineProbes {
+#[must_use]
+pub fn apply_probe_noise(machine: &MachineConfig, mut probes: MachineProbes) -> MachineProbes {
     if !metasim_chaos::active() {
         return probes;
     }
