@@ -30,9 +30,15 @@ pub fn shared_ground_truth() -> &'static GroundTruth {
     GT.get_or_init(GroundTruth::new)
 }
 
-/// The full 150-observation study, computed once per bench binary.
+/// The full 150-observation study, computed once per bench binary from the
+/// shared fleet, probes and ground truth, so a bench run measures each
+/// machine and executes each cell once.
 pub fn shared_study() -> &'static Study {
-    Study::run_default()
+    static STUDY: OnceLock<Study> = OnceLock::new();
+    STUDY.get_or_init(|| {
+        let (f, suite, gt) = (shared_fleet(), shared_probes(), shared_ground_truth());
+        Study::run_with_store_jobs(f, suite, gt, None, 1).0
+    })
 }
 
 #[cfg(test)]

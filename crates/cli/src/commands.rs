@@ -7,14 +7,15 @@ use metasim_apps::groundtruth::GroundTruth;
 use metasim_apps::paper_data;
 use metasim_apps::registry::TestCase;
 use metasim_apps::tracing::{trace_workload, TraceCache};
+use metasim_audit::{AllowRule, AuditPolicy};
 use metasim_cache::ArtifactStore;
-use metasim_chaos::FaultPlan;
+use metasim_chaos::{FaultPlan, FaultPoint};
 use metasim_core::balanced::{fit_weights, fit_weights_mae, idc_equal_weights, CATEGORY_NAMES};
 use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
 use metasim_core::ranking::rank_correlations;
 use metasim_core::study::{Study, StudyTimings};
-use metasim_machines::{fleet, MachineId};
+use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_obs::diff::{diff_and_audit, DiffBudget};
 use metasim_obs::manifest::{CacheSummary, ManifestMeta, RunManifest};
 use metasim_obs::{InMemoryRecorder, Recorder};
@@ -25,6 +26,7 @@ use metasim_report::svg::line_chart_svg;
 use metasim_report::table::{f0, f1, Table};
 use metasim_stats::error_metrics::percent_error;
 use metasim_tracer::analysis::analyze_dependencies;
+use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 
 /// The paper's Table 4 values for side-by-side printing.
@@ -51,44 +53,53 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "fleet" => fleet_cmd(rest),
         "cache" => cache(rest),
         "obs" => obs(rest),
-        "systems" => systems(),
+        "systems" => systems(&fleet()),
         "metrics" => metrics(),
-        "probes" => probes(),
-        "fig1" => fig1(rest.first().map(String::as_str)),
-        "table4" => table4(rest.first().map(String::as_str)),
-        "table5" => table5(),
+        "probes" => probes(&Session::reports()),
+        "fig1" => fig1(&Session::reports(), rest.first().map(String::as_str)),
+        "table4" => table4(
+            &Session::reports().study().0,
+            rest.first().map(String::as_str),
+        ),
+        "table5" => table5(&Session::reports().study().0),
         "fig" => {
             let n: usize = rest
                 .first()
                 .ok_or("fig needs a figure number 3-7")?
                 .parse()
                 .map_err(|_| "figure number must be 3-7".to_string())?;
-            figure(n)
+            let case = figure_case(n)?;
+            figure(&Session::reports().study().0, n, case)
         }
-        "appendix" => appendix(),
-        "balanced" => balanced(),
-        "ranking" => ranking(),
-        "superlatives" => superlatives(),
-        "verify" => verify(),
+        "appendix" => appendix(&Session::reports()),
+        "balanced" => {
+            let session = Session::reports();
+            balanced(&session, &session.study().0)
+        }
+        "ranking" => ranking(&Session::reports().study().0),
+        "superlatives" => superlatives(&Session::reports().study().0),
+        "verify" => verify(&Session::reports().study().0),
         "predict" => predict(rest),
         "export" => export(rest),
         "export-workload" => export_workload(rest),
         "predict-custom" => predict_custom(rest),
         "all" => {
-            systems()?;
+            let session = Session::reports();
+            let study = session.study().0;
+            systems(&session.fleet)?;
             metrics()?;
-            probes()?;
-            fig1(None)?;
-            table4(None)?;
-            table5()?;
+            probes(&session)?;
+            fig1(&session, None)?;
+            table4(&study, None)?;
+            table5(&study)?;
             for n in 3..=7 {
-                figure(n)?;
+                figure(&study, n, figure_case(n)?)?;
             }
-            appendix()?;
-            balanced()?;
-            superlatives()?;
-            verify()?;
-            ranking()
+            appendix(&session)?;
+            balanced(&session, &study)?;
+            superlatives(&study)?;
+            verify(&study)?;
+            ranking(&study)
         }
         "help" | "--help" | "-h" => {
             println!("{HELP}");
@@ -196,8 +207,9 @@ commands:
         [--jobs N] [--out BENCH_fleet.json] [--mutate NAME] [--json]
                      rerun the Table 4/5 methodology per sampled
                      (machine, app) cell: MS1001-MS1004 preflights gate the
-                     run, cells shard across --jobs N workers along the
-                     certified machine cut (any N is byte-identical), and
+                     run, each sampled machine (its MS801 calibration, probes
+                     and cells) is one work item that the next free of
+                     --jobs N workers claims (any N is byte-identical), and
                      the report aggregates where in machine space each
                      metric's error exceeds the paper's thresholds; --out
                      writes the BENCH_fleet.json error distribution;
@@ -214,6 +226,10 @@ commands:
                      inspect or delete the persistent artifact store
   systems            Table 1/2: the study fleet
   metrics            Table 3: the nine synthetic metrics
+
+The commands below read and fill the store a bare `study` uses (one job):
+what the first run computes, later runs load.
+
   probes             probe summary for every machine
   fig1 [FILE.svg]    Figure 1: unit-stride MAPS curves (3 systems)
   table4             Table 4 / Figure 2: overall error per metric
@@ -232,27 +248,58 @@ commands:
                      dump a workload as an editable JSON template
   predict-custom FILE.json MACHINE
                      trace + predict a custom (JSON) workload
-  all                run everything";
+  all                run everything from one study";
+
+/// Parse one of the flags `audit`, `lint` and `sense` share into `json`
+/// and `policy`; `Ok(false)` when `arg` is not one of them.
+fn parse_policy_flag(
+    arg: &str,
+    args: &mut std::slice::Iter<'_, String>,
+    json: &mut bool,
+    policy: &mut AuditPolicy,
+) -> Result<bool, String> {
+    match arg {
+        "--json" => *json = true,
+        "--deny-warnings" => policy.deny_warnings = true,
+        "--allow" => {
+            let spec = args
+                .next()
+                .ok_or("--allow needs RULE or RULE@subject-prefix")?;
+            policy.allow.push(AllowRule::parse(spec)?);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Announce a seeded mutation. Under `--json` it goes to stderr, so
+/// stdout stays machine-parseable.
+fn announce_mutation(m: metasim_core::AnyMutation, json: bool) {
+    let announce = format!(
+        "seeding mutation `{}` (expect {})",
+        m.name(),
+        m.expected_code()
+    );
+    if json {
+        eprintln!("{announce}");
+    } else {
+        println!("{announce}\n");
+    }
+}
 
 fn audit(rest: &[String]) -> Result<(), String> {
-    use metasim_audit::{render, AllowRule, AuditPolicy};
+    use metasim_audit::render;
 
     let mut json = false;
-    let mut deny_warnings = false;
-    let mut allow = Vec::new();
+    let mut policy = AuditPolicy::default();
     let mut manifest_path: Option<String> = None;
     let mut tier = Tier::Exact;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
+        if parse_policy_flag(arg, &mut args, &mut json, &mut policy)? {
+            continue;
+        }
         match arg.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--allow" => {
-                let spec = args
-                    .next()
-                    .ok_or("--allow needs RULE or RULE@subject-prefix")?;
-                allow.push(AllowRule::parse(spec)?);
-            }
             "--manifest" => {
                 manifest_path = Some(args.next().ok_or("--manifest needs a path")?.clone());
             }
@@ -264,16 +311,12 @@ fn audit(rest: &[String]) -> Result<(), String> {
         }
     }
 
-    let f = fleet();
-    let suite = ProbeSuite::new().with_tier(tier);
+    let session = Session::new(None, tier, 1);
     let mut report = metasim_core::preflight_with_policy(
-        &f,
-        &suite,
-        &TraceCache::new(),
-        AuditPolicy {
-            allow,
-            deny_warnings,
-        },
+        &session.fleet,
+        &session.suite,
+        &session.traces,
+        policy,
     );
     if let Some(path) = &manifest_path {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -294,26 +337,20 @@ fn audit(rest: &[String]) -> Result<(), String> {
 }
 
 fn lint(rest: &[String]) -> Result<(), String> {
-    use metasim_audit::{render, AllowRule, AuditPolicy};
+    use metasim_audit::render;
     use metasim_core::formula::cost_expr;
     use metasim_core::lint::{lint_full_with_policy, AnyMutation, LintModel};
     use metasim_core::sensitivity::{SenseModel, SenseScope};
 
     let mut json = false;
-    let mut deny_warnings = false;
-    let mut allow = Vec::new();
+    let mut policy = AuditPolicy::default();
     let mut mutation: Option<AnyMutation> = None;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
+        if parse_policy_flag(arg, &mut args, &mut json, &mut policy)? {
+            continue;
+        }
         match arg.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--allow" => {
-                let spec = args
-                    .next()
-                    .ok_or("--allow needs RULE or RULE@subject-prefix")?;
-                allow.push(AllowRule::parse(spec)?);
-            }
             "--mutate" => {
                 let name = args.next().ok_or("--mutate needs a mutation name")?;
                 mutation = Some(AnyMutation::parse(name)?);
@@ -327,31 +364,14 @@ fn lint(rest: &[String]) -> Result<(), String> {
     // full 150-cell grid is `metasim sense`.
     let mut sense = SenseModel::shipped(SenseScope::Reference);
     if let Some(m) = mutation {
-        // Keep stdout machine-parseable under --json: announcements
-        // belong on stderr there.
-        let announce = format!(
-            "seeding mutation `{}` (expect {})",
-            m.name(),
-            m.expected_code()
-        );
-        if json {
-            eprintln!("{announce}");
-        } else {
-            println!("{announce}\n");
-        }
+        announce_mutation(m, json);
         match m {
             AnyMutation::Formula(m) => model = LintModel::mutated(m),
             AnyMutation::Sense(m) => m.apply(&mut sense),
         }
     }
-    let report = lint_full_with_policy(
-        &model,
-        &sense,
-        AuditPolicy {
-            allow,
-            deny_warnings,
-        },
-    );
+    let session = Session::new(None, Tier::Exact, 1);
+    let report = lint_full_with_policy(&model, &sense, &session.suite, &session.traces, policy);
 
     if json {
         print!("{}", render::jsonl(&report));
@@ -384,27 +404,21 @@ fn lint(rest: &[String]) -> Result<(), String> {
 }
 
 fn sense(rest: &[String]) -> Result<(), String> {
-    use metasim_audit::{render, AllowRule, AuditPolicy, Auditor};
+    use metasim_audit::{render, Auditor};
     use metasim_core::lint::{AnyMutation, LintModel};
     use metasim_core::sensitivity::{analyze_with_jobs, lint_report, SenseModel, SenseScope};
 
     let mut json = false;
-    let mut deny_warnings = false;
-    let mut allow = Vec::new();
+    let mut policy = AuditPolicy::default();
     let mut mutation: Option<AnyMutation> = None;
     let mut reference = false;
     let mut jobs: usize = 1;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
+        if parse_policy_flag(arg, &mut args, &mut json, &mut policy)? {
+            continue;
+        }
         match arg.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--allow" => {
-                let spec = args
-                    .next()
-                    .ok_or("--allow needs RULE or RULE@subject-prefix")?;
-                allow.push(AllowRule::parse(spec)?);
-            }
             "--mutate" => {
                 let name = args.next().ok_or("--mutate needs a mutation name")?;
                 mutation = Some(AnyMutation::parse(name)?);
@@ -428,16 +442,7 @@ fn sense(rest: &[String]) -> Result<(), String> {
     };
     let mut model = SenseModel::shipped(scope);
     if let Some(m) = mutation {
-        let announce = format!(
-            "seeding mutation `{}` (expect {})",
-            m.name(),
-            m.expected_code()
-        );
-        if json {
-            eprintln!("{announce}");
-        } else {
-            println!("{announce}\n");
-        }
+        announce_mutation(m, json);
         match m {
             AnyMutation::Sense(m) => m.apply(&mut model),
             // Formula mutations flow through: sense judges the mutated
@@ -447,11 +452,9 @@ fn sense(rest: &[String]) -> Result<(), String> {
         }
     }
 
-    let report = analyze_with_jobs(&model, jobs);
-    let mut a = Auditor::with_policy(AuditPolicy {
-        allow,
-        deny_warnings,
-    });
+    let session = Session::new(None, Tier::Exact, jobs);
+    let report = analyze_with_jobs(&model, &session.suite, &session.traces, session.jobs);
+    let mut a = Auditor::with_policy(policy);
     lint_report(&model, &report, &mut a);
     let audit_report = a.finish();
 
@@ -557,6 +560,140 @@ fn resolve_cache_dir(explicit: Option<PathBuf>) -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(".metasim-cache"))
 }
 
+/// Everything one command reads about the study: the fleet, the optional
+/// artifact store, and the one probe suite, ground-truth runner and trace
+/// cache that every table the process prints shares, so no probe sweep,
+/// execution or trace runs twice in one process.
+struct Session {
+    fleet: Fleet,
+    store: Option<Arc<ArtifactStore>>,
+    suite: ProbeSuite,
+    gt: GroundTruth,
+    traces: TraceCache,
+    jobs: usize,
+}
+
+impl Session {
+    /// A session over `store` (`None`: in-process memos only) whose probes
+    /// run at `tier` and whose study shards across `jobs` workers.
+    fn new(store: Option<Arc<ArtifactStore>>, tier: Tier, jobs: usize) -> Self {
+        let (suite, gt, traces) = match &store {
+            Some(s) => (
+                ProbeSuite::with_store(Arc::clone(s)),
+                GroundTruth::with_store(Arc::clone(s)),
+                TraceCache::with_store(Arc::clone(s)),
+            ),
+            None => (ProbeSuite::new(), GroundTruth::new(), TraceCache::new()),
+        };
+        Self {
+            fleet: fleet(),
+            store,
+            suite: suite.with_tier(tier),
+            gt,
+            traces,
+            jobs,
+        }
+    }
+
+    /// The report commands' session: the default store a bare `study`
+    /// reads and fills, exact tier, one job.
+    fn reports() -> Self {
+        let store = ArtifactStore::open(resolve_cache_dir(None));
+        Self::new(Some(Arc::new(store)), Tier::Exact, 1)
+    }
+
+    /// The study: one store read when warm, computed (and stored) when not.
+    fn study(&self) -> (Study, StudyTimings) {
+        Study::run_with_store_jobs(
+            &self.fleet,
+            &self.suite,
+            &self.gt,
+            self.store.as_deref(),
+            self.jobs,
+        )
+    }
+
+    /// [`study`](Self::study) under an optional fault plan, recorded into
+    /// `rec` when there is one.
+    fn study_with(
+        &self,
+        plan: Option<Arc<FaultPlan>>,
+        rec: Option<&Arc<InMemoryRecorder>>,
+    ) -> (Study, StudyTimings) {
+        let planned = || match &plan {
+            Some(p) => {
+                metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn FaultPoint>, || self.study())
+            }
+            None => self.study(),
+        };
+        match rec {
+            Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, planned),
+            None => planned(),
+        }
+    }
+
+    /// The nine predictions of `trace` on `machine`, scaled from the base
+    /// system's runtime `base_seconds` (Equation 1).
+    fn predict(
+        &self,
+        trace: &ApplicationTrace,
+        machine: MachineId,
+        base_seconds: f64,
+    ) -> [Seconds; 9] {
+        let labels = analyze_dependencies(&trace.blocks);
+        let target = self.suite.measure(self.fleet.get(machine));
+        let base = self.suite.measure(self.fleet.base());
+        predict_all(trace, &labels, &target, &base, Seconds::new(base_seconds))
+    }
+
+    /// The run manifest of a study this session ran under `rec`, with the
+    /// store's contents and this process's traffic when there is a store.
+    fn manifest(&self, rec: &InMemoryRecorder, loaded_from_cache: bool) -> RunManifest {
+        let cache = self.store.as_ref().map(|s| {
+            let stats = s.stats();
+            let traffic = s.traffic();
+            CacheSummary {
+                root: s.root().display().to_string(),
+                schema: s.schema(),
+                entries: stats.entries,
+                bytes: stats.bytes,
+                kinds: stats.kinds,
+                session_hits: traffic.hits,
+                session_misses: traffic.misses,
+                session_evictions: traffic.evictions,
+            }
+        });
+        let meta = ManifestMeta {
+            tool: format!("metasim {}", env!("CARGO_PKG_VERSION")),
+            config_digest: Study::store_key_tiered(&self.fleet, self.suite.tier()).to_string(),
+            loaded_from_cache,
+            cache,
+        };
+        RunManifest::build(rec, meta)
+    }
+}
+
+/// `--obs-format json|pretty`: whether a manifest is written pretty-printed.
+fn parse_obs_format(value: Option<&String>) -> Result<bool, String> {
+    match value.map(String::as_str) {
+        Some("json") => Ok(false),
+        Some("pretty") => Ok(true),
+        _ => Err("--obs-format must be json or pretty".into()),
+    }
+}
+
+/// Write a run manifest to `path` as compact or pretty JSON.
+fn write_manifest(m: &RunManifest, path: &str, pretty: bool) -> Result<(), String> {
+    let json = if pretty {
+        m.to_json_pretty()?
+    } else {
+        m.to_json()?
+    };
+    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+    println!("wrote run manifest to {path}");
+    Ok(())
+}
+
 fn study(rest: &[String]) -> Result<(), String> {
     let mut timings_wanted = false;
     let mut no_cache = false;
@@ -598,13 +735,7 @@ fn study(rest: &[String]) -> Result<(), String> {
             "--obs-out" => {
                 obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone());
             }
-            "--obs-format" => {
-                obs_pretty = match args.next().map(String::as_str) {
-                    Some("json") => false,
-                    Some("pretty") => true,
-                    _ => return Err("--obs-format must be json or pretty".into()),
-                };
-            }
+            "--obs-format" => obs_pretty = parse_obs_format(args.next())?,
             "--fault-plan" => {
                 fault_plan_path = Some(args.next().ok_or("--fault-plan needs a path")?.clone());
             }
@@ -637,61 +768,17 @@ fn study(rest: &[String]) -> Result<(), String> {
         None => None,
     };
 
-    let store = if no_cache {
-        None
-    } else {
-        Some(Arc::new(ArtifactStore::open(resolve_cache_dir(cache_dir))))
-    };
-    let f = fleet();
-    let (suite, gt) = match &store {
-        Some(s) => (
-            ProbeSuite::with_store(Arc::clone(s)),
-            GroundTruth::with_store(Arc::clone(s)),
-        ),
-        None => (ProbeSuite::new(), GroundTruth::new()),
-    };
-    let suite = suite.with_tier(tier);
+    let store = (!no_cache).then(|| Arc::new(ArtifactStore::open(resolve_cache_dir(cache_dir))));
+    let session = Session::new(store, tier, jobs);
 
     // Recording is opt-in: only pay for span bookkeeping when something
     // downstream (a manifest or the benchmark file) will consume it.
     let recorder = (obs_out.is_some() || bench_out.is_some() || trace_out.is_some())
         .then(|| Arc::new(InMemoryRecorder::new()));
-    let run = || Study::run_with_store_jobs(&f, &suite, &gt, store.as_deref(), jobs);
-    let run_planned = || match &plan {
-        Some(p) => {
-            metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn metasim_chaos::FaultPoint>, run)
-        }
-        None => run(),
-    };
-    let (study, timings) = match &recorder {
-        Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, run_planned),
-        None => run_planned(),
-    };
-    let manifest = recorder.as_ref().map(|rec| {
-        let cache = store.as_ref().map(|s| {
-            let stats = s.stats();
-            let traffic = s.traffic();
-            CacheSummary {
-                root: s.root().display().to_string(),
-                schema: s.schema(),
-                entries: stats.entries,
-                bytes: stats.bytes,
-                kinds: stats.kinds,
-                session_hits: traffic.hits,
-                session_misses: traffic.misses,
-                session_evictions: traffic.evictions,
-            }
-        });
-        RunManifest::build(
-            rec,
-            ManifestMeta {
-                tool: format!("metasim {}", env!("CARGO_PKG_VERSION")),
-                config_digest: Study::store_key_tiered(&f, tier).to_string(),
-                loaded_from_cache: timings.loaded_from_cache,
-                cache,
-            },
-        )
-    });
+    let (study, timings) = session.study_with(plan, recorder.as_ref());
+    let manifest = recorder
+        .as_ref()
+        .map(|rec| session.manifest(rec, timings.loaded_from_cache));
 
     println!(
         "study: {} observations, {} predictions ({}{})",
@@ -750,13 +837,7 @@ fn study(rest: &[String]) -> Result<(), String> {
         let m = manifest
             .as_ref()
             .expect("recorder runs when --obs-out is set");
-        let json = if obs_pretty {
-            m.to_json_pretty()?
-        } else {
-            m.to_json()?
-        };
-        std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote run manifest to {path}");
+        write_manifest(m, &path, obs_pretty)?;
     }
     if let Some(path) = trace_out {
         let m = manifest
@@ -886,13 +967,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--export" => export_path = Some(args.next().ok_or("--export needs a path")?.clone()),
             "--obs-out" => obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone()),
-            "--obs-format" => {
-                obs_pretty = match args.next().map(String::as_str) {
-                    Some("json") => false,
-                    Some("pretty") => true,
-                    _ => return Err("--obs-format must be json or pretty".into()),
-                };
-            }
+            "--obs-format" => obs_pretty = parse_obs_format(args.next())?,
             other => return Err(format!("unknown chaos run flag `{other}`")),
         }
     }
@@ -904,16 +979,10 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     );
 
     let recorder = obs_out.is_some().then(|| Arc::new(InMemoryRecorder::new()));
-    let f = fleet();
-    let run = || {
-        metasim_chaos::with_plan(Arc::new(plan) as Arc<dyn metasim_chaos::FaultPoint>, || {
-            Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
-        })
-    };
-    let study = match &recorder {
-        Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, run),
-        None => run(),
-    };
+    let session = Session::new(None, Tier::Exact, 1);
+    let study = session
+        .study_with(Some(Arc::new(plan)), recorder.as_ref())
+        .0;
 
     let coverage = study.coverage();
     println!(
@@ -924,8 +993,8 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
             " (PARTIAL)"
         }
     );
-    render_table4(&study, None)?;
-    render_table5(&study)?;
+    table4(&study, None)?;
+    table5(&study)?;
 
     // MS601 (partial coverage) and friends: the degraded run must say so.
     let values = study.audit_values();
@@ -940,22 +1009,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
         let rec = recorder
             .as_ref()
             .expect("recorder runs when --obs-out is set");
-        let m = RunManifest::build(
-            rec,
-            ManifestMeta {
-                tool: format!("metasim {}", env!("CARGO_PKG_VERSION")),
-                config_digest: Study::store_key(&f).to_string(),
-                loaded_from_cache: false,
-                cache: None,
-            },
-        );
-        let json = if obs_pretty {
-            m.to_json_pretty()?
-        } else {
-            m.to_json()?
-        };
-        std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote run manifest to {path}");
+        write_manifest(&session.manifest(rec, false), &path, obs_pretty)?;
     }
     if values.has_errors() {
         Err(values.summary_line())
@@ -1135,8 +1189,7 @@ fn cache(rest: &[String]) -> Result<(), String> {
     }
 }
 
-fn systems() -> Result<(), String> {
-    let f = fleet();
+fn systems(f: &Fleet) -> Result<(), String> {
     let mut t = Table::new(vec![
         "System",
         "Architecture",
@@ -1174,9 +1227,7 @@ fn metrics() -> Result<(), String> {
     Ok(())
 }
 
-fn probes() -> Result<(), String> {
-    let f = fleet();
-    let suite = ProbeSuite::new();
+fn probes(session: &Session) -> Result<(), String> {
     let mut t = Table::new(vec![
         "System",
         "Rmax GF/s",
@@ -1186,8 +1237,8 @@ fn probes() -> Result<(), String> {
         "net BW MB/s",
     ])
     .with_title("Probe measurements (per processor).");
-    for m in f.all() {
-        let p = suite.measure(m);
+    for m in session.fleet.all() {
+        let p = session.suite.measure(m);
         t.push_row(vec![
             m.id.label().to_string(),
             format!("{:.2}", p.hpl.rmax_gflops_per_proc),
@@ -1201,9 +1252,7 @@ fn probes() -> Result<(), String> {
     Ok(())
 }
 
-fn fig1(svg_path: Option<&str>) -> Result<(), String> {
-    let f = fleet();
-    let suite = ProbeSuite::new();
+fn fig1(session: &Session, svg_path: Option<&str>) -> Result<(), String> {
     let systems = [
         MachineId::Navo655,
         MachineId::ArlAltix,
@@ -1212,7 +1261,7 @@ fn fig1(svg_path: Option<&str>) -> Result<(), String> {
     let series: Vec<Series> = systems
         .iter()
         .map(|&id| {
-            let p = suite.measure(f.get(id));
+            let p = session.suite.measure(session.fleet.get(id));
             Series {
                 name: id.label().to_string(),
                 points: p
@@ -1261,11 +1310,7 @@ fn coverage_note(study: &Study) -> String {
     }
 }
 
-fn table4(fig2_svg: Option<&str>) -> Result<(), String> {
-    render_table4(Study::run_default(), fig2_svg)
-}
-
-fn render_table4(study: &Study, fig2_svg: Option<&str>) -> Result<(), String> {
+fn table4(study: &Study, fig2_svg: Option<&str>) -> Result<(), String> {
     let mut t = Table::new(vec![
         "# & Type",
         "Metric Description",
@@ -1336,11 +1381,7 @@ fn render_table4(study: &Study, fig2_svg: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn table5() -> Result<(), String> {
-    render_table5(Study::run_default())
-}
-
-fn render_table5(study: &Study) -> Result<(), String> {
+fn table5(study: &Study) -> Result<(), String> {
     let mut header = vec!["System".to_string()];
     header.extend((1..=9).map(|n| n.to_string()));
     let mut t = Table::new(header).with_title(format!(
@@ -1359,16 +1400,15 @@ fn render_table5(study: &Study) -> Result<(), String> {
     Ok(())
 }
 
-fn figure(n: usize) -> Result<(), String> {
-    let case = match n {
-        3 => TestCase::AvusStandard,
-        4 => TestCase::AvusLarge,
-        5 => TestCase::HycomStandard,
-        6 => TestCase::Overflow2Standard,
-        7 => TestCase::RfcthStandard,
-        _ => return Err("figure number must be 3..=7".into()),
-    };
-    let study = Study::run_default();
+/// The test case Figure `n` assesses: Figures 3–7 take the five cases in
+/// `TestCase::ALL` order.
+fn figure_case(n: usize) -> Result<TestCase, String> {
+    let case = n.checked_sub(3).and_then(|i| TestCase::ALL.get(i));
+    case.copied()
+        .ok_or_else(|| "figure number must be 3..=7".into())
+}
+
+fn figure(study: &Study, n: usize, case: TestCase) -> Result<(), String> {
     let groups: Vec<BarGroup> = study
         .errors_by_app(case)
         .into_iter()
@@ -1395,9 +1435,7 @@ fn figure(n: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn appendix() -> Result<(), String> {
-    let f = fleet();
-    let gt = GroundTruth::new();
+fn appendix(session: &Session) -> Result<(), String> {
     for (idx, case) in TestCase::ALL.iter().enumerate() {
         let cpus = case.cpu_counts();
         let mut header = vec!["Machine".to_string()];
@@ -1413,7 +1451,7 @@ fn appendix() -> Result<(), String> {
         for id in MachineId::TARGETS {
             let mut cells = vec![id.label().to_string()];
             for p in cpus {
-                let sim = gt.run(*case, p, f.get(id)).seconds;
+                let sim = session.gt.run(*case, p, session.fleet.get(id)).seconds;
                 cells.push(f0(sim));
                 cells.push(
                     paper_data::observed_at(*case, id, p).map_or_else(|| "-".to_string(), f0),
@@ -1426,13 +1464,11 @@ fn appendix() -> Result<(), String> {
     Ok(())
 }
 
-fn balanced() -> Result<(), String> {
-    let study = Study::run_default();
-    let f = fleet();
-    let suite = ProbeSuite::new();
-    let idc = idc_equal_weights(study, &suite, &f);
-    let fitted = fit_weights(study, &suite, &f);
-    let oracle = fit_weights_mae(study, &suite, &f);
+fn balanced(session: &Session, study: &Study) -> Result<(), String> {
+    let (suite, f) = (&session.suite, &session.fleet);
+    let idc = idc_equal_weights(study, suite, f);
+    let fitted = fit_weights(study, suite, f);
+    let oracle = fit_weights_mae(study, suite, f);
     let mut t = Table::new(vec![
         "Rating",
         "HPL w",
@@ -1464,8 +1500,7 @@ fn balanced() -> Result<(), String> {
     Ok(())
 }
 
-fn ranking() -> Result<(), String> {
-    let study = Study::run_default();
+fn ranking(study: &Study) -> Result<(), String> {
     let mut t = Table::new(vec!["Metric", "mean Kendall tau", "worst group tau"])
         .with_title("Extension: machine-ranking quality per metric (1.0 = perfect order).");
     for rc in rank_correlations(study) {
@@ -1479,8 +1514,7 @@ fn ranking() -> Result<(), String> {
     Ok(())
 }
 
-fn verify() -> Result<(), String> {
-    let study = Study::run_default();
+fn verify(study: &Study) -> Result<(), String> {
     let claims = metasim_core::verification::verify(study);
     println!("Verification of the paper's claims against this reproduction:\n");
     let mut failures = 0;
@@ -1502,9 +1536,8 @@ fn verify() -> Result<(), String> {
     }
 }
 
-fn superlatives() -> Result<(), String> {
+fn superlatives(study: &Study) -> Result<(), String> {
     use metasim_core::superlatives::{census, group_errors};
-    let study = Study::run_default();
     let mut t = Table::new(vec![
         "Case",
         "CPUs",
@@ -1542,7 +1575,7 @@ fn superlatives() -> Result<(), String> {
 
 fn export(rest: &[String]) -> Result<(), String> {
     let path = rest.first().ok_or("export needs an output path")?;
-    export_study(Study::run_default(), path)
+    export_study(&Session::reports().study().0, path)
 }
 
 fn export_study(study: &Study, path: &str) -> Result<(), String> {
@@ -1612,20 +1645,11 @@ fn predict_custom(rest: &[String]) -> Result<(), String> {
         .find(|m| m.label().eq_ignore_ascii_case(machine_s))
         .ok_or_else(|| format!("unknown machine `{machine_s}`"))?;
 
-    let f = fleet();
-    let suite = ProbeSuite::new();
-    let trace = trace_workload(&workload);
-    let labels = analyze_dependencies(&trace.blocks);
+    let session = Session::reports();
     // A custom workload has no appendix ground truth; the base runtime is
     // simulated directly.
-    let base_run = metasim_apps::groundtruth::execute(f.base(), &workload);
-    let predictions = predict_all(
-        &trace,
-        &labels,
-        &suite.measure(f.get(machine)),
-        &suite.measure(f.base()),
-        Seconds::new(base_run.seconds),
-    );
+    let base_run = metasim_apps::groundtruth::execute(session.fleet.base(), &workload);
+    let predictions = session.predict(&trace_workload(&workload), machine, base_run.seconds);
     println!(
         "custom workload {}/{} @ {} processes; base system: {:.0} s",
         workload.app, workload.case, workload.processes, base_run.seconds
@@ -1669,22 +1693,11 @@ fn predict(rest: &[String]) -> Result<(), String> {
         .find(|m| m.label().eq_ignore_ascii_case(machine_s))
         .ok_or_else(|| format!("unknown machine `{machine_s}`"))?;
 
-    let f = fleet();
-    let suite = ProbeSuite::new();
-    let gt = GroundTruth::new();
-    let workload = case.workload(cpus);
-    let trace = trace_workload(&workload);
-    let labels = analyze_dependencies(&trace.blocks);
+    let session = Session::reports();
+    let (gt, f) = (&session.gt, &session.fleet);
     let base_actual = gt.run(case, cpus, f.base()).seconds;
-    let target_probes = suite.measure(f.get(machine));
-    let base_probes = suite.measure(f.base());
-    let predictions = predict_all(
-        &trace,
-        &labels,
-        &target_probes,
-        &base_probes,
-        Seconds::new(base_actual),
-    );
+    let trace = session.traces.trace(&case.workload(cpus));
+    let predictions = session.predict(&trace, machine, base_actual);
     let actual = Seconds::new(gt.run(case, cpus, f.get(machine)).seconds);
 
     println!(
@@ -1964,9 +1977,38 @@ mod tests {
         assert!(dispatch("audit", &["--tier".into(), "quantum".into()]).is_err());
     }
 
+    /// A store-less session's study, computed once for the tests that
+    /// only read it.
+    fn session_study() -> &'static Study {
+        static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
+        STUDY.get_or_init(|| Session::new(None, Tier::Exact, 1).study().0)
+    }
+
+    #[test]
+    fn one_session_measures_and_executes_each_input_once() {
+        // The study warms every probe set and ground-truth cell; the tables
+        // rendered after it read the same session and measure nothing more.
+        let session = Session::new(None, Tier::Exact, 1);
+        let study = session.study().0;
+        probes(&session).unwrap();
+        fig1(&session, None).unwrap();
+        appendix(&session).unwrap();
+        balanced(&session, &study).unwrap();
+        assert_eq!(
+            session.suite.measurements_performed(),
+            11,
+            "one sweep per machine"
+        );
+        assert_eq!(
+            session.gt.executions_performed(),
+            165,
+            "150 targets + 15 base"
+        );
+    }
+
     #[test]
     fn complete_grids_render_without_a_partial_annotation() {
-        let study = Study::run_default();
+        let study = session_study();
         assert!(study.coverage().is_complete());
         assert_eq!(coverage_note(study), "");
         let title = format!(
@@ -1981,7 +2023,7 @@ mod tests {
 
     #[test]
     fn partial_grids_render_with_the_coverage_annotation() {
-        let mut partial = Study::run_default().clone();
+        let mut partial = session_study().clone();
         let dropped = MachineId::TARGETS[0];
         partial.observations.retain(|o| o.machine != dropped);
         let note = coverage_note(&partial);

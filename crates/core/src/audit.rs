@@ -290,6 +290,7 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::shared_study;
     use metasim_machines::fleet;
 
     #[test]
@@ -389,7 +390,7 @@ mod tests {
     fn study_audit_has_no_errors_on_the_default_study() {
         let f = fleet();
         let suite = ProbeSuite::new();
-        let report = Study::run_default().audit(&f, &suite);
+        let report = shared_study().audit(&f, &suite);
         assert!(!report.has_errors(), "{report}");
     }
 
@@ -397,7 +398,7 @@ mod tests {
     fn doctored_study_fires_ms304_and_ms305() {
         let f = fleet();
         let suite = ProbeSuite::new();
-        let mut s = Study::run_default().clone();
+        let mut s = shared_study().clone();
         s.observations[0].actual = metasim_units::Seconds::new(f64::NAN);
         s.observations[1].predictions[3] = s.observations[1].predictions[3] * 2.0;
         let report = s.audit(&f, &suite);
@@ -410,7 +411,7 @@ mod tests {
     fn shrinking_runtimes_pass_ms302_and_growth_fires_it() {
         let f = fleet();
         let suite = ProbeSuite::new();
-        let mut s = Study::run_default().clone();
+        let mut s = shared_study().clone();
         // Make one (case, machine) series grow dramatically with cpus.
         let (case, machine) = (s.observations[0].case, s.observations[0].machine);
         for o in &mut s.observations {

@@ -268,11 +268,12 @@ pub fn fit_weights_loocv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::shared_study;
     use metasim_machines::fleet;
     use metasim_probes::suite::ProbeSuite;
 
     fn setup() -> (&'static Study, ProbeSuite, metasim_machines::Fleet) {
-        (Study::run_default(), ProbeSuite::new(), fleet())
+        (shared_study(), ProbeSuite::new(), fleet())
     }
 
     #[test]

@@ -36,9 +36,12 @@
 //!   `MS9xx` rules).
 //!
 //! ```no_run
+//! use metasim_apps::groundtruth::GroundTruth;
 //! use metasim_core::study::Study;
+//! use metasim_probes::suite::ProbeSuite;
 //!
-//! let study = Study::run_default();
+//! let f = metasim_machines::fleet();
+//! let (study, _) = Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1);
 //! let table4 = study.table4();
 //! // Metric #9 (HPL+MAPS+NET+DEP) is the most accurate predictor.
 //! assert!(table4[8].mean_absolute <= table4[0].mean_absolute);

@@ -23,14 +23,16 @@
 //! it, pinned by tests here and exercised from the CLI via
 //! `metasim lint --mutate NAME`.
 
+use metasim_apps::tracing::TraceCache;
 use metasim_audit::registry::{MS501, MS502, MS503, MS504, MS505};
 use metasim_audit::{AuditPolicy, AuditReport, Auditor};
 use metasim_machines::MachineId;
+use metasim_probes::suite::ProbeSuite;
 use metasim_tracer::block::DependencyClass;
 
 use crate::formula::{calibrated, cost_expr, prediction_expr, Dim, Expr, ProbeQuantity};
 use crate::metric::MetricId;
-use crate::sensitivity::{lint_sensitivity, SenseModel, SenseMutation};
+use crate::sensitivity::{analyze_with_jobs, lint_report, SenseModel, SenseMutation};
 
 /// A static description of the study's dataflow graph: which machines the
 /// plan observes, which quantities the probe plan measures, which
@@ -394,16 +396,19 @@ pub fn lint(model: &LintModel) -> AuditReport {
 /// Run both static analyses — the `MS5xx` formula lint and the `MS9xx`
 /// sensitivity lint — into one report. This is what `metasim lint` runs
 /// end to end; the sensitivity pass evaluates `sense` abstractly (probes
-/// are measured, but no study cell is convolved beyond the model's scope).
+/// are measured through `suite` and traces read through `traces`, but no
+/// study cell is convolved beyond the model's scope).
 #[must_use]
 pub fn lint_full_with_policy(
     model: &LintModel,
     sense: &SenseModel,
+    suite: &ProbeSuite,
+    traces: &TraceCache,
     policy: AuditPolicy,
 ) -> AuditReport {
     let mut a = Auditor::with_policy(policy);
     lint_model(model, &mut a);
-    lint_sensitivity(sense, &mut a);
+    lint_report(sense, &analyze_with_jobs(sense, suite, traces, 1), &mut a);
     a.finish()
 }
 

@@ -67,10 +67,11 @@ pub fn rank_correlations(study: &Study) -> Vec<RankCorrelation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::shared_study;
 
     #[test]
     fn convolution_metrics_rank_better_than_hpl() {
-        let study = Study::run_default();
+        let study = shared_study();
         let rc = rank_correlations(study);
         let tau = |m: MetricId| rc[m.number() - 1].mean_tau;
         assert!(
@@ -85,7 +86,7 @@ mod tests {
 
     #[test]
     fn every_metric_reports_fifteen_groups() {
-        let study = Study::run_default();
+        let study = shared_study();
         for metric in MetricId::ALL {
             let count = all_test_cases()
                 .into_iter()
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn tau_values_are_bounded() {
-        let study = Study::run_default();
+        let study = shared_study();
         for rc in rank_correlations(study) {
             assert!(rc.mean_tau >= -1.0 && rc.mean_tau <= 1.0);
             assert!(rc.min_tau >= -1.0 && rc.min_tau <= 1.0);

@@ -43,12 +43,12 @@
 //! * **MS904** — the empirical closure: a chaos probe-noise run at ±ε
 //!   must land inside the static intervals, for every cell and metric.
 
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use metasim_apps::registry::{all_test_cases, TestCase};
-use metasim_apps::tracing::trace_workload;
+use metasim_apps::tracing::TraceCache;
 use metasim_audit::registry::{MS901, MS902, MS903, MS904};
 use metasim_audit::Auditor;
 use metasim_cache::SingleFlight;
@@ -423,47 +423,63 @@ fn qindex(q: ProbeQuantity) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Memoized inputs
+// Inputs
 // ---------------------------------------------------------------------------
 
-type Memo<K, V> = LazyLock<SingleFlight<K, Arc<V>>>;
-
 struct TraceData {
-    trace: ApplicationTrace,
+    trace: Arc<ApplicationTrace>,
     labels: Vec<DependencyClass>,
 }
 
-fn trace_for(case: TestCase, cpus: u64) -> Arc<TraceData> {
-    static CACHE: Memo<(&'static str, u64), TraceData> = LazyLock::new(SingleFlight::new);
-    CACHE.get_or_init((case.label(), cpus), || {
-        let trace = trace_workload(&case.workload(cpus));
-        let labels = analyze_dependencies(&trace.blocks);
-        Arc::new(TraceData { trace, labels })
-    })
+/// What one analysis of `model` reads: the caller's suite and traces, plus
+/// two single-flight memos that live as long as the analysis — each
+/// trace's dependency labels and each machine's noisy probe set.
+struct Inputs<'a> {
+    model: &'a SenseModel,
+    suite: &'a ProbeSuite,
+    traces: &'a TraceCache,
+    labelled: SingleFlight<(TestCase, u64), Arc<TraceData>>,
+    noisy: SingleFlight<MachineId, Arc<MachineProbes>>,
 }
 
-fn nominal_probes(machine: &MachineConfig) -> Arc<MachineProbes> {
-    static SUITE: LazyLock<ProbeSuite> = LazyLock::new(ProbeSuite::new);
-    SUITE.measure(machine)
-}
-
-/// Probes as a deterministic chaos probe-noise plan perturbs them — the
-/// observed side of the MS904 cross-check. The noise perturbs a raw
-/// measurement after the fact, so the nominal suite's sweep is reused, not
-/// repeated. `sigma == 0` short-circuits to the nominal probes (the
-/// injector's factor is exactly 1.0 there).
-fn noisy_probes(machine: &MachineConfig, seed: u64, sigma: f64) -> Arc<MachineProbes> {
-    static CACHE: Memo<(&'static str, u64, u64), MachineProbes> = LazyLock::new(SingleFlight::new);
-    if sigma == 0.0 {
-        return nominal_probes(machine);
+impl<'a> Inputs<'a> {
+    fn new(model: &'a SenseModel, suite: &'a ProbeSuite, traces: &'a TraceCache) -> Self {
+        Self {
+            model,
+            suite,
+            traces,
+            labelled: SingleFlight::new(),
+            noisy: SingleFlight::new(),
+        }
     }
-    CACHE.get_or_init((machine.id.label(), seed, sigma.to_bits()), || {
-        let raw = (*nominal_probes(machine)).clone();
-        Arc::new(metasim_chaos::with_plan(
-            probe_noise_plan(seed, sigma),
-            || apply_probe_noise(machine, raw),
-        ))
-    })
+
+    fn trace(&self, case: TestCase, cpus: u64) -> Arc<TraceData> {
+        self.labelled.get_or_init((case, cpus), || {
+            let trace = self.traces.trace(&case.workload(cpus));
+            let labels = analyze_dependencies(&trace.blocks);
+            Arc::new(TraceData { trace, labels })
+        })
+    }
+
+    /// `machine`'s probes as the model's chaos probe-noise plan perturbs
+    /// them — the observed side of the MS904 cross-check. The noise
+    /// perturbs a raw measurement after the fact, so the suite's nominal
+    /// sweep is reused, not repeated. A zero amplitude short-circuits to
+    /// the nominal probes (the injector's factor is exactly 1.0 there).
+    fn noisy(&self, machine: &MachineConfig) -> Arc<MachineProbes> {
+        let nominal = self.suite.measure(machine);
+        let (seed, sigma) = (self.model.seed, self.model.observed_epsilon);
+        if sigma == 0.0 {
+            return nominal;
+        }
+        self.noisy.get_or_init(machine.id, || {
+            let plan = probe_noise_plan(seed, sigma);
+            let raw = (*nominal).clone();
+            Arc::new(metasim_chaos::with_plan(plan, || {
+                apply_probe_noise(machine, raw)
+            }))
+        })
+    }
 }
 
 fn probe_noise_plan(seed: u64, sigma: f64) -> Arc<FaultPlan> {
@@ -593,15 +609,16 @@ fn cells_for(scope: SenseScope) -> Vec<(TestCase, u64, MachineId)> {
 fn eval_cell(
     model: &SenseModel,
     f: &metasim_machines::Fleet,
+    inputs: &Inputs<'_>,
     case: TestCase,
     cpus: u64,
     machine: MachineId,
 ) -> Vec<CellOut> {
-    let td = trace_for(case, cpus);
-    let target = nominal_probes(f.get(machine));
-    let base = nominal_probes(f.base());
-    let noisy_target = noisy_probes(f.get(machine), model.seed, model.observed_epsilon);
-    let noisy_base = noisy_probes(f.base(), model.seed, model.observed_epsilon);
+    let td = inputs.trace(case, cpus);
+    let target = inputs.suite.measure(f.get(machine));
+    let base = inputs.suite.measure(f.base());
+    let noisy_target = inputs.noisy(f.get(machine));
+    let noisy_base = inputs.noisy(f.base());
     model
         .formulas
         .iter()
@@ -663,27 +680,25 @@ fn outside(observed: f64, lo: f64, hi: f64) -> bool {
     observed < lo - lo.abs() * CONTAINMENT_SLACK || observed > hi + hi.abs() * CONTAINMENT_SLACK
 }
 
-/// Run the full analysis sequentially.
+/// Run the analysis, measuring probes through `suite` and tracing through
+/// `traces`, sharded across up to `jobs` worker threads by the study's own
+/// executor. Cells are independent and aggregated in canonical grid order,
+/// so any `jobs` value produces a byte-identical report.
 #[must_use]
-pub fn analyze(model: &SenseModel) -> SensitivityReport {
-    analyze_with_jobs(model, 1)
-}
-
-/// Run the analysis sharded across up to `jobs` worker threads by the
-/// study's own executor. Cells are independent and aggregated in canonical
-/// grid order, so any `jobs` value produces a byte-identical report.
-#[must_use]
-pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
+pub fn analyze_with_jobs(
+    model: &SenseModel,
+    suite: &ProbeSuite,
+    traces: &TraceCache,
+    jobs: usize,
+) -> SensitivityReport {
     let f = fleet();
     let cell_list = cells_for(model.scope);
-
-    // The probe and trace memos are single-flight, so workers that reach
-    // the same cold machine or trace wait for one measurement.
+    let inputs = Inputs::new(model, suite, traces);
     let outs: Vec<Vec<CellOut>> = run_sharded(
         metasim_obs::current_ctx(),
         jobs,
         cell_list.clone(),
-        |(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine),
+        |(case, cpus, machine)| eval_cell(model, &f, &inputs, case, cpus, machine),
     );
 
     let mut metrics = Vec::with_capacity(model.formulas.len());
@@ -887,22 +902,31 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
     });
 }
 
-/// Run the analysis and lint it in one step — what
-/// [`crate::lint::lint_full_with_policy`] calls for the MS9xx family.
-pub fn lint_sensitivity(model: &SenseModel, a: &mut Auditor) {
-    let report = analyze(model);
-    lint_report(model, &report, a);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use metasim_audit::{AuditPolicy, AuditReport};
     use metasim_chaos::{site, FaultPoint, NOISE_TOLERANCE};
 
+    /// One suite and trace cache for every test in this binary: the
+    /// analyses differ only in their models.
+    fn shared() -> (&'static ProbeSuite, &'static TraceCache) {
+        static SUITE: std::sync::OnceLock<ProbeSuite> = std::sync::OnceLock::new();
+        static TRACES: std::sync::OnceLock<TraceCache> = std::sync::OnceLock::new();
+        (
+            SUITE.get_or_init(ProbeSuite::new),
+            TRACES.get_or_init(TraceCache::new),
+        )
+    }
+
+    fn run(model: &SenseModel) -> SensitivityReport {
+        let (suite, traces) = shared();
+        analyze_with_jobs(model, suite, traces, 1)
+    }
+
     fn lint_model(model: &SenseModel) -> AuditReport {
         let mut a = Auditor::with_policy(AuditPolicy::default());
-        lint_sensitivity(model, &mut a);
+        lint_report(model, &run(model), &mut a);
         a.finish()
     }
 
@@ -953,27 +977,23 @@ mod tests {
         let f = fleet();
         let (case, cpus) = all_test_cases()[0];
         let machine = MachineId::TARGETS[0];
-        let td = trace_for(case, cpus);
-        let target = nominal_probes(f.get(machine));
-        let base = nominal_probes(f.base());
+        let (suite, traces) = shared();
+        let trace = traces.trace(&case.workload(cpus));
+        let labels = analyze_dependencies(&trace.blocks);
+        let target = suite.measure(f.get(machine));
+        let base = suite.measure(f.base());
         for (metric, expr) in &model.formulas {
             let val: Val = eval_prediction_in(
                 expr,
                 &target,
                 &base,
-                &td.trace,
-                &td.labels,
+                &trace,
+                &labels,
                 Seconds::new(1.0),
                 model.epsilon,
             );
-            let concrete = eval_prediction(
-                expr,
-                &target,
-                &base,
-                &td.trace,
-                &td.labels,
-                Seconds::new(1.0),
-            );
+            let concrete =
+                eval_prediction(expr, &target, &base, &trace, &labels, Seconds::new(1.0));
             assert_eq!(
                 val.v.to_bits(),
                 concrete.get().to_bits(),
@@ -992,7 +1012,7 @@ mod tests {
         // T′(#1) = (r_base / r_target) · T₀: elasticity −1 in the target
         // rate, +1 in the base rate, 0 coherently.
         let model = SenseModel::shipped(SenseScope::Reference);
-        let report = analyze(&model);
+        let report = run(&model);
         let m1 = &report.metrics[0];
         assert_eq!(m1.ranked.len(), 1);
         assert_eq!(m1.ranked[0].quantity, "hpl-rmax");
@@ -1029,7 +1049,7 @@ mod tests {
             model.epsilon = NOISE_TOLERANCE;
             model.observed_epsilon = NOISE_TOLERANCE;
             model.seed = seed;
-            let report = analyze(&model);
+            let report = run(&model);
             assert_eq!(
                 report.total_violations(),
                 0,
@@ -1067,7 +1087,7 @@ mod tests {
         model.epsilon = eps;
         model.observed_epsilon = sigma;
         model.seed = seed;
-        let report = analyze(&model);
+        let report = run(&model);
         assert!(
             report.total_violations() > 0,
             "seed {seed}: just-over-band noise must escape some static interval"
@@ -1077,14 +1097,18 @@ mod tests {
     #[test]
     fn noisy_probes_equal_a_fresh_sweep_under_the_same_plan() {
         let f = fleet();
+        let (suite, traces) = shared();
         for machine in [f.base(), f.get(MachineId::TARGETS[0])] {
             for sigma in [0.05, NOISE_TOLERANCE] {
+                let mut model = SenseModel::shipped(SenseScope::Reference);
+                model.seed = 42;
+                model.observed_epsilon = sigma;
                 let fresh = metasim_chaos::with_plan(probe_noise_plan(42, sigma), || {
                     ProbeSuite::new().measure(machine)
                 });
-                let noisy = noisy_probes(machine, 42, sigma);
+                let noisy = Inputs::new(&model, suite, traces).noisy(machine);
                 assert_eq!(*noisy, *fresh, "{} at sigma {sigma}", machine.id);
-                assert_ne!(*noisy, *nominal_probes(machine), "the plan perturbs");
+                assert_ne!(*noisy, *suite.measure(machine), "the plan perturbs");
             }
         }
     }
@@ -1092,8 +1116,9 @@ mod tests {
     #[test]
     fn analysis_is_deterministic_and_jobs_invariant() {
         let model = SenseModel::shipped(SenseScope::Reference);
-        let a = serde_json::to_string(&analyze_with_jobs(&model, 1)).unwrap();
-        let b = serde_json::to_string(&analyze_with_jobs(&model, 4)).unwrap();
+        let (suite, traces) = shared();
+        let a = serde_json::to_string(&analyze_with_jobs(&model, suite, traces, 1)).unwrap();
+        let b = serde_json::to_string(&analyze_with_jobs(&model, suite, traces, 4)).unwrap();
         assert_eq!(a, b, "per-cell parallelism must not change the report");
     }
 }

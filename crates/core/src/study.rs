@@ -2,7 +2,7 @@
 //! systems × 9 metrics = 1,350 predictions against 150 observations,
 //! exactly the grid behind the paper's Table 4, Table 5, and Figures 2–7.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -11,7 +11,7 @@ use metasim_apps::groundtruth::GroundTruth;
 use metasim_apps::registry::{all_test_cases, TestCase};
 use metasim_apps::tracing::TraceCache;
 use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
-use metasim_machines::{fleet, Fleet, MachineId};
+use metasim_machines::{Fleet, MachineId};
 use metasim_memsim::analytic::Tier;
 use metasim_memsim::bandwidth::measure_bandwidth_memo;
 use metasim_obs::hdr::LAT_PREDICTION;
@@ -340,7 +340,7 @@ impl Study {
     }
 
     /// Run the full study on `fleet`: the one entry point that computes a
-    /// study ([`run_default`](Self::run_default) memoizes a call of it).
+    /// study.
     ///
     /// With a store, a warm hit loads the whole result set in one read —
     /// validated on load by the value-level `MS3xx` audit rules plus a
@@ -421,16 +421,6 @@ impl Study {
             );
         }
         (study, timings)
-    }
-
-    /// Run (once per process) on the default HPCMP fleet; later calls
-    /// return the cached result.
-    pub fn run_default() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| {
-            let f = fleet();
-            Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
-        })
     }
 
     /// Table 4: per-metric average absolute error and standard deviation.
@@ -550,14 +540,24 @@ impl Study {
     }
 }
 
+/// The default fleet's store-less serial study, computed once per test
+/// binary for the tests that only read it.
+#[cfg(test)]
+pub(crate) fn shared_study() -> &'static Study {
+    static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
+    STUDY.get_or_init(|| {
+        let f = metasim_machines::fleet();
+        Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metasim_machines::fleet;
 
-    // The study is expensive; run_default memoizes it for every test in
-    // this binary.
     fn study() -> &'static Study {
-        Study::run_default()
+        shared_study()
     }
 
     #[test]
@@ -798,7 +798,7 @@ mod tests {
             metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
                 Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
             });
-        assert_eq!(&a, Study::run_default());
+        assert_eq!(&a, shared_study());
 
         let names: Vec<String> = rec.span_records().into_iter().map(|s| s.name).collect();
         assert!(names.iter().any(|n| n == "study"), "root span missing");

@@ -143,10 +143,11 @@ pub fn census(study: &Study) -> SuperlativeCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::shared_study;
 
     #[test]
     fn fifteen_groups() {
-        let groups = group_errors(Study::run_default());
+        let groups = group_errors(shared_study());
         assert_eq!(groups.len(), 15);
         for g in &groups {
             assert!(g.errors.iter().all(|e| e.is_finite() && *e >= 0.0));
@@ -160,7 +161,7 @@ mod tests {
         // STREAM in 11/15; #9 best-or-tied in 10/15. Our reproduction's
         // spread is compressed, so we assert the same *direction* with
         // slightly relaxed counts.
-        let c = census(Study::run_default());
+        let c = census(shared_study());
         assert_eq!(c.groups, 15);
         assert!(c.hpl_worst >= 10, "HPL worst in {} of 15", c.hpl_worst);
         assert!(
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn hpl_is_never_the_best_predictor() {
         // §6: "HPL was not an accurate predictor for any of the 15 pairings".
-        let groups = group_errors(Study::run_default());
+        let groups = group_errors(shared_study());
         for g in &groups {
             assert_ne!(g.best(), MetricId::S1Hpl, "{:?}@{}", g.case, g.cpus);
             assert_ne!(g.best(), MetricId::P4Hpl, "{:?}@{}", g.case, g.cpus);

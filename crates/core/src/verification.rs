@@ -172,10 +172,11 @@ pub fn verify(study: &Study) -> Vec<Claim> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::shared_study;
 
     #[test]
     fn all_claims_pass_on_the_default_study() {
-        let claims = verify(Study::run_default());
+        let claims = verify(shared_study());
         assert!(claims.len() >= 10);
         for c in &claims {
             assert!(c.pass, "claim `{}` failed: {}", c.name, c.detail);
@@ -184,7 +185,7 @@ mod tests {
 
     #[test]
     fn claims_have_distinct_names() {
-        let claims = verify(Study::run_default());
+        let claims = verify(shared_study());
         let mut names: Vec<_> = claims.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();

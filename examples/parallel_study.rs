@@ -32,12 +32,13 @@ fn main() {
         timings.total_seconds
     );
 
-    // 2. The serial reference (a process-wide memo, so later examples and
-    //    tests share it) — byte-identical, not just approximately equal.
-    let serial = Study::run_default();
+    // 2. The serial reference, on fresh memos so nothing is shared with the
+    //    sharded run — byte-identical, not just approximately equal.
+    let (serial, _) =
+        Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1);
     assert_eq!(
         serde_json::to_string(&parallel).expect("serialize"),
-        serde_json::to_string(serial).expect("serialize"),
+        serde_json::to_string(&serial).expect("serialize"),
         "sharding must not move a single output bit"
     );
     println!("serial reference: byte-identical artifact");
