@@ -11,9 +11,11 @@ use metasim_audit::{AllowRule, AuditPolicy};
 use metasim_cache::ArtifactStore;
 use metasim_chaos::{FaultPlan, FaultPoint};
 use metasim_core::balanced::{fit_weights, fit_weights_mae, idc_equal_weights, CATEGORY_NAMES};
+use metasim_core::lint::LintModel;
 use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
 use metasim_core::ranking::rank_correlations;
+use metasim_core::sensitivity::{SenseModel, SenseScope};
 use metasim_core::study::{Study, StudyTimings};
 use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_obs::diff::{diff_and_audit, DiffBudget};
@@ -123,19 +125,15 @@ commands:
                      cross-checks the analytic cache model against the
                      exact simulator on every machine (MS801); exits
                      non-zero on error-severity findings
-  lint [--json] [--deny-warnings] [--allow RULE[@subject]]... [--mutate NAME]
+  lint [--json] [--deny-warnings] [--allow RULE[@subject]]...
                      statically analyze the nine metric formulas (MS5xx):
                      prove every prediction reduces to seconds, flag
                      unmeasured quantities, unread measurements, unused
                      machines, and unreachable ENHANCED MAPS branches; also
                      screens the reference prediction's sensitivity
-                     profile (MS9xx); --mutate seeds a named defect
-                     (eq1-multiply, drop-maps, drop-network-terms,
-                     drop-target, single-dep-class, uncancelled-bias,
-                     dead-flop-term, cancelling-denominator, noise-blind)
-                     to show its rule fire
+                     profile (MS9xx)
   sense [--json] [--deny-warnings] [--allow RULE[@subject]]...
-        [--mutate NAME] [--reference] [--jobs N]
+        [--reference] [--jobs N]
                      static sensitivity and error-propagation analysis over
                      the formula IR: abstract interpretation derives
                      interval bounds on every prediction under a ±5% probe
@@ -147,7 +145,7 @@ commands:
                      MS903 non-Lipschitz amplification, MS904 interval
                      violated by the observed run); --reference analyzes
                      only the reference cell instead of the full 150-cell
-                     grid; --mutate seeds formula or sense defects
+                     grid
   study [--timings] [--jobs N] [--cache-dir DIR] [--no-cache]
         [--tier exact|analytic|auto] [--export FILE.csv]
         [--bench-out FILE.json] [--obs-out FILE.json]
@@ -272,21 +270,6 @@ fn parse_policy_flag(
     Ok(true)
 }
 
-/// Announce a seeded mutation. Under `--json` it goes to stderr, so
-/// stdout stays machine-parseable.
-fn announce_mutation(m: metasim_core::AnyMutation, json: bool) {
-    let announce = format!(
-        "seeding mutation `{}` (expect {})",
-        m.name(),
-        m.expected_code()
-    );
-    if json {
-        eprintln!("{announce}");
-    } else {
-        println!("{announce}\n");
-    }
-}
-
 fn audit(rest: &[String]) -> Result<(), String> {
     use metasim_audit::render;
 
@@ -337,41 +320,38 @@ fn audit(rest: &[String]) -> Result<(), String> {
 }
 
 fn lint(rest: &[String]) -> Result<(), String> {
-    use metasim_audit::render;
-    use metasim_core::formula::cost_expr;
-    use metasim_core::lint::{lint_full_with_policy, AnyMutation, LintModel};
-    use metasim_core::sensitivity::{SenseModel, SenseScope};
-
     let mut json = false;
     let mut policy = AuditPolicy::default();
-    let mut mutation: Option<AnyMutation> = None;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
-        if parse_policy_flag(arg, &mut args, &mut json, &mut policy)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--mutate" => {
-                let name = args.next().ok_or("--mutate needs a mutation name")?;
-                mutation = Some(AnyMutation::parse(name)?);
-            }
-            other => return Err(format!("unknown lint flag `{other}`")),
+        if !parse_policy_flag(arg, &mut args, &mut json, &mut policy)? {
+            return Err(format!("unknown lint flag `{arg}`"));
         }
     }
-
-    let mut model = LintModel::shipped();
     // The sensitivity pass in `lint` covers the representative cell; the
     // full 150-cell grid is `metasim sense`.
-    let mut sense = SenseModel::shipped(SenseScope::Reference);
-    if let Some(m) = mutation {
-        announce_mutation(m, json);
-        match m {
-            AnyMutation::Formula(m) => model = LintModel::mutated(m),
-            AnyMutation::Sense(m) => m.apply(&mut sense),
-        }
-    }
+    run_lint(
+        &LintModel::shipped(),
+        &SenseModel::shipped(SenseScope::Reference),
+        json,
+        policy,
+    )
+}
+
+/// Lint `model` and `sense` and print the report; an error-severity
+/// finding is the `Err`.
+fn run_lint(
+    model: &LintModel,
+    sense: &SenseModel,
+    json: bool,
+    policy: AuditPolicy,
+) -> Result<(), String> {
+    use metasim_audit::render;
+    use metasim_core::formula::cost_expr;
+    use metasim_core::lint::lint_full_with_policy;
+
     let session = Session::new(None, Tier::Exact, 1);
-    let report = lint_full_with_policy(&model, &sense, &session.suite, &session.traces, policy);
+    let report = lint_full_with_policy(model, sense, &session.suite, &session.traces, policy);
 
     if json {
         print!("{}", render::jsonl(&report));
@@ -404,13 +384,8 @@ fn lint(rest: &[String]) -> Result<(), String> {
 }
 
 fn sense(rest: &[String]) -> Result<(), String> {
-    use metasim_audit::{render, Auditor};
-    use metasim_core::lint::{AnyMutation, LintModel};
-    use metasim_core::sensitivity::{analyze_with_jobs, lint_report, SenseModel, SenseScope};
-
     let mut json = false;
     let mut policy = AuditPolicy::default();
-    let mut mutation: Option<AnyMutation> = None;
     let mut reference = false;
     let mut jobs: usize = 1;
     let mut args = rest.iter();
@@ -419,10 +394,6 @@ fn sense(rest: &[String]) -> Result<(), String> {
             continue;
         }
         match arg.as_str() {
-            "--mutate" => {
-                let name = args.next().ok_or("--mutate needs a mutation name")?;
-                mutation = Some(AnyMutation::parse(name)?);
-            }
             "--reference" => reference = true,
             "--jobs" => {
                 let n = args.next().ok_or("--jobs needs a thread count")?;
@@ -440,22 +411,24 @@ fn sense(rest: &[String]) -> Result<(), String> {
     } else {
         SenseScope::FullGrid
     };
-    let mut model = SenseModel::shipped(scope);
-    if let Some(m) = mutation {
-        announce_mutation(m, json);
-        match m {
-            AnyMutation::Sense(m) => m.apply(&mut model),
-            // Formula mutations flow through: sense judges the mutated
-            // formulas by their conditioning (the EXPERIMENTS.md
-            // eq1-multiply walkthrough), not their dimensions.
-            AnyMutation::Formula(m) => model.formulas = LintModel::mutated(m).formulas,
-        }
-    }
+    run_sense(&SenseModel::shipped(scope), json, policy, jobs)
+}
+
+/// Analyze `model` over `jobs` workers and print the report; an
+/// error-severity finding is the `Err`.
+fn run_sense(
+    model: &SenseModel,
+    json: bool,
+    policy: AuditPolicy,
+    jobs: usize,
+) -> Result<(), String> {
+    use metasim_audit::{render, Auditor};
+    use metasim_core::sensitivity::{analyze_with_jobs, lint_report};
 
     let session = Session::new(None, Tier::Exact, jobs);
-    let report = analyze_with_jobs(&model, &session.suite, &session.traces, session.jobs);
+    let report = analyze_with_jobs(model, &session.suite, &session.traces, session.jobs);
     let mut a = Auditor::with_policy(policy);
-    lint_report(&model, &report, &mut a);
+    lint_report(model, &report, &mut a);
     let audit_report = a.finish();
 
     if json {
@@ -1935,29 +1908,10 @@ mod tests {
     #[test]
     fn lint_rejects_bad_flags() {
         assert!(dispatch("lint", &["--frobnicate".into()]).is_err());
-        assert!(dispatch("lint", &["--mutate".into()]).is_err());
-        assert!(dispatch("lint", &["--mutate".into(), "no-such-defect".into()]).is_err());
         assert!(dispatch("lint", &["--allow".into(), "not-a-code".into()]).is_err());
-    }
-
-    #[test]
-    fn unknown_mutation_lists_both_families() {
-        let err = dispatch("lint", &["--mutate".into(), "no-such-defect".into()]).unwrap_err();
-        // The error is a catalog, not a bare rejection: every mutation
-        // from both analysis families is named.
-        for name in [
-            "eq1-multiply",
-            "drop-maps",
-            "drop-network-terms",
-            "drop-target",
-            "single-dep-class",
-            "uncancelled-bias",
-            "dead-flop-term",
-            "cancelling-denominator",
-            "noise-blind",
-        ] {
-            assert!(err.contains(name), "error must list `{name}`: {err}");
-        }
+        // Seeded defects are test fixtures, not a flag.
+        let err = dispatch("lint", &["--mutate".into(), "eq1-multiply".into()]).unwrap_err();
+        assert!(err.contains("unknown lint flag"), "{err}");
     }
 
     #[test]
@@ -2030,40 +1984,50 @@ mod tests {
         assert_eq!(note, " [partial: 9/10 systems, 135/150 observations]");
     }
 
+    fn deny_warnings() -> AuditPolicy {
+        AuditPolicy {
+            deny_warnings: true,
+            ..AuditPolicy::default()
+        }
+    }
+
     #[test]
     fn lint_passes_clean_and_catches_the_seeded_dimension_bug() {
         // The shipped formulas lint clean even under --deny-warnings...
         assert!(dispatch("lint", &["--deny-warnings".into()]).is_ok());
-        // ...and the wrong-unit Equation 1 exits non-zero with MS501.
-        let err = dispatch("lint", &["--mutate".into(), "eq1-multiply".into()]).unwrap_err();
+        // ...and Metric #1 without Equation 1's calibration, a prediction
+        // in s/flop, exits non-zero with MS501.
+        let mut model = LintModel::shipped();
+        model.formulas[0].1 = metasim_core::formula::cost_expr(MetricId::S1Hpl);
+        let sense = SenseModel::shipped(SenseScope::Reference);
+        let err = run_lint(&model, &sense, false, AuditPolicy::default()).unwrap_err();
         assert!(err.contains("error"), "{err}");
     }
 
     #[test]
     fn lint_warn_mutations_fail_only_under_deny_warnings() {
-        assert!(dispatch("lint", &["--mutate".into(), "single-dep-class".into()]).is_ok());
-        assert!(dispatch(
-            "lint",
-            &[
-                "--mutate".into(),
-                "single-dep-class".into(),
-                "--deny-warnings".into()
-            ]
-        )
-        .is_err());
+        // A single-class dependency analyzer leaves two ENHANCED MAPS
+        // flavors unreachable: an MS505 warning.
+        let model = LintModel {
+            emitted_classes: vec![metasim_tracer::block::DependencyClass::Independent],
+            ..LintModel::shipped()
+        };
+        let sense = SenseModel::shipped(SenseScope::Reference);
+        assert!(run_lint(&model, &sense, false, AuditPolicy::default()).is_ok());
+        assert!(run_lint(&model, &sense, false, deny_warnings()).is_err());
     }
 
     #[test]
     fn sense_rejects_bad_flags() {
         assert!(dispatch("sense", &["--frobnicate".into()]).is_err());
-        assert!(dispatch("sense", &["--mutate".into()]).is_err());
-        assert!(dispatch("sense", &["--mutate".into(), "no-such-defect".into()]).is_err());
         assert!(dispatch("sense", &["--jobs".into(), "0".into()]).is_err());
-        // The thresholds, band and seed are fixed: no flag selects them.
+        // The thresholds, band and seed are fixed, and seeded defects are
+        // test fixtures: no flag selects them.
         for (flag, value) in [
             ("--budget", "ci/sense-budget.json"),
             ("--epsilon", "0.05"),
             ("--seed", "42"),
+            ("--mutate", "noise-blind"),
         ] {
             let err = dispatch("sense", &[flag.into(), value.into()]).unwrap_err();
             assert!(err.contains("unknown sense flag"), "{flag}: {err}");
@@ -2072,37 +2036,57 @@ mod tests {
 
     #[test]
     fn sense_reference_is_clean_and_seeded_defects_fail() {
+        use metasim_core::formula::{cost_expr, prediction_expr, Expr, RateSource, TimeSource};
+
+        let base_time = || Box::new(Expr::Time(TimeSource::BaseRuntime));
+        let on_base = |cost: &Expr| Box::new(Expr::OnBase(Box::new(cost.clone())));
+
         // The shipped reference analysis is warning-free...
         assert!(dispatch("sense", &["--reference".into(), "--deny-warnings".into()]).is_ok());
-        // ...each error-severity sense defect exits non-zero...
-        for name in ["uncancelled-bias", "cancelling-denominator", "noise-blind"] {
-            let err = dispatch(
-                "sense",
-                &["--reference".into(), "--mutate".into(), name.into()],
-            )
-            .unwrap_err();
-            assert!(err.contains("error"), "{name}: {err}");
+        // ...each error-severity defect exits non-zero: Equation 1 with a
+        // multiply on Metric #1 (MS901), a STREAM cost `1 / (s − 0.999·s)`
+        // on Metric #2 (MS903), and a static band collapsed to a point
+        // (MS904)...
+        let mut uncancelled_bias = SenseModel::shipped(SenseScope::Reference);
+        let hpl = cost_expr(MetricId::S1Hpl);
+        uncancelled_bias.formulas[0].1 = Expr::Mul(
+            Box::new(Expr::Mul(Box::new(hpl.clone()), on_base(&hpl))),
+            base_time(),
+        );
+        let mut cancelling_denominator = SenseModel::shipped(SenseScope::Reference);
+        let stream = Expr::Rate(RateSource::StreamBandwidth);
+        let cost = Expr::Recip(Box::new(Expr::Sum(vec![
+            stream.clone(),
+            Expr::Mul(Box::new(Expr::Const(-0.999)), Box::new(stream)),
+        ])));
+        cancelling_denominator.formulas[1].1 = Expr::Mul(
+            Box::new(Expr::Ratio(Box::new(cost.clone()), on_base(&cost))),
+            base_time(),
+        );
+        let noise_blind = SenseModel {
+            epsilon: 0.0,
+            ..SenseModel::shipped(SenseScope::Reference)
+        };
+        for (code, model) in [
+            ("MS901", &uncancelled_bias),
+            ("MS903", &cancelling_denominator),
+            ("MS904", &noise_blind),
+        ] {
+            let err = run_sense(model, false, AuditPolicy::default(), 1).unwrap_err();
+            assert!(err.contains("error"), "{code}: {err}");
         }
-        // ...and the MS902 warning only fails under --deny-warnings.
-        assert!(dispatch(
-            "sense",
-            &[
-                "--reference".into(),
-                "--mutate".into(),
-                "dead-flop-term".into()
-            ]
-        )
-        .is_ok());
-        assert!(dispatch(
-            "sense",
-            &[
-                "--reference".into(),
-                "--mutate".into(),
-                "dead-flop-term".into(),
-                "--deny-warnings".into()
-            ]
-        )
-        .is_err());
+        // ...and a zeroed HPL term, which leaves STREAM all the
+        // sensitivity (an MS902 warning), fails only under --deny-warnings.
+        let mut dead_hpl = SenseModel::shipped(SenseScope::Reference);
+        dead_hpl.formulas[4].1 = Expr::Sum(vec![
+            Expr::Mul(
+                Box::new(Expr::Const(0.0)),
+                Box::new(prediction_expr(MetricId::S1Hpl)),
+            ),
+            prediction_expr(MetricId::S2Stream),
+        ]);
+        assert!(run_sense(&dead_hpl, false, AuditPolicy::default(), 1).is_ok());
+        assert!(run_sense(&dead_hpl, false, deny_warnings(), 1).is_err());
     }
 
     #[test]

@@ -720,7 +720,7 @@ pub fn cost_expr(metric: MetricId) -> Expr {
 ///
 /// Whatever dimension the cost carries, the ratio cancels it and the
 /// base-runtime factor restores seconds — which is exactly what
-/// `metasim lint` verifies, and what the `eq1-multiply` mutation breaks.
+/// `metasim lint` verifies. The test fixture `eq1_multiply` breaks it.
 #[must_use]
 pub fn prediction_expr(metric: MetricId) -> Expr {
     calibrated(cost_expr(metric))
@@ -734,6 +734,24 @@ pub(crate) fn calibrated(cost: Expr) -> Expr {
         Expr::ratio(cost.clone(), Expr::OnBase(Box::new(cost))),
         Expr::Time(TimeSource::BaseRuntime),
     )
+}
+
+/// The nine prediction formulas with Equation 1 seeded wrong on Metric #1:
+/// `T′ = C(X) · C(X₀) · T(X₀)`, a multiply where the divide belongs. The
+/// prediction carries s³/flop² instead of seconds (MS501), and a coherent
+/// probe bias squares instead of cancelling (MS901).
+#[cfg(test)]
+pub(crate) fn eq1_multiply() -> Vec<(MetricId, Expr)> {
+    let mut formulas: Vec<(MetricId, Expr)> = MetricId::ALL
+        .into_iter()
+        .map(|m| (m, prediction_expr(m)))
+        .collect();
+    let cost = cost_expr(MetricId::S1Hpl);
+    formulas[0].1 = Expr::mul(
+        Expr::mul(cost.clone(), Expr::OnBase(Box::new(cost))),
+        Expr::Time(TimeSource::BaseRuntime),
+    );
+    formulas
 }
 
 // ---------------------------------------------------------------------------

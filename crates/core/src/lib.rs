@@ -62,8 +62,8 @@ pub mod superlatives;
 pub mod verification;
 
 pub use audit::{audit_inputs, audit_study, preflight, preflight_with_policy};
-pub use lint::{lint_full_with_policy, lint_with_policy, AnyMutation, LintModel, Mutation};
+pub use lint::{lint_full_with_policy, LintModel};
 pub use metric::{MetricId, MetricKind};
 pub use prediction::predict_all;
-pub use sensitivity::{SenseModel, SenseMutation, SenseScope, SensitivityReport};
+pub use sensitivity::{SenseModel, SenseScope, SensitivityReport};
 pub use study::{Coverage, Observation, Study};

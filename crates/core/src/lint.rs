@@ -17,11 +17,10 @@
 //!   reachability).
 //!
 //! The shipped model ([`LintModel::shipped`]) describes the study as
-//! built and lints clean; [`Mutation`]s seed specific defects — a
-//! wrong-unit Equation 1, a dropped network term, a single-class
-//! dependency analyzer — and each is caught by exactly the rule that owns
-//! it, pinned by tests here and exercised from the CLI via
-//! `metasim lint --mutate NAME`.
+//! built and lints clean. The tests here seed one defect at a time into
+//! its fields — a wrong-unit Equation 1, a dropped network term, a
+//! single-class dependency analyzer — and pin that each is caught by
+//! exactly the rule that owns it.
 
 use metasim_apps::tracing::TraceCache;
 use metasim_audit::registry::{MS501, MS502, MS503, MS504, MS505};
@@ -30,9 +29,9 @@ use metasim_machines::MachineId;
 use metasim_probes::suite::ProbeSuite;
 use metasim_tracer::block::DependencyClass;
 
-use crate::formula::{calibrated, cost_expr, prediction_expr, Dim, Expr, ProbeQuantity};
+use crate::formula::{prediction_expr, Dim, Expr, ProbeQuantity};
 use crate::metric::MetricId;
-use crate::sensitivity::{analyze_with_jobs, lint_report, SenseModel, SenseMutation};
+use crate::sensitivity::{analyze_with_jobs, lint_report, SenseModel};
 
 /// A static description of the study's dataflow graph: which machines the
 /// plan observes, which quantities the probe plan measures, which
@@ -71,195 +70,6 @@ impl LintModel {
                 DependencyClass::Branchy,
             ],
         }
-    }
-
-    /// The shipped model with one seeded defect.
-    #[must_use]
-    pub fn mutated(mutation: Mutation) -> Self {
-        let mut model = Self::shipped();
-        mutation.apply(&mut model);
-        model
-    }
-}
-
-/// A named, deliberately seeded defect for exercising the lint rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// Equation 1 with a multiply instead of a divide: the cost ratio no
-    /// longer cancels, so Metric #1's prediction stops being a time.
-    /// Caught by **MS501**.
-    Eq1Multiply,
-    /// Strike MAPS from the probe plan while #7–#9 still convolve against
-    /// its curves. Caught by **MS502**.
-    DropMapsLike,
-    /// Drop the network term from #8/#9: NETBENCH still measures latency,
-    /// bandwidth, and the `all_reduce` score, but nothing reads them.
-    /// Caught by **MS503**.
-    DropNetworkTerms,
-    /// Remove one target machine from the observation plan while its
-    /// config stays in the fleet. Caught by **MS504**.
-    DropTarget,
-    /// Restrict the dependency analyzer to a single class: the chained and
-    /// branchy ENHANCED MAPS curves become unreachable branches of
-    /// Metric #9's transfer function. Caught by **MS505**.
-    SingleDepClass,
-}
-
-impl Mutation {
-    /// Every named mutation, in help order.
-    pub const ALL: [Mutation; 5] = [
-        Mutation::Eq1Multiply,
-        Mutation::DropMapsLike,
-        Mutation::DropNetworkTerms,
-        Mutation::DropTarget,
-        Mutation::SingleDepClass,
-    ];
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::Eq1Multiply => "eq1-multiply",
-            Mutation::DropMapsLike => "drop-maps",
-            Mutation::DropNetworkTerms => "drop-network-terms",
-            Mutation::DropTarget => "drop-target",
-            Mutation::SingleDepClass => "single-dep-class",
-        }
-    }
-
-    /// The rule the mutation is designed to trip.
-    #[must_use]
-    pub fn expected_code(self) -> &'static str {
-        match self {
-            Mutation::Eq1Multiply => "MS501",
-            Mutation::DropMapsLike => "MS502",
-            Mutation::DropNetworkTerms => "MS503",
-            Mutation::DropTarget => "MS504",
-            Mutation::SingleDepClass => "MS505",
-        }
-    }
-
-    /// Parse a CLI spelling.
-    pub fn parse(name: &str) -> Result<Mutation, String> {
-        Mutation::ALL
-            .into_iter()
-            .find(|m| m.name() == name)
-            .ok_or_else(|| {
-                let known: Vec<&str> = Mutation::ALL.iter().map(|m| m.name()).collect();
-                format!("unknown mutation `{name}` (one of: {})", known.join(", "))
-            })
-    }
-
-    fn apply(self, model: &mut LintModel) {
-        match self {
-            Mutation::Eq1Multiply => {
-                // T′ = C(X) · C(X₀) · T(X₀): the seeded wrong-unit bug.
-                let cost = cost_expr(MetricId::S1Hpl);
-                model.formulas[0].1 = Expr::Mul(
-                    Box::new(Expr::Mul(
-                        Box::new(cost.clone()),
-                        Box::new(Expr::OnBase(Box::new(cost))),
-                    )),
-                    Box::new(Expr::Time(crate::formula::TimeSource::BaseRuntime)),
-                );
-            }
-            Mutation::DropMapsLike => {
-                model.measured.retain(|q| *q != ProbeQuantity::MapsCurves);
-            }
-            Mutation::DropNetworkTerms => {
-                // #8 and #9 forget their network term; the memory part stays.
-                for (metric, expr) in &mut model.formulas {
-                    match metric {
-                        MetricId::P8HplMapsNet => {
-                            *expr = calibrated(cost_expr(MetricId::P7HplMaps));
-                        }
-                        MetricId::P9HplMapsNetDep => {
-                            *expr = calibrated(labeled_maps_only());
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Mutation::DropTarget => {
-                let dropped = MachineId::TARGETS[MachineId::TARGETS.len() - 1];
-                model.plan_machines.retain(|m| *m != dropped);
-            }
-            Mutation::SingleDepClass => {
-                model.emitted_classes = vec![DependencyClass::Independent];
-            }
-        }
-    }
-}
-
-/// A seeded defect from either analysis family: a formula/probe-plan
-/// mutation (`MS5xx`, [`Mutation`]) or a sensitivity mutation (`MS9xx`,
-/// [`SenseMutation`]). `metasim lint --mutate NAME` accepts any of the
-/// nine names; an unknown name lists them all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyMutation {
-    /// A formula-model defect, caught by MS501–MS505.
-    Formula(Mutation),
-    /// A sensitivity-model defect, caught by MS901–MS904.
-    Sense(SenseMutation),
-}
-
-impl AnyMutation {
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AnyMutation::Formula(m) => m.name(),
-            AnyMutation::Sense(m) => m.name(),
-        }
-    }
-
-    /// The rule the mutation is designed to trip.
-    #[must_use]
-    pub fn expected_code(self) -> &'static str {
-        match self {
-            AnyMutation::Formula(m) => m.expected_code(),
-            AnyMutation::Sense(m) => m.expected_code(),
-        }
-    }
-
-    /// Every known mutation name across both families, in help order.
-    #[must_use]
-    pub fn all_names() -> Vec<&'static str> {
-        Mutation::ALL
-            .into_iter()
-            .map(Mutation::name)
-            .chain(SenseMutation::ALL.into_iter().map(SenseMutation::name))
-            .collect()
-    }
-
-    /// Parse a CLI spelling from any family. An unknown name fails with
-    /// the full list of available mutations, not a bare error.
-    pub fn parse(name: &str) -> Result<AnyMutation, String> {
-        Mutation::ALL
-            .into_iter()
-            .find(|m| m.name() == name)
-            .map(AnyMutation::Formula)
-            .or_else(|| {
-                SenseMutation::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .map(AnyMutation::Sense)
-            })
-            .ok_or_else(|| {
-                format!(
-                    "unknown mutation `{name}`; available mutations: {}",
-                    AnyMutation::all_names().join(", ")
-                )
-            })
-    }
-}
-
-/// Metric #9's memory part alone: the label-steered block sum without the
-/// network term (used by the `drop-network-terms` mutation).
-fn labeled_maps_only() -> Expr {
-    match cost_expr(MetricId::P9HplMapsNetDep) {
-        Expr::Sum(mut terms) => terms.swap_remove(0),
-        other => other,
     }
 }
 
@@ -379,20 +189,6 @@ fn lint_branches(model: &LintModel, a: &mut Auditor) {
     });
 }
 
-/// Lint `model` under `policy` and return the report.
-#[must_use]
-pub fn lint_with_policy(model: &LintModel, policy: AuditPolicy) -> AuditReport {
-    let mut a = Auditor::with_policy(policy);
-    lint_model(model, &mut a);
-    a.finish()
-}
-
-/// Lint `model` with the default policy.
-#[must_use]
-pub fn lint(model: &LintModel) -> AuditReport {
-    lint_with_policy(model, AuditPolicy::default())
-}
-
 /// Run both static analyses — the `MS5xx` formula lint and the `MS9xx`
 /// sensitivity lint — into one report. This is what `metasim lint` runs
 /// end to end; the sensitivity pass evaluates `sense` abstractly (probes
@@ -415,6 +211,68 @@ pub fn lint_full_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::{calibrated, cost_expr, eq1_multiply};
+
+    fn lint(model: &LintModel) -> AuditReport {
+        let mut a = Auditor::new();
+        lint_model(model, &mut a);
+        a.finish()
+    }
+
+    /// Metric #9's memory part alone: the label-steered block sum without
+    /// the network term.
+    fn labeled_maps_only() -> Expr {
+        match cost_expr(MetricId::P9HplMapsNetDep) {
+            Expr::Sum(mut terms) => terms.swap_remove(0),
+            other => other,
+        }
+    }
+
+    /// Equation 1 with a multiply instead of a divide: the cost ratio no
+    /// longer cancels, so Metric #1's prediction stops being a time (MS501).
+    fn wrong_unit_eq1() -> LintModel {
+        LintModel {
+            formulas: eq1_multiply(),
+            ..LintModel::shipped()
+        }
+    }
+
+    /// MAPS struck from the probe plan while #7–#9 still convolve against
+    /// its curves (MS502).
+    fn maps_unmeasured() -> LintModel {
+        let mut model = LintModel::shipped();
+        model.measured.retain(|q| *q != ProbeQuantity::MapsCurves);
+        model
+    }
+
+    /// #8 and #9 forget their network term: NETBENCH still measures
+    /// latency, bandwidth and the `all_reduce` score, but nothing reads
+    /// them (MS503).
+    fn network_terms_dropped() -> LintModel {
+        let mut model = LintModel::shipped();
+        model.formulas[7].1 = calibrated(cost_expr(MetricId::P7HplMaps));
+        model.formulas[8].1 = calibrated(labeled_maps_only());
+        model
+    }
+
+    /// One target machine left out of the observation plan while its
+    /// config stays in the fleet (MS504).
+    fn target_dropped() -> LintModel {
+        let mut model = LintModel::shipped();
+        let dropped = MachineId::TARGETS[MachineId::TARGETS.len() - 1];
+        model.plan_machines.retain(|m| *m != dropped);
+        model
+    }
+
+    /// A single-class dependency analyzer: the chained and branchy
+    /// ENHANCED MAPS curves become unreachable branches of Metric #9's
+    /// transfer function (MS505).
+    fn single_dep_class() -> LintModel {
+        LintModel {
+            emitted_classes: vec![DependencyClass::Independent],
+            ..LintModel::shipped()
+        }
+    }
 
     #[test]
     fn shipped_model_lints_clean() {
@@ -428,9 +286,8 @@ mod tests {
 
     #[test]
     fn eq1_multiply_is_rejected_as_a_dimension_error() {
-        // The seeded wrong-unit formula: multiply instead of divide in
-        // Equation 1. The prediction carries s³/flop² instead of s.
-        let report = lint(&LintModel::mutated(Mutation::Eq1Multiply));
+        // The prediction carries s³/flop² instead of s.
+        let report = lint(&wrong_unit_eq1());
         assert!(report.has_code("MS501"), "{:?}", report.diagnostics);
         assert!(report.has_errors());
         let d = report
@@ -447,7 +304,7 @@ mod tests {
 
     #[test]
     fn dropping_maps_measurement_flags_three_metrics() {
-        let report = lint(&LintModel::mutated(Mutation::DropMapsLike));
+        let report = lint(&maps_unmeasured());
         assert!(report.has_code("MS502"));
         let count = report
             .diagnostics
@@ -459,7 +316,7 @@ mod tests {
 
     #[test]
     fn dropping_network_terms_leaves_netbench_unread() {
-        let report = lint(&LintModel::mutated(Mutation::DropNetworkTerms));
+        let report = lint(&network_terms_dropped());
         let unread: Vec<&str> = report
             .diagnostics
             .iter()
@@ -474,14 +331,14 @@ mod tests {
 
     #[test]
     fn dropping_a_target_flags_the_unused_machine() {
-        let report = lint(&LintModel::mutated(Mutation::DropTarget));
+        let report = lint(&target_dropped());
         assert!(report.has_code("MS504"));
         assert_eq!(report.diagnostics.len(), 1);
     }
 
     #[test]
     fn single_class_analyzer_makes_enhanced_curves_unreachable() {
-        let report = lint(&LintModel::mutated(Mutation::SingleDepClass));
+        let report = lint(&single_dep_class());
         let flavors: Vec<&str> = report
             .diagnostics
             .iter()
@@ -495,64 +352,31 @@ mod tests {
 
     #[test]
     fn every_mutation_trips_exactly_its_rule() {
-        for m in Mutation::ALL {
-            let report = lint(&LintModel::mutated(m));
-            assert!(
-                report.has_code(m.expected_code()),
-                "{} must trip {}",
-                m.name(),
-                m.expected_code()
-            );
-            // And nothing else: a mutation seeds one defect.
+        let defects = [
+            ("MS501", wrong_unit_eq1()),
+            ("MS502", maps_unmeasured()),
+            ("MS503", network_terms_dropped()),
+            ("MS504", target_dropped()),
+            ("MS505", single_dep_class()),
+        ];
+        for (code, model) in defects {
+            let report = lint(&model);
+            assert!(report.has_code(code), "defect must trip {code}");
+            // And nothing else: a fixture seeds one defect.
             for d in &report.diagnostics {
-                assert_eq!(
-                    d.rule.code,
-                    m.expected_code(),
-                    "{}: unexpected extra finding {:?}",
-                    m.name(),
-                    d
-                );
+                assert_eq!(d.rule.code, code, "unexpected extra finding {d:?}");
             }
         }
     }
 
     #[test]
-    fn mutation_names_round_trip() {
-        for m in Mutation::ALL {
-            assert_eq!(Mutation::parse(m.name()).unwrap(), m);
-        }
-        assert!(Mutation::parse("no-such-mutation").is_err());
-    }
-
-    #[test]
-    fn any_mutation_spans_both_families() {
-        assert_eq!(AnyMutation::all_names().len(), 9);
-        for m in Mutation::ALL {
-            assert_eq!(
-                AnyMutation::parse(m.name()).unwrap(),
-                AnyMutation::Formula(m)
-            );
-        }
-        for m in SenseMutation::ALL {
-            assert_eq!(AnyMutation::parse(m.name()).unwrap(), AnyMutation::Sense(m));
-        }
-    }
-
-    #[test]
-    fn unknown_mutation_error_lists_every_available_name() {
-        let err = AnyMutation::parse("no-such-defect").unwrap_err();
-        for name in AnyMutation::all_names() {
-            assert!(err.contains(name), "error must list `{name}`: {err}");
-        }
-    }
-
-    #[test]
     fn deny_warnings_escalates_lint_warnings() {
-        let policy = AuditPolicy {
-            allow: Vec::new(),
+        let mut a = Auditor::with_policy(AuditPolicy {
             deny_warnings: true,
-        };
-        let report = lint_with_policy(&LintModel::mutated(Mutation::SingleDepClass), policy);
+            ..AuditPolicy::default()
+        });
+        lint_model(&single_dep_class(), &mut a);
+        let report = a.finish();
         assert!(report.has_errors(), "deny-warnings must escalate MS505");
     }
 }

@@ -25,10 +25,10 @@
 //! so the nominal value component *is* the prediction
 //! [`crate::formula::eval_prediction`] computes — not a parallel copy.
 //!
-//! Four lint rules consume the analysis, each pinned by a seeded
-//! [`SenseMutation`] exactly as MS501–MS505 are, against the fixed
-//! thresholds [`EPSILON`], [`MAX_CONDITION`], [`MAX_DOMINANCE`] and
-//! [`MAX_AMPLIFICATION`]:
+//! Four lint rules consume the analysis, against the fixed thresholds
+//! [`EPSILON`], [`MAX_CONDITION`], [`MAX_DOMINANCE`] and
+//! [`MAX_AMPLIFICATION`]. As for MS501–MS505, the tests here pin each
+//! rule with a shipped model that has one defect seeded into its fields:
 //!
 //! * **MS901** — a *coherent* probe miscalibration (the same relative
 //!   bias on target and base machine) must cancel through Equation 1's
@@ -62,8 +62,7 @@ use metasim_units::Seconds;
 
 use crate::executor::run_sharded;
 use crate::formula::{
-    calibrated, eval_prediction, eval_prediction_in, prediction_expr, CountSource, Domain, Expr,
-    ProbeQuantity, RateSource, TimeSource,
+    eval_prediction, eval_prediction_in, prediction_expr, Domain, Expr, ProbeQuantity,
 };
 use crate::metric::MetricId;
 
@@ -122,131 +121,6 @@ impl SenseModel {
             observed_epsilon: EPSILON,
             seed: 42,
             scope,
-        }
-    }
-
-    /// The shipped model with one seeded defect.
-    #[must_use]
-    pub fn mutated(mutation: SenseMutation, scope: SenseScope) -> Self {
-        let mut model = Self::shipped(scope);
-        mutation.apply(&mut model);
-        model
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mutations
-// ---------------------------------------------------------------------------
-
-/// A named, deliberately seeded sensitivity defect — the MS9xx family's
-/// counterpart to [`crate::lint::Mutation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SenseMutation {
-    /// Equation 1 with a multiply instead of a divide on Metric #1: a
-    /// coherent probe bias no longer cancels (condition number 2 instead
-    /// of 0). Caught by **MS901**.
-    UncancelledBias,
-    /// Metric #5's floating-point term multiplied by zero: the formula
-    /// still *reads* HPL Rmax, but every derivative through it is
-    /// identically zero, so the STREAM term owns all the sensitivity
-    /// mass. Caught by **MS902**.
-    DeadFlopTerm,
-    /// Metric #2's cost rebuilt as `1 / (s − 0.999·s)`: the denominator's
-    /// ±ε interval straddles zero, so the prediction is not Lipschitz in
-    /// the STREAM bandwidth. Caught by **MS903**.
-    CancellingDenominator,
-    /// The static band collapsed to ε = 0 while the chaos cross-check
-    /// still perturbs at the observed sigma: every noisy prediction falls
-    /// outside its point interval. Caught by **MS904**.
-    NoiseBlind,
-}
-
-impl SenseMutation {
-    /// Every named sensitivity mutation, in help order.
-    pub const ALL: [SenseMutation; 4] = [
-        SenseMutation::UncancelledBias,
-        SenseMutation::DeadFlopTerm,
-        SenseMutation::CancellingDenominator,
-        SenseMutation::NoiseBlind,
-    ];
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SenseMutation::UncancelledBias => "uncancelled-bias",
-            SenseMutation::DeadFlopTerm => "dead-flop-term",
-            SenseMutation::CancellingDenominator => "cancelling-denominator",
-            SenseMutation::NoiseBlind => "noise-blind",
-        }
-    }
-
-    /// The rule the mutation is designed to trip.
-    #[must_use]
-    pub fn expected_code(self) -> &'static str {
-        match self {
-            SenseMutation::UncancelledBias => "MS901",
-            SenseMutation::DeadFlopTerm => "MS902",
-            SenseMutation::CancellingDenominator => "MS903",
-            SenseMutation::NoiseBlind => "MS904",
-        }
-    }
-
-    /// Parse a CLI spelling.
-    pub fn parse(name: &str) -> Result<SenseMutation, String> {
-        SenseMutation::ALL
-            .into_iter()
-            .find(|m| m.name() == name)
-            .ok_or_else(|| {
-                let known: Vec<&str> = SenseMutation::ALL.iter().map(|m| m.name()).collect();
-                format!("unknown mutation `{name}` (one of: {})", known.join(", "))
-            })
-    }
-
-    /// Seed this defect into `model`, preserving its scope and band
-    /// (except where the defect itself is the band).
-    pub fn apply(self, model: &mut SenseModel) {
-        match self {
-            SenseMutation::UncancelledBias => {
-                // T′ = C(X) · C(X₀) · T(X₀): the same wrong-unit shape the
-                // eq1-multiply lint mutation seeds, but judged here by its
-                // conditioning (bias squares instead of cancelling), not
-                // its dimension.
-                let cost = crate::formula::cost_expr(MetricId::S1Hpl);
-                model.formulas[0].1 = Expr::Mul(
-                    Box::new(Expr::Mul(
-                        Box::new(cost.clone()),
-                        Box::new(Expr::OnBase(Box::new(cost))),
-                    )),
-                    Box::new(Expr::Time(TimeSource::BaseRuntime)),
-                );
-            }
-            SenseMutation::DeadFlopTerm => {
-                let flop_t = Expr::Ratio(
-                    Box::new(Expr::Count(CountSource::CounterFlops)),
-                    Box::new(Expr::Rate(RateSource::HplRmax)),
-                );
-                let mem_t = Expr::Ratio(
-                    Box::new(Expr::Count(CountSource::CounterBytes)),
-                    Box::new(Expr::Rate(RateSource::StreamBandwidth)),
-                );
-                let cost = Expr::Sum(vec![
-                    Expr::Mul(Box::new(Expr::Const(0.0)), Box::new(flop_t)),
-                    mem_t,
-                ]);
-                model.formulas[4].1 = calibrated(cost);
-            }
-            SenseMutation::CancellingDenominator => {
-                let stream = Expr::Rate(RateSource::StreamBandwidth);
-                let near_zero = Expr::Sum(vec![
-                    stream.clone(),
-                    Expr::Mul(Box::new(Expr::Const(-0.999)), Box::new(stream)),
-                ]);
-                model.formulas[1].1 = calibrated(Expr::Recip(Box::new(near_zero)));
-            }
-            SenseMutation::NoiseBlind => {
-                model.epsilon = 0.0;
-            }
         }
     }
 }
@@ -905,6 +779,7 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::{calibrated, eq1_multiply, CountSource, RateSource};
     use metasim_audit::{AuditPolicy, AuditReport};
     use metasim_chaos::{site, FaultPoint, NOISE_TOLERANCE};
 
@@ -940,35 +815,87 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_sense_mutation_trips_exactly_its_rule() {
-        for m in SenseMutation::ALL {
-            let report = lint_model(&SenseModel::mutated(m, SenseScope::Reference));
-            assert!(
-                report.has_code(m.expected_code()),
-                "{} must trip {}: {:?}",
-                m.name(),
-                m.expected_code(),
-                report.diagnostics
-            );
-            for d in &report.diagnostics {
-                assert_eq!(
-                    d.rule.code,
-                    m.expected_code(),
-                    "{}: unexpected extra finding {:?}",
-                    m.name(),
-                    d
-                );
-            }
+    fn reference() -> SenseModel {
+        SenseModel::shipped(SenseScope::Reference)
+    }
+
+    /// Equation 1 with a multiply instead of a divide on Metric #1: a
+    /// coherent probe bias squares instead of cancelling (condition number
+    /// 2 instead of 0), the conditioning view of the tree MS501 rejects by
+    /// its dimension (MS901).
+    fn uncancelled_bias() -> SenseModel {
+        SenseModel {
+            formulas: eq1_multiply(),
+            ..reference()
         }
     }
 
-    #[test]
-    fn sense_mutation_names_round_trip() {
-        for m in SenseMutation::ALL {
-            assert_eq!(SenseMutation::parse(m.name()).unwrap(), m);
+    /// Metric #5's floating-point term multiplied by zero: the formula
+    /// still reads HPL Rmax, but every derivative through it is
+    /// identically zero, so the STREAM term owns all the sensitivity mass
+    /// (MS902).
+    fn dead_flop_term() -> SenseModel {
+        let flop_t = Expr::Ratio(
+            Box::new(Expr::Count(CountSource::CounterFlops)),
+            Box::new(Expr::Rate(RateSource::HplRmax)),
+        );
+        let mem_t = Expr::Ratio(
+            Box::new(Expr::Count(CountSource::CounterBytes)),
+            Box::new(Expr::Rate(RateSource::StreamBandwidth)),
+        );
+        let mut model = reference();
+        model.formulas[4].1 = calibrated(Expr::Sum(vec![
+            Expr::Mul(Box::new(Expr::Const(0.0)), Box::new(flop_t)),
+            mem_t,
+        ]));
+        model
+    }
+
+    /// Metric #2's cost rebuilt as `1 / (s − 0.999·s)`: the denominator's
+    /// ±ε interval straddles zero, so the prediction is not Lipschitz in
+    /// the STREAM bandwidth (MS903).
+    fn cancelling_denominator() -> SenseModel {
+        let stream = Expr::Rate(RateSource::StreamBandwidth);
+        let near_zero = Expr::Sum(vec![
+            stream.clone(),
+            Expr::Mul(Box::new(Expr::Const(-0.999)), Box::new(stream)),
+        ]);
+        let mut model = reference();
+        model.formulas[1].1 = calibrated(Expr::Recip(Box::new(near_zero)));
+        model
+    }
+
+    /// The static band collapsed to ε = 0 while the chaos cross-check
+    /// still perturbs at the observed sigma: every noisy prediction falls
+    /// outside its point interval (MS904).
+    fn noise_blind() -> SenseModel {
+        SenseModel {
+            epsilon: 0.0,
+            ..reference()
         }
-        assert!(SenseMutation::parse("no-such-defect").is_err());
+    }
+
+    fn assert_trips_only(code: &str, model: &SenseModel) -> AuditReport {
+        let report = lint_model(model);
+        assert!(
+            report.has_code(code),
+            "defect must trip {code}: {:?}",
+            report.diagnostics
+        );
+        for d in &report.diagnostics {
+            assert_eq!(d.rule.code, code, "unexpected extra finding {d:?}");
+        }
+        report
+    }
+
+    #[test]
+    fn every_sense_mutation_trips_exactly_its_rule() {
+        // MS901, MS903 and MS904 are errors that fail `metasim sense`;
+        // MS902 only warns.
+        assert!(assert_trips_only("MS901", &uncancelled_bias()).has_errors());
+        assert!(!assert_trips_only("MS902", &dead_flop_term()).has_errors());
+        assert!(assert_trips_only("MS903", &cancelling_denominator()).has_errors());
+        assert!(assert_trips_only("MS904", &noise_blind()).has_errors());
     }
 
     #[test]

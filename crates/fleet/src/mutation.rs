@@ -1,5 +1,6 @@
-//! Seeded fleet defects: the `MS10xx` family's counterpart to the
-//! `MS5xx`/`MS9xx` mutation suites.
+//! Seeded fleet defects for the `MS10xx` audit family. (The `MS5xx` and
+//! `MS9xx` rules are pinned by test-only fixtures in `metasim-core`
+//! instead.)
 //!
 //! Each mutation plants exactly one defect in the generation or study
 //! pipeline and is pinned by a test asserting that exactly its rule fires
