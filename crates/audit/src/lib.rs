@@ -99,13 +99,6 @@ impl Diagnostic {
         self.help = Some(help.into());
         self
     }
-
-    /// Override the severity.
-    #[must_use]
-    pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
-        self
-    }
 }
 
 /// One `allow` entry: a rule code, optionally scoped to a subject prefix
@@ -161,23 +154,6 @@ pub struct AuditPolicy {
     pub allow: Vec<AllowRule>,
     /// Escalate every `Warn` to `Error` (CI's `--deny-warnings`).
     pub deny_warnings: bool,
-}
-
-impl AuditPolicy {
-    /// Build from the string form used in config files.
-    ///
-    /// # Errors
-    /// Propagates [`AllowRule::parse`] failures.
-    pub fn from_allow_strings<S: AsRef<str>>(allow: &[S]) -> Result<Self, String> {
-        let allow = allow
-            .iter()
-            .map(|s| AllowRule::parse(s.as_ref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(AuditPolicy {
-            allow,
-            deny_warnings: false,
-        })
-    }
 }
 
 /// Collects diagnostics while walking an artifact tree.
@@ -422,9 +398,17 @@ mod tests {
         assert_eq!(report.diagnostics[0].subject, "fleet.lemieux.clock_ghz");
     }
 
+    /// The policy the CLI's repeated `--allow CODE[@SUBJECT]` builds.
+    fn allow(specs: &[&str]) -> AuditPolicy {
+        AuditPolicy {
+            allow: specs.iter().map(|s| AllowRule::parse(s).unwrap()).collect(),
+            deny_warnings: false,
+        }
+    }
+
     #[test]
     fn allow_suppresses_warnings_but_not_errors() {
-        let policy = AuditPolicy::from_allow_strings(&["MS008", "MS001"]).unwrap();
+        let policy = allow(&["MS008", "MS001"]);
         let mut a = Auditor::with_policy(policy);
         a.finding(rule(), "an error");
         a.finding(warn_rule(), "a warning");
@@ -436,7 +420,7 @@ mod tests {
 
     #[test]
     fn allow_scoped_by_subject_prefix() {
-        let policy = AuditPolicy::from_allow_strings(&["MS008@fleet.xt3"]).unwrap();
+        let policy = allow(&["MS008@fleet.xt3"]);
         let mut a = Auditor::with_policy(policy);
         a.scope("fleet", |a| {
             a.scope("xt3", |a| a.finding(warn_rule(), "suppressed"));
@@ -469,7 +453,7 @@ mod tests {
     #[test]
     fn report_sorts_worst_first_and_counts() {
         let mut a = Auditor::new();
-        a.emit(Diagnostic::new(warn_rule(), "b", "warn").with_severity(Severity::Warn));
+        a.emit(Diagnostic::new(warn_rule(), "b", "warn"));
         a.emit(Diagnostic::new(rule(), "a", "err"));
         let report = a.finish();
         assert_eq!(report.diagnostics[0].severity, Severity::Error);

@@ -149,7 +149,6 @@ commands:
   study [--timings] [--jobs N] [--cache-dir DIR] [--no-cache]
         [--tier exact|analytic|auto] [--export FILE.csv]
         [--bench-out FILE.json] [--obs-out FILE.json]
-        [--obs-format json|pretty] [--trace-out FILE.json]
         [--fault-plan FILE.json]
                      run the full 1,350-prediction study; artifacts persist
                      in DIR (default .metasim-cache, or $METASIM_CACHE_DIR)
@@ -163,14 +162,11 @@ commands:
                      calibration budget, exact otherwise); non-exact tiers
                      gate on MS801 in preflight and cache under their own
                      store keys; --obs-out records spans + metrics and
-                     writes a run manifest (per-shard spans under --jobs);
-                     --trace-out additionally exports the recorded run as
-                     Chrome-trace JSON for chrome://tracing / Perfetto,
-                     with one track per shard worker;
+                     writes a run manifest (per-shard spans under --jobs;
+                     `obs export-trace` turns it into a Chrome trace);
                      --fault-plan injects a serialized chaos plan (implies
                      --no-cache so injected faults never poison the store)
-  chaos run --seed N [--faults SPEC] [--export FILE.csv]
-        [--obs-out FILE.json] [--obs-format json|pretty]
+  chaos run --seed N [--faults SPEC] [--export FILE.csv] [--obs-out FILE.json]
                      run the study under deterministic fault injection and
                      render partial-but-honest Tables 4/5 with coverage
                      annotations; SPEC is comma-separated, e.g.
@@ -195,7 +191,7 @@ commands:
                      coverage; audits the deltas against a regression
                      budget (MS404 regression = non-zero exit, MS405/MS406
                      anomalies = warnings)
-  fleet gen [--size N] [--seed S] [--spec FILE.{toml,json}] [--out FILE.json]
+  fleet gen [--size N] [--seed S] [--spec FILE.json] [--out FILE.json]
         [--mutate NAME]
                      sample a fleet of N machines + synthetic applications
                      from a spec (built-in paper-derived space when --spec
@@ -646,23 +642,9 @@ impl Session {
     }
 }
 
-/// `--obs-format json|pretty`: whether a manifest is written pretty-printed.
-fn parse_obs_format(value: Option<&String>) -> Result<bool, String> {
-    match value.map(String::as_str) {
-        Some("json") => Ok(false),
-        Some("pretty") => Ok(true),
-        _ => Err("--obs-format must be json or pretty".into()),
-    }
-}
-
-/// Write a run manifest to `path` as compact or pretty JSON.
-fn write_manifest(m: &RunManifest, path: &str, pretty: bool) -> Result<(), String> {
-    let json = if pretty {
-        m.to_json_pretty()?
-    } else {
-        m.to_json()?
-    };
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+/// Write a run manifest to `path` as JSON.
+fn write_manifest(m: &RunManifest, path: &str) -> Result<(), String> {
+    std::fs::write(path, m.to_json()?).map_err(|e| format!("writing {path}: {e}"))?;
     println!("wrote run manifest to {path}");
     Ok(())
 }
@@ -674,8 +656,6 @@ fn study(rest: &[String]) -> Result<(), String> {
     let mut export_path: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut obs_out: Option<String> = None;
-    let mut obs_pretty = false;
-    let mut trace_out: Option<String> = None;
     let mut fault_plan_path: Option<String> = None;
     let mut jobs: usize = 1;
     let mut tier = Tier::Exact;
@@ -708,12 +688,8 @@ fn study(rest: &[String]) -> Result<(), String> {
             "--obs-out" => {
                 obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone());
             }
-            "--obs-format" => obs_pretty = parse_obs_format(args.next())?,
             "--fault-plan" => {
                 fault_plan_path = Some(args.next().ok_or("--fault-plan needs a path")?.clone());
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().ok_or("--trace-out needs a path")?.clone());
             }
             other => return Err(format!("unknown study flag `{other}`")),
         }
@@ -746,8 +722,8 @@ fn study(rest: &[String]) -> Result<(), String> {
 
     // Recording is opt-in: only pay for span bookkeeping when something
     // downstream (a manifest or the benchmark file) will consume it.
-    let recorder = (obs_out.is_some() || bench_out.is_some() || trace_out.is_some())
-        .then(|| Arc::new(InMemoryRecorder::new()));
+    let recorder =
+        (obs_out.is_some() || bench_out.is_some()).then(|| Arc::new(InMemoryRecorder::new()));
     let (study, timings) = session.study_with(plan, recorder.as_ref());
     let manifest = recorder
         .as_ref()
@@ -810,15 +786,7 @@ fn study(rest: &[String]) -> Result<(), String> {
         let m = manifest
             .as_ref()
             .expect("recorder runs when --obs-out is set");
-        write_manifest(m, &path, obs_pretty)?;
-    }
-    if let Some(path) = trace_out {
-        let m = manifest
-            .as_ref()
-            .expect("recorder runs when --trace-out is set");
-        let trace = metasim_obs::export::chrome_trace(m);
-        std::fs::write(&path, trace).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote Chrome trace to {path}");
+        write_manifest(m, &path)?;
     }
     if let Some(path) = bench_out {
         // The benchmark file keeps its historical shape (StudyTimings keys)
@@ -931,7 +899,6 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     let mut faults = String::new();
     let mut export_path: Option<String> = None;
     let mut obs_out: Option<String> = None;
-    let mut obs_pretty = false;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         if parse_chaos_plan(&mut args, &mut seed, &mut faults, arg)? {
@@ -940,7 +907,6 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--export" => export_path = Some(args.next().ok_or("--export needs a path")?.clone()),
             "--obs-out" => obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone()),
-            "--obs-format" => obs_pretty = parse_obs_format(args.next())?,
             other => return Err(format!("unknown chaos run flag `{other}`")),
         }
     }
@@ -982,7 +948,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
         let rec = recorder
             .as_ref()
             .expect("recorder runs when --obs-out is set");
-        write_manifest(&session.manifest(rec, false), &path, obs_pretty)?;
+        write_manifest(&session.manifest(rec, false), &path)?;
     }
     if values.has_errors() {
         Err(values.summary_line())
@@ -2163,8 +2129,20 @@ mod tests {
         assert!(dispatch("obs", &["summarize".into()]).is_err());
         assert!(dispatch("obs", &["summarize".into(), "/nonexistent/m.json".into()]).is_err());
         assert!(dispatch("study", &["--obs-out".into()]).is_err());
-        assert!(dispatch("study", &["--obs-format".into(), "yaml".into()]).is_err());
-        assert!(dispatch("study", &["--trace-out".into()]).is_err());
+        // Manifests have one encoding and traces one producer
+        // (`obs export-trace`): the retired flags are unknown flags.
+        let unknown = |cmd: &str, args: &[&str], what: &str| {
+            let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+            let err = dispatch(cmd, &args).expect_err("retired flag is rejected");
+            assert!(err.contains(what), "{err}");
+        };
+        unknown("study", &["--trace-out", "t.json"], "unknown study flag");
+        unknown("study", &["--obs-format", "json"], "unknown study flag");
+        unknown(
+            "chaos",
+            &["run", "--seed", "1", "--obs-format", "json"],
+            "unknown chaos run flag",
+        );
         assert!(dispatch("audit", &["--manifest".into()]).is_err());
         // The new subcommands validate their argument shapes too.
         assert!(dispatch("obs", &["frobnicate".into()]).is_err());

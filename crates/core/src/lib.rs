@@ -4,8 +4,6 @@
 //!
 //! * [`metric`] — the nine synthetic metrics of Table 3 (three simple, six
 //!   predictive).
-//! * [`simple`] — Equation 1: scale the base system's measured runtime by a
-//!   single benchmark ratio (Metrics #1–#3).
 //! * [`formula`] — the MetaSim Convolver as a dimension-tagged symbolic IR
 //!   of the nine transfer functions: per-basic-block operation counts
 //!   divided by per-machine operation rates, summed with overlap, plus the
@@ -56,7 +54,6 @@ pub mod metric;
 pub mod prediction;
 pub mod ranking;
 pub mod sensitivity;
-pub mod simple;
 pub mod study;
 pub mod superlatives;
 pub mod verification;

@@ -49,12 +49,6 @@ impl Observation {
     pub fn signed_error(&self, metric: MetricId) -> Percent {
         percent_error(self.predictions[metric.number() - 1], self.actual)
     }
-
-    /// Absolute percent error for one metric.
-    #[must_use]
-    pub fn absolute_error(&self, metric: MetricId) -> Percent {
-        self.signed_error(metric).abs()
-    }
 }
 
 /// One row of Table 4.
@@ -526,13 +520,6 @@ impl Study {
         }
     }
 
-    /// Observations for one machine (Table 5 drill-down).
-    pub fn for_machine(&self, machine: MachineId) -> impl Iterator<Item = &Observation> + '_ {
-        self.observations
-            .iter()
-            .filter(move |o| o.machine == machine)
-    }
-
     /// Total prediction count (should be 1,350).
     #[must_use]
     pub fn prediction_count(&self) -> usize {
@@ -917,13 +904,6 @@ mod tests {
             rec.metrics_snapshot().counter("audit.findings") > 0,
             "the findings counter must reflect the failure"
         );
-    }
-
-    #[test]
-    fn for_machine_filters() {
-        let s = study();
-        let count = s.for_machine(MachineId::ArlAltix).count();
-        assert_eq!(count, 15);
     }
 
     #[test]

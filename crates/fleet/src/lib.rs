@@ -8,8 +8,7 @@
 //!
 //! * [`spec`] — [`spec::FleetSpec`], a declarative description of the
 //!   sampled space (cache hierarchies, fabrics, node counts; stride and
-//!   op mixes, working sets), loadable from JSON or a TOML subset
-//!   ([`tomlish`]);
+//!   op mixes, working sets), loaded from JSON;
 //! * [`sampler`] — [`sampler::SampledGenerator`], which draws a
 //!   [`sampler::GeneratedFleet`] from a spec. Every draw is keyed by
 //!   `metasim_stats::rng` label streams rooted at `"fleet"`, so a fleet
@@ -32,7 +31,6 @@ pub mod mutation;
 pub mod sampler;
 pub mod spec;
 pub mod study;
-pub mod tomlish;
 
 pub use audit::{audit_generated_fleet, preflight_reference};
 pub use mutation::FleetMutation;

@@ -7,9 +7,8 @@
 //! determinism contract the [`crate::sampler`] upholds and the CI
 //! byte-compare enforces (see `docs/FLEET.md`).
 //!
-//! Spec files load from JSON ([`FleetSpec::from_json`]) or from the TOML
-//! subset in [`crate::tomlish`] ([`FleetSpec::from_file`] picks by
-//! extension). Every field is required — [`FleetSpec::paper_space`] emits
+//! Spec files are JSON ([`FleetSpec::from_json`],
+//! [`FleetSpec::from_file`]). Every field is required — [`FleetSpec::paper_space`] emits
 //! a complete, editable default modeled on the paper's 2005-era fleet.
 //!
 //! Spec well-posedness is an audited property, not an assertion:
@@ -386,19 +385,13 @@ impl FleetSpec {
         serde_json::from_str(text).map_err(|e| format!("fleet spec: {e}"))
     }
 
-    /// Load a spec file, dispatching on extension: `.toml` through the
-    /// [`crate::tomlish`] subset parser, anything else as JSON.
+    /// Load a JSON spec file.
     ///
     /// # Errors
     /// A human-readable message when the file is unreadable or unparseable.
     pub fn from_file(path: &str) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("fleet spec {path}: {e}"))?;
-        if path.ends_with(".toml") {
-            let value = crate::tomlish::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            serde::Deserialize::from_value(&value).map_err(|e| format!("{path}: {e}"))
-        } else {
-            Self::from_json(&text)
-        }
+        Self::from_json(&text)
     }
 
     /// Serialize the spec as pretty JSON (the editable starting point

@@ -6,7 +6,7 @@
 //! [`MachineConfig`] wearing an existing [`crate::MachineId`]'s identity slot
 //! (callers typically start `from` a fleet machine and perturb it).
 
-use metasim_memsim::spec::{LevelSpec, MainMemorySpec, TlbSpec};
+use metasim_memsim::spec::{LevelSpec, TlbSpec};
 use metasim_netsim::spec::NetworkSpec;
 
 use crate::config::{MachineConfig, ProcessorSpec};
@@ -42,13 +42,6 @@ impl MachineBuilder {
     #[must_use]
     pub fn cache_levels(mut self, levels: Vec<LevelSpec>) -> Self {
         self.config.memory.levels = levels;
-        self
-    }
-
-    /// Replace main memory behaviour.
-    #[must_use]
-    pub fn main_memory(mut self, mem: MainMemorySpec) -> Self {
-        self.config.memory.memory = mem;
         self
     }
 

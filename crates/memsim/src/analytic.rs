@@ -147,43 +147,6 @@ impl fmt::Display for ResolvedTier {
     }
 }
 
-/// A model that can predict a [`BandwidthSample`] for a workload on a spec.
-pub trait CacheModel {
-    /// Predict the sample (profile + timing) for `workload` on `spec`.
-    fn sample(&self, spec: &MemorySpec, workload: &Workload) -> BandwidthSample;
-
-    /// Short display name for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// The exact address-level simulator behind [`measure_bandwidth`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactModel;
-
-impl CacheModel for ExactModel {
-    fn sample(&self, spec: &MemorySpec, workload: &Workload) -> BandwidthSample {
-        measure_bandwidth(spec, workload)
-    }
-
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-}
-
-/// The closed-form model behind [`analytic_bandwidth`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticModel;
-
-impl CacheModel for AnalyticModel {
-    fn sample(&self, spec: &MemorySpec, workload: &Workload) -> BandwidthSample {
-        analytic_bandwidth(spec, workload)
-    }
-
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-}
-
 /// Measure under an explicit tier, recording
 /// `memsim.tier.{exact,analytic,fallback}` counters. Returns the sample and
 /// the tier that actually ran. The exact tier reads its simulated profile

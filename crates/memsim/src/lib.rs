@@ -57,8 +57,8 @@ pub mod timing;
 pub mod tlb;
 
 pub use analytic::{
-    analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, AnalyticModel, CacheModel,
-    ExactModel, ResolvedTier, Tier, TIER_ERROR_BUDGET,
+    analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, ResolvedTier, Tier,
+    TIER_ERROR_BUDGET,
 };
 pub use bandwidth::{
     measure_bandwidth, measure_bandwidth_memo, BandwidthSample, ProfileMemo, Workload,

@@ -59,12 +59,6 @@ impl StridedStream {
             cursor: 0,
         }
     }
-
-    /// Number of distinct addresses before the sweep wraps.
-    #[must_use]
-    pub fn period(&self) -> u64 {
-        (self.working_set / self.stride_bytes).max(1)
-    }
 }
 
 impl AddressStream for StridedStream {
@@ -137,7 +131,6 @@ mod tests {
         let mut s = StridedStream::new(1000, 32, 8, 8);
         let addrs = take(&mut s, 6);
         assert_eq!(addrs, vec![1000, 1008, 1016, 1024, 1000, 1008]);
-        assert_eq!(s.period(), 4);
     }
 
     #[test]

@@ -265,12 +265,6 @@ impl Tlb {
     pub fn hits(&self) -> u64 {
         self.hits
     }
-
-    /// Reach in bytes (entries × page size).
-    #[must_use]
-    pub fn reach_bytes(&self) -> u64 {
-        (self.capacity as u64) << self.page_shift
-    }
 }
 
 #[cfg(test)]
@@ -325,8 +319,13 @@ mod tests {
     #[test]
     fn reach_and_reset() {
         let mut t = Tlb::new(&spec(128));
-        assert_eq!(t.reach_bytes(), 128 * 4096);
-        t.access(0);
+        // The reach is 128 pages: a first sweep misses on every page and a
+        // second one hits on every page.
+        for pass in 0..2 {
+            for p in 0..128u64 {
+                assert_eq!(t.access(p * 4096), pass == 1);
+            }
+        }
         t.reset();
         assert_eq!(t.hits() + t.misses(), 0);
         assert!(!t.access(0));

@@ -2,8 +2,7 @@
 //! file that `chrome://tracing` and Perfetto open directly.
 //!
 //! [`chrome_trace`] renders an already-built [`RunManifest`] — the path
-//! behind `metasim obs export-trace MANIFEST.json` and
-//! `metasim study --trace-out FILE`. Shard subtrees (`shard:K`) land on
+//! behind `metasim obs export-trace MANIFEST.json`. Shard subtrees (`shard:K`) land on
 //! their own track (`tid = K + 2`) so a `--jobs 8` run shows eight worker
 //! lanes under the main lane.
 //!

@@ -248,14 +248,6 @@ impl RunManifest {
         serde_json::to_string(self).map_err(|e| format!("cannot serialize manifest: {e}"))
     }
 
-    /// Serialize to pretty-printed JSON.
-    ///
-    /// # Errors
-    /// A non-finite number somewhere in the metrics (JSON has no NaN).
-    pub fn to_json_pretty(&self) -> Result<String, String> {
-        serde_json::to_string_pretty(self).map_err(|e| format!("cannot serialize manifest: {e}"))
-    }
-
     /// Parse a manifest back from JSON text.
     ///
     /// # Errors
@@ -350,10 +342,8 @@ mod tests {
     #[test]
     fn manifest_round_trips_through_json_identically() {
         let m = RunManifest::build(&sample_recorder(), sample_meta());
-        for text in [m.to_json().unwrap(), m.to_json_pretty().unwrap()] {
-            let back = RunManifest::from_json(&text).expect("parses");
-            assert_eq!(back, m, "serialize -> parse must be the identity");
-        }
+        let back = RunManifest::from_json(&m.to_json().unwrap()).expect("parses");
+        assert_eq!(back, m, "serialize -> parse must be the identity");
     }
 
     #[test]

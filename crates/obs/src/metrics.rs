@@ -144,17 +144,6 @@ impl MetricsSnapshot {
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
     }
-
-    /// Sum of all counters whose name starts with `prefix` — how the cache
-    /// summary totals `cache.hit.<kind>` across artifact kinds.
-    #[must_use]
-    pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
 }
 
 /// Find-or-create in a name → `Arc<T>` map with a read-mostly locking
@@ -336,17 +325,6 @@ mod tests {
         reg.observe("h", 1.5);
         let snap = reg.snapshot();
         assert_eq!(snap.histogram("h").unwrap().bounds, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn prefix_sum_totals_counter_families() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("cache.hit.probes", 2);
-        reg.counter_add("cache.hit.trace", 3);
-        reg.counter_add("cache.miss.trace", 1);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_prefix_sum("cache.hit."), 5);
-        assert_eq!(snap.counter_prefix_sum("cache.miss."), 1);
     }
 
     #[test]

@@ -33,13 +33,6 @@ impl CsvWriter {
         self.buf.push('\n');
     }
 
-    /// Append a row of floats with full precision.
-    pub fn float_row<S: AsRef<str>>(&mut self, label: S, values: &[f64]) {
-        let mut cells = vec![label.as_ref().to_string()];
-        cells.extend(values.iter().map(|v| format!("{v}")));
-        self.row(&cells);
-    }
-
     /// The finished document.
     #[must_use]
     pub fn finish(self) -> String {
@@ -65,13 +58,6 @@ mod tests {
         assert_eq!(escape("has,comma"), "\"has,comma\"");
         assert_eq!(escape("has\"quote"), "\"has\"\"quote\"");
         assert_eq!(escape("multi\nline"), "\"multi\nline\"");
-    }
-
-    #[test]
-    fn float_rows_preserve_precision() {
-        let mut w = CsvWriter::new();
-        w.float_row("x", &[1.5, 0.125]);
-        assert_eq!(w.finish(), "x,1.5,0.125\n");
     }
 
     #[test]

@@ -45,48 +45,11 @@ impl Table {
         self
     }
 
-    /// Override column alignments (must match header length).
-    #[must_use]
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.header.len(), "alignment arity");
-        self.aligns = aligns;
-        self
-    }
-
     /// Append a row; panics if the arity differs from the header.
     pub fn push_row<S: Into<String>>(&mut self, row: Vec<S>) {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "row arity");
         self.rows.push(row);
-    }
-
-    /// Number of data rows so far.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Render as a GitHub-flavoured Markdown table (title as a bold line).
-    #[must_use]
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(t) = &self.title {
-            out.push_str(&format!("**{t}**\n\n"));
-        }
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        let seps: Vec<&str> = self
-            .aligns
-            .iter()
-            .map(|a| match a {
-                Align::Left => ":--",
-                Align::Right => "--:",
-            })
-            .collect();
-        out.push_str(&format!("| {} |\n", seps.join(" | ")));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
     }
 
     /// Render to a string with a separator under the header.
@@ -195,24 +158,5 @@ mod tests {
         assert_eq!(f1(1.26), "1.3");
         assert_eq!(f0(63.4), "63");
         assert_eq!(f0(62.5), "62"); // round-half-even
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new(vec!["metric", "err"]).with_title("Table 4");
-        t.push_row(vec!["HPL", "63"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("**Table 4**\n\n"));
-        assert!(md.contains("| metric | err |"));
-        assert!(md.contains("| :-- | --: |"));
-        assert!(md.contains("| HPL | 63 |"));
-    }
-
-    #[test]
-    fn row_count_tracks() {
-        let mut t = Table::new(vec!["a"]);
-        assert_eq!(t.row_count(), 0);
-        t.push_row(vec!["1"]);
-        assert_eq!(t.row_count(), 1);
     }
 }

@@ -113,33 +113,6 @@ impl ErrorAccumulator {
     pub fn mean_signed(&self) -> Percent {
         Percent::new(self.signed.mean())
     }
-
-    /// Largest absolute error recorded; 0 if empty.
-    #[must_use]
-    pub fn max_absolute(&self) -> Percent {
-        Percent::new(self.absolute.summary().map_or(0.0, |s| s.max))
-    }
-}
-
-/// Mean absolute percent error of paired predictions/measurements.
-pub fn mean_absolute_percent_error<D: Dimension>(
-    predicted: &[Quantity<D>],
-    actual: &[Quantity<D>],
-) -> Result<Percent, StatsError> {
-    if predicted.len() != actual.len() {
-        return Err(StatsError::LengthMismatch {
-            left: predicted.len(),
-            right: actual.len(),
-        });
-    }
-    if predicted.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    let mut acc = ErrorAccumulator::new();
-    for (&p, &a) in predicted.iter().zip(actual) {
-        acc.record_signed_error(try_percent_error(p, a)?);
-    }
-    Ok(acc.mean_absolute())
 }
 
 #[cfg(test)]
@@ -191,7 +164,6 @@ mod tests {
         assert!((acc.mean_absolute().get() - 50.0).abs() < 1e-12);
         assert!(acc.mean_signed().abs() < 1e-12);
         assert!((acc.stddev_absolute().get() - 0.0).abs() < 1e-12);
-        assert!((acc.max_absolute().get() - 50.0).abs() < 1e-12);
     }
 
     #[test]
@@ -227,26 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn mape_helper() {
-        let p = [s(90.0), s(120.0)];
-        let a = [s(100.0), s(100.0)];
-        assert!((mean_absolute_percent_error(&p, &a).unwrap().get() - 15.0).abs() < 1e-12);
-        assert!(matches!(
-            mean_absolute_percent_error(&[s(1.0)], &[s(1.0), s(2.0)]),
-            Err(StatsError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            mean_absolute_percent_error::<metasim_units::SecondsDim>(&[], &[]),
-            Err(StatsError::EmptyInput)
-        ));
-    }
-
-    #[test]
     fn empty_accumulator_reports_zeroes() {
         let acc = ErrorAccumulator::new();
         assert_eq!(acc.count(), 0);
         assert_eq!(acc.mean_absolute(), 0.0);
-        assert_eq!(acc.max_absolute(), 0.0);
     }
 
     /// Table 4 fixture: the published STREAM row is mean |error| 43% with

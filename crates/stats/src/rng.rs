@@ -185,14 +185,6 @@ impl SeededRng {
             .rposition(|&w| w > 0.0)
             .expect("at least one positive weight")
     }
-
-    /// Fork a child generator labelled by `label`, leaving `self` untouched
-    /// except for one state advance. Children with different labels are
-    /// decorrelated even when forked from the same parent state.
-    pub fn fork(&mut self, label: &str) -> SeededRng {
-        let base = self.next_u64();
-        SeededRng::new(base ^ fnv1a(label.as_bytes()))
-    }
 }
 
 /// Uniform integers in `[0, bound)` for one fixed `bound`, by Lemire's
@@ -427,15 +419,6 @@ mod tests {
     #[should_panic(expected = "sum to zero")]
     fn weighted_index_zero_weights_panics() {
         SeededRng::new(1).weighted_index(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn fork_decorrelates_children() {
-        let mut parent = SeededRng::new(10);
-        let mut a = parent.clone().fork("alpha");
-        let mut b = parent.fork("beta");
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]
