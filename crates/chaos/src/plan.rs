@@ -1,6 +1,7 @@
-//! Fault plans: the serde-round-trippable description of *which* faults a
-//! chaos run injects, and the seeded, order-independent decision function
-//! that makes every injection reproducible.
+//! Fault plans: the description of *which* faults a chaos run injects —
+//! one format, the CLI's `--faults` spec, which [`FaultPlan::parse_spec`]
+//! range-checks entry by entry — and the seeded, order-independent
+//! decision function that makes every injection reproducible.
 //!
 //! A decision is a pure function of `(seed, site, labels)`: the labels are
 //! hashed (FNV-1a, `0x1f`-separated so label boundaries cannot alias),
@@ -12,7 +13,6 @@
 use metasim_audit::registry::MS602;
 use metasim_audit::{audit_value, AuditReport, Auditor};
 use metasim_stats::rng::{fnv1a, fnv1a_labels};
-use serde::{Deserialize, Serialize};
 
 use crate::{site, FaultPoint};
 
@@ -23,7 +23,7 @@ pub const NOISE_TOLERANCE: f64 = 0.25;
 
 /// One named fault to inject. Probabilities are per *decision coordinate*
 /// (e.g. per machine per attempt), not per run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultSpec {
     /// Multiplicative noise on probe results: each probe family of each
     /// machine is scaled by a factor drawn uniformly from
@@ -54,9 +54,9 @@ pub enum FaultSpec {
     },
 }
 
-/// A seeded, serde-round-trippable fault plan: the single input that makes
-/// a chaos run reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A seeded fault plan: the single input that makes a chaos run
+/// reproducible.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every injection decision.
     pub seed: u64,
@@ -233,28 +233,40 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn spec_parsing_round_trips_through_serde() {
-        let plan =
-            FaultPlan::parse_spec(7, "probe-noise:0.1,measure-fail:0.5,outage:ARL_SC45").unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-        assert_eq!(
-            back.faults[2],
-            FaultSpec::MachineOutage {
-                machine: "ARL_SC45".into()
-            }
-        );
-    }
-
-    #[test]
     fn spec_parsing_rejects_bad_entries() {
         assert!(FaultPlan::parse_spec(1, "nope:0.5").is_err());
         assert!(FaultPlan::parse_spec(1, "measure-fail").is_err());
         assert!(FaultPlan::parse_spec(1, "measure-fail:2.0").is_err());
         assert!(FaultPlan::parse_spec(1, "probe-noise:abc").is_err());
+        assert!(FaultPlan::parse_spec(1, "probe-noise:-2.0").is_err());
+        assert!(FaultPlan::parse_spec(1, "measure-fail:NaN").is_err());
         assert!(FaultPlan::parse_spec(1, "").unwrap().is_empty());
     }
+
+    /// Whether every probability and sigma of `plan` lies in `[0, 1]`.
+    fn in_unit_interval(plan: &FaultPlan) -> bool {
+        plan.faults.iter().all(|f| match f {
+            FaultSpec::ProbeNoise { sigma: p }
+            | FaultSpec::MeasureFail { probability: p }
+            | FaultSpec::CacheCorrupt { probability: p }
+            | FaultSpec::TraceDrop { probability: p } => (0.0..=1.0).contains(p),
+            FaultSpec::MachineOutage { .. } => true,
+        })
+    }
+
+    /// Specs the parser accepts, the seeds of the mutation fuzz below.
+    const VALID_SPECS: [&str; 4] = [
+        "probe-noise:0.05,measure-fail:0.2,trace-drop:0.1,outage:ARL_Xeon",
+        "cache-corrupt:1.0",
+        " probe-noise:0 , measure-fail:1 ,",
+        "trace-drop:0.5,outage:ARL_SC45,probe-noise:0.25",
+    ];
+
+    /// Characters and number spellings a mutation splices into a spec.
+    const SPLICES: [&str; 16] = [
+        "-", "+", ".", ":", ",", " ", "e", "9", "0", "NaN", "inf", "-2.0", "1e400", "-0.0", "é",
+        "\u{0}",
+    ];
 
     #[test]
     fn decisions_are_pure_and_label_sensitive() {
@@ -326,6 +338,54 @@ mod tests {
             let plan = FaultPlan::parse_spec(seed, "measure-fail:0.5").unwrap();
             let d = plan.draw(site::MEASURE, &["m", &attempt.to_string()]);
             prop_assert!((0.0..1.0).contains(&d));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes, read as lossy UTF-8, never make the parser
+        /// panic, and whatever it accepts is bounded noise.
+        #[test]
+        fn arbitrary_text_never_panics(bytes in prop::collection::vec(0u8..=255, 0..48)) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(plan) = FaultPlan::parse_spec(1, &text) {
+                prop_assert!(in_unit_interval(&plan), "{text:?} -> {plan:?}");
+            }
+        }
+
+        /// Valid specs with characters inserted, deleted or replaced — or
+        /// spliced in where a parameter starts — stay panic-free, and every
+        /// accepted mutant is still bounded.
+        #[test]
+        fn mutated_specs_never_panic(
+            base in 0usize..VALID_SPECS.len(),
+            edits in prop::collection::vec((0u8..4, 0usize..128, 0usize..SPLICES.len()), 1..5),
+        ) {
+            let mut spec: Vec<char> = VALID_SPECS[base].chars().collect();
+            for (op, at, splice) in edits {
+                let splice = SPLICES[splice].chars();
+                let params: Vec<usize> = (0..spec.len()).filter(|&i| spec[i] == ':').collect();
+                let at = match op {
+                    3 if !params.is_empty() => params[at % params.len()] + 1,
+                    _ => at % (spec.len() + 1),
+                };
+                match op {
+                    1 if at < spec.len() => {
+                        spec.remove(at);
+                    }
+                    2 if at < spec.len() => {
+                        spec.splice(at..=at, splice);
+                    }
+                    _ => {
+                        spec.splice(at..at, splice);
+                    }
+                }
+            }
+            let text: String = spec.into_iter().collect();
+            if let Ok(plan) = FaultPlan::parse_spec(1, &text) {
+                prop_assert!(in_unit_interval(&plan), "{text:?} -> {plan:?}");
+            }
         }
     }
 }

@@ -9,14 +9,14 @@ use metasim_apps::registry::TestCase;
 use metasim_apps::tracing::{trace_workload, TraceCache};
 use metasim_audit::{AllowRule, AuditPolicy};
 use metasim_cache::ArtifactStore;
-use metasim_chaos::{FaultPlan, FaultPoint};
+use metasim_chaos::{FaultPlan, FaultPoint, FaultSpec};
 use metasim_core::balanced::{fit_weights, fit_weights_mae, idc_equal_weights, CATEGORY_NAMES};
 use metasim_core::lint::LintModel;
 use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
 use metasim_core::ranking::rank_correlations;
 use metasim_core::sensitivity::{SenseModel, SenseScope};
-use metasim_core::study::{Study, StudyTimings};
+use metasim_core::study::Study;
 use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_obs::diff::{diff_and_audit, DiffBudget};
 use metasim_obs::manifest::{CacheSummary, ManifestMeta, RunManifest};
@@ -132,24 +132,20 @@ commands:
                      machines, and unreachable ENHANCED MAPS branches; also
                      screens the reference prediction's sensitivity
                      profile (MS9xx)
-  sense [--json] [--deny-warnings] [--allow RULE[@subject]]...
-        [--reference] [--jobs N]
+  sense [--json] [--deny-warnings] [--allow RULE[@subject]]... [--jobs N]
                      static sensitivity and error-propagation analysis over
                      the formula IR: abstract interpretation derives
-                     interval bounds on every prediction under a ±5% probe
-                     perturbation plus first-order elasticities (condition
-                     numbers) per probe quantity, ranked most-sensitive
-                     first, then cross-validates the intervals against a
-                     seed-42 chaos probe-noise run at the same amplitude
-                     (MS901 ill-conditioned, MS902 single-probe-dominated,
-                     MS903 non-Lipschitz amplification, MS904 interval
-                     violated by the observed run); --reference analyzes
-                     only the reference cell instead of the full 150-cell
-                     grid
-  study [--timings] [--jobs N] [--cache-dir DIR] [--no-cache]
-        [--tier exact|analytic|auto] [--export FILE.csv]
-        [--bench-out FILE.json] [--obs-out FILE.json]
-        [--fault-plan FILE.json]
+                     interval bounds on all 150 cells' predictions under a
+                     ±5% probe perturbation plus first-order elasticities
+                     (condition numbers) per probe quantity, ranked
+                     most-sensitive first, then cross-validates the
+                     intervals against a seed-42 chaos probe-noise run at
+                     the same amplitude (MS901 ill-conditioned, MS902
+                     single-probe-dominated, MS903 non-Lipschitz
+                     amplification, MS904 interval violated by the observed
+                     run); `lint` screens the reference cell alone
+  study [--jobs N] [--cache-dir DIR] [--no-cache]
+        [--tier exact|analytic|auto] [--export FILE.csv] [--obs-out FILE.json]
                      run the full 1,350-prediction study; artifacts persist
                      in DIR (default .metasim-cache, or $METASIM_CACHE_DIR)
                      so warm re-runs load instead of re-measuring; --jobs N
@@ -162,20 +158,19 @@ commands:
                      calibration budget, exact otherwise); non-exact tiers
                      gate on MS801 in preflight and cache under their own
                      store keys; --obs-out records spans + metrics and
-                     writes a run manifest (per-shard spans under --jobs;
-                     `obs export-trace` turns it into a Chrome trace);
-                     --fault-plan injects a serialized chaos plan (implies
-                     --no-cache so injected faults never poison the store)
+                     writes a run manifest, the run's timing record
+                     (`obs summarize` prints its phase wall times; per-shard
+                     spans under --jobs; `obs export-trace` turns it into a
+                     Chrome trace)
   chaos run --seed N [--faults SPEC] [--export FILE.csv] [--obs-out FILE.json]
                      run the study under deterministic fault injection and
                      render partial-but-honest Tables 4/5 with coverage
                      annotations; SPEC is comma-separated, e.g.
                      probe-noise:0.05,measure-fail:0.2,cache-corrupt:0.1,
                      trace-drop:0.1,outage:ARL_Xeon — same seed + same
-                     spec reproduces the run byte-for-byte
-  chaos plan --seed N [--faults SPEC] [--out FILE.json]
-                     build, audit (MS602), and print or save a fault plan
-                     for later `study --fault-plan`
+                     spec reproduces the run byte-for-byte; the spec is
+                     checked (probabilities and sigma in [0, 1], a known
+                     target machine, MS602) before anything runs
   obs summarize FILE.json [--top N]
                      render a run manifest (phases, span tree, slowest
                      spans, counters, latency quantiles) written by
@@ -243,6 +238,19 @@ what the first run computes, later runs load.
   predict-custom FILE.json MACHINE
                      trace + predict a custom (JSON) workload
   all                run everything from one study";
+
+/// Parse the value of the count flag `flag` (`--jobs`, `--size`) from
+/// `args`: a positive integer, with one message for every command.
+fn parse_count(flag: &str, args: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
+    let value = args
+        .next()
+        .ok_or_else(|| format!("{flag} needs a positive integer"))?;
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} needs a positive integer, got `{value}`"))
+}
 
 /// Parse one of the flags `audit`, `lint` and `sense` share into `json`
 /// and `policy`; `Ok(false)` when `arg` is not one of them.
@@ -382,7 +390,6 @@ fn run_lint(
 fn sense(rest: &[String]) -> Result<(), String> {
     let mut json = false;
     let mut policy = AuditPolicy::default();
-    let mut reference = false;
     let mut jobs: usize = 1;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
@@ -390,24 +397,16 @@ fn sense(rest: &[String]) -> Result<(), String> {
             continue;
         }
         match arg.as_str() {
-            "--reference" => reference = true,
-            "--jobs" => {
-                let n = args.next().ok_or("--jobs needs a thread count")?;
-                jobs = n.parse().map_err(|_| format!("bad --jobs `{n}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => jobs = parse_count("--jobs", &mut args)?,
             other => return Err(format!("unknown sense flag `{other}`")),
         }
     }
-
-    let scope = if reference {
-        SenseScope::Reference
-    } else {
-        SenseScope::FullGrid
-    };
-    run_sense(&SenseModel::shipped(scope), json, policy, jobs)
+    run_sense(
+        &SenseModel::shipped(SenseScope::FullGrid),
+        json,
+        policy,
+        jobs,
+    )
 }
 
 /// Analyze `model` over `jobs` workers and print the report; an
@@ -571,8 +570,9 @@ impl Session {
         Self::new(Some(Arc::new(store)), Tier::Exact, 1)
     }
 
-    /// The study: one store read when warm, computed (and stored) when not.
-    fn study(&self) -> (Study, StudyTimings) {
+    /// The study: one store read when warm, computed (and stored) when not;
+    /// the `bool` is `true` when it was loaded.
+    fn study(&self) -> (Study, bool) {
         Study::run_with_store_jobs(
             &self.fleet,
             &self.suite,
@@ -588,7 +588,7 @@ impl Session {
         &self,
         plan: Option<Arc<FaultPlan>>,
         rec: Option<&Arc<InMemoryRecorder>>,
-    ) -> (Study, StudyTimings) {
+    ) -> (Study, bool) {
         let planned = || match &plan {
             Some(p) => {
                 metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn FaultPoint>, || self.study())
@@ -650,90 +650,47 @@ fn write_manifest(m: &RunManifest, path: &str) -> Result<(), String> {
 }
 
 fn study(rest: &[String]) -> Result<(), String> {
-    let mut timings_wanted = false;
     let mut no_cache = false;
     let mut cache_dir: Option<PathBuf> = None;
     let mut export_path: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut obs_out: Option<String> = None;
-    let mut fault_plan_path: Option<String> = None;
     let mut jobs: usize = 1;
     let mut tier = Tier::Exact;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--timings" => timings_wanted = true,
             "--no-cache" => no_cache = true,
             "--tier" => {
                 let t = args.next().ok_or("--tier needs exact|analytic|auto")?;
                 tier = t.parse().map_err(|e| format!("{e}"))?;
             }
-            "--jobs" => {
-                let n = args.next().ok_or("--jobs needs a thread count")?;
-                jobs = n
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{n}`"))?;
-            }
+            "--jobs" => jobs = parse_count("--jobs", &mut args)?,
             "--cache-dir" => {
                 cache_dir = Some(PathBuf::from(
                     args.next().ok_or("--cache-dir needs a directory")?,
                 ));
             }
             "--export" => export_path = Some(args.next().ok_or("--export needs a path")?.clone()),
-            "--bench-out" => {
-                bench_out = Some(args.next().ok_or("--bench-out needs a path")?.clone());
-            }
             "--obs-out" => {
                 obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone());
-            }
-            "--fault-plan" => {
-                fault_plan_path = Some(args.next().ok_or("--fault-plan needs a path")?.clone());
             }
             other => return Err(format!("unknown study flag `{other}`")),
         }
     }
 
-    let plan: Option<Arc<FaultPlan>> = match &fault_plan_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let plan: FaultPlan =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-            let report = plan.audit();
-            if !report.is_clean() {
-                print!("{}", metasim_audit::render::human(&report));
-            }
-            if report.has_errors() {
-                return Err(report.summary_line());
-            }
-            // Injected faults must never poison the persistent store.
-            if !no_cache {
-                println!("note: --fault-plan implies --no-cache");
-                no_cache = true;
-            }
-            Some(Arc::new(plan))
-        }
-        None => None,
-    };
-
     let store = (!no_cache).then(|| Arc::new(ArtifactStore::open(resolve_cache_dir(cache_dir))));
     let session = Session::new(store, tier, jobs);
 
-    // Recording is opt-in: only pay for span bookkeeping when something
-    // downstream (a manifest or the benchmark file) will consume it.
-    let recorder =
-        (obs_out.is_some() || bench_out.is_some()).then(|| Arc::new(InMemoryRecorder::new()));
-    let (study, timings) = session.study_with(plan, recorder.as_ref());
-    let manifest = recorder
-        .as_ref()
-        .map(|rec| session.manifest(rec, timings.loaded_from_cache));
+    // Recording is opt-in: only pay for span bookkeeping when a manifest
+    // will be written.
+    let recorder = obs_out.is_some().then(|| Arc::new(InMemoryRecorder::new()));
+    let (study, loaded_from_cache) = session.study_with(None, recorder.as_ref());
 
     println!(
         "study: {} observations, {} predictions ({}{})",
         study.observations.len(),
         study.prediction_count(),
-        if timings.loaded_from_cache {
+        if loaded_from_cache {
             "loaded from cache"
         } else {
             "computed"
@@ -746,12 +703,6 @@ fn study(rest: &[String]) -> Result<(), String> {
             format!(", tier {tier}")
         }
     );
-    let coverage = study.coverage();
-    if !coverage.is_complete() {
-        println!("WARNING: partial study — {coverage}");
-        let values = study.audit_values();
-        print!("{}", metasim_audit::render::human(&values));
-    }
     let t4 = study.table4();
     let best = t4
         .iter()
@@ -762,91 +713,50 @@ fn study(rest: &[String]) -> Result<(), String> {
         best.metric, best.mean_absolute
     );
 
-    if timings_wanted {
-        println!("\nphase                 wall time");
-        println!("preflight + inputs    {:>9.3} s", timings.preflight_seconds);
-        println!(
-            "ground truth          {:>9.3} s",
-            timings.ground_truth_seconds
-        );
-        println!(
-            "predictions           {:>9.3} s",
-            timings.prediction_seconds
-        );
-        println!("total                 {:>9.3} s", timings.total_seconds);
-        if timings.loaded_from_cache {
-            println!("(phases are zero: the result was one cache read)");
-        }
-    }
-
     if let Some(path) = export_path {
         export_study(&study, &path)?;
     }
-    if let Some(path) = obs_out {
-        let m = manifest
-            .as_ref()
-            .expect("recorder runs when --obs-out is set");
-        write_manifest(m, &path)?;
-    }
-    if let Some(path) = bench_out {
-        // The benchmark file keeps its historical shape (StudyTimings keys)
-        // but the numbers come from the manifest's span tree, so there is
-        // exactly one timing source of truth.
-        let m = manifest
-            .as_ref()
-            .expect("recorder runs when --bench-out is set");
-        let bench = StudyTimings {
-            preflight_seconds: m.phase_seconds("preflight").unwrap_or(0.0),
-            ground_truth_seconds: m.phase_seconds("ground-truth").unwrap_or(0.0),
-            prediction_seconds: m.phase_seconds("predictions").unwrap_or(0.0),
-            total_seconds: m.total_seconds,
-            loaded_from_cache: m.loaded_from_cache,
-        };
-        let json = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-        std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote timings to {path}");
+    if let (Some(path), Some(rec)) = (obs_out, &recorder) {
+        write_manifest(&session.manifest(rec, loaded_from_cache), &path)?;
     }
     Ok(())
 }
 
-/// `chaos run|plan`: deterministic fault injection around the study.
+/// `chaos run`: deterministic fault injection around the study.
 fn chaos(rest: &[String]) -> Result<(), String> {
+    const USAGE: &str =
+        "usage: chaos run --seed N [--faults SPEC] [--export FILE.csv] [--obs-out FILE.json]";
     match rest.first().map(String::as_str) {
         Some("run") => chaos_run(&rest[1..]),
-        Some("plan") => chaos_plan(&rest[1..]),
-        _ => Err("usage: chaos run|plan --seed N [--faults SPEC] ...".into()),
+        Some(other) => Err(format!("unknown chaos subcommand `{other}`\n{USAGE}")),
+        None => Err(USAGE.into()),
     }
 }
 
-/// Parse the flags `chaos run` and `chaos plan` share and build the plan.
-/// Returns the plan plus any leftover flags the caller handles itself.
-fn parse_chaos_plan<'a>(
-    args: &mut std::slice::Iter<'a, String>,
-    seed: &mut Option<u64>,
-    faults: &mut String,
-    arg: &'a str,
-) -> Result<bool, String> {
-    match arg {
-        "--seed" => {
-            let v = args.next().ok_or("--seed needs an integer")?;
-            *seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
-            Ok(true)
-        }
-        "--faults" => {
-            *faults = args.next().ok_or("--faults needs a spec")?.clone();
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
+/// The fault plan of `--seed` and `--faults`, checked before anything
+/// runs: every spec entry parses and is in range, an outage names a
+/// target machine, and the plan passes its own audit (MS602).
 fn build_chaos_plan(seed: Option<u64>, faults: &str) -> Result<FaultPlan, String> {
     let seed = seed.ok_or("chaos needs --seed N (determinism is the point)")?;
-    let plan = if faults.is_empty() {
-        FaultPlan::empty(seed)
-    } else {
-        FaultPlan::parse_spec(seed, faults)?
-    };
+    let plan = FaultPlan::parse_spec(seed, faults)?;
+    for fault in &plan.faults {
+        let FaultSpec::MachineOutage { machine } = fault else {
+            continue;
+        };
+        if machine == MachineId::NavoP690Base.label() {
+            return Err(format!(
+                "outage:{machine} names the base system, which every prediction \
+                 scales from (Equation 1); take out a target machine instead"
+            ));
+        }
+        if !MachineId::TARGETS.iter().any(|m| m.label() == machine) {
+            let labels: Vec<&str> = MachineId::TARGETS.iter().map(|m| m.label()).collect();
+            return Err(format!(
+                "unknown outage machine `{machine}`; the target machines are {}",
+                labels.join(", ")
+            ));
+        }
+    }
     let report = plan.audit();
     if !report.is_clean() {
         print!("{}", metasim_audit::render::human(&report));
@@ -855,38 +765,6 @@ fn build_chaos_plan(seed: Option<u64>, faults: &str) -> Result<FaultPlan, String
         return Err(report.summary_line());
     }
     Ok(plan)
-}
-
-/// `chaos plan --seed N [--faults SPEC] [--out FILE.json]`: build and audit
-/// a fault plan, then print it (or save it for `study --fault-plan`).
-fn chaos_plan(rest: &[String]) -> Result<(), String> {
-    let mut seed: Option<u64> = None;
-    let mut faults = String::new();
-    let mut out: Option<String> = None;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        if parse_chaos_plan(&mut args, &mut seed, &mut faults, arg)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--out" => out = Some(args.next().ok_or("--out needs a path")?.clone()),
-            other => return Err(format!("unknown chaos plan flag `{other}`")),
-        }
-    }
-    let plan = build_chaos_plan(seed, &faults)?;
-    let json = serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?;
-    match out {
-        Some(path) => {
-            std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
-                "wrote fault plan (seed {}, {} fault site(s)) to {path}",
-                plan.seed,
-                plan.faults.len()
-            );
-        }
-        None => println!("{json}"),
-    }
-    Ok(())
 }
 
 /// `chaos run --seed N [--faults SPEC] [--export FILE.csv] [--obs-out FILE]`:
@@ -901,10 +779,12 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     let mut obs_out: Option<String> = None;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
-        if parse_chaos_plan(&mut args, &mut seed, &mut faults, arg)? {
-            continue;
-        }
         match arg.as_str() {
+            "--seed" => {
+                let v = args.next().ok_or("--seed needs an integer")?;
+                seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
+            }
+            "--faults" => faults = args.next().ok_or("--faults needs a spec")?.clone(),
             "--export" => export_path = Some(args.next().ok_or("--export needs a path")?.clone()),
             "--obs-out" => obs_out = Some(args.next().ok_or("--obs-out needs a path")?.clone()),
             other => return Err(format!("unknown chaos run flag `{other}`")),
@@ -1689,13 +1569,7 @@ fn fleet_cmd(rest: &[String]) -> Result<(), String> {
                 return Err(format!("unknown fleet {sub} flag `{flag}`"));
             }
             match flag {
-                "--size" => {
-                    cfg.size = args
-                        .next()
-                        .ok_or("--size needs a machine count")?
-                        .parse()
-                        .map_err(|_| "--size needs an unsigned integer".to_string())?;
-                }
+                "--size" => cfg.size = parse_count("--size", &mut args)?,
                 "--seed" => {
                     cfg.seed = args
                         .next()
@@ -1703,13 +1577,7 @@ fn fleet_cmd(rest: &[String]) -> Result<(), String> {
                         .parse()
                         .map_err(|_| "--seed needs an unsigned integer".to_string())?;
                 }
-                "--jobs" => {
-                    cfg.jobs = args
-                        .next()
-                        .ok_or("--jobs needs a worker count")?
-                        .parse()
-                        .map_err(|_| "--jobs needs an unsigned integer".to_string())?;
-                }
+                "--jobs" => cfg.jobs = parse_count("--jobs", &mut args)?,
                 "--tier" => {
                     let t = args.next().ok_or("--tier needs exact|analytic|auto")?;
                     cfg.tier = t.parse().map_err(|e| format!("{e}"))?;
@@ -1889,6 +1757,34 @@ mod tests {
     }
 
     #[test]
+    fn every_count_flag_rejects_non_positive_values_alike() {
+        // One parser, one message: no command runs serially on `--jobs 0`
+        // or samples an empty fleet on `--size 0`.
+        let commands: [(&str, &[&str], &str); 5] = [
+            ("study", &[], "--jobs"),
+            ("sense", &[], "--jobs"),
+            ("fleet", &["study"], "--jobs"),
+            ("fleet", &["study"], "--size"),
+            ("fleet", &["gen"], "--size"),
+        ];
+        for (cmd, sub, flag) in commands {
+            for value in ["0", "many", "-2"] {
+                let args: Vec<String> = sub
+                    .iter()
+                    .chain(&[flag, value])
+                    .map(|a| (*a).to_string())
+                    .collect();
+                let err = dispatch(cmd, &args).expect_err("a non-positive count is rejected");
+                assert_eq!(
+                    err,
+                    format!("{flag} needs a positive integer, got `{value}`"),
+                    "{cmd} {sub:?} {flag} {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn study_and_audit_reject_bad_tier_values() {
         assert!(dispatch("study", &["--tier".into()]).is_err());
         let err = dispatch("study", &["--tier".into(), "quantum".into()]).unwrap_err();
@@ -2008,7 +1904,8 @@ mod tests {
         let on_base = |cost: &Expr| Box::new(Expr::OnBase(Box::new(cost.clone())));
 
         // The shipped reference analysis is warning-free...
-        assert!(dispatch("sense", &["--reference".into(), "--deny-warnings".into()]).is_ok());
+        let reference = SenseModel::shipped(SenseScope::Reference);
+        assert!(run_sense(&reference, false, deny_warnings(), 1).is_ok());
         // ...each error-severity defect exits non-zero: Equation 1 with a
         // multiply on Metric #1 (MS901), a STREAM cost `1 / (s − 0.999·s)`
         // on Metric #2 (MS903), and a static band collapsed to a point
@@ -2083,44 +1980,41 @@ mod tests {
         ];
         assert!(dispatch("chaos", &bad_spec).is_err());
         let bad_flag = [
-            "plan".into(),
+            "run".into(),
             "--seed".into(),
             "1".into(),
             "--frobnicate".into(),
         ];
-        assert!(dispatch("chaos", &bad_flag).is_err());
-        assert!(dispatch("study", &["--fault-plan".into()]).is_err());
-        assert!(dispatch(
-            "study",
-            &["--fault-plan".into(), "/nonexistent/p.json".into()]
-        )
-        .is_err());
+        let err = dispatch("chaos", &bad_flag).unwrap_err();
+        assert!(
+            err.contains("unknown chaos run flag `--frobnicate`"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn chaos_plan_writes_a_file_study_fault_plan_can_read() {
-        let dir = std::env::temp_dir().join(format!("metasim-chaos-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.json");
-        let path_s = path.to_string_lossy().to_string();
-        dispatch(
-            "chaos",
-            &[
-                "plan".into(),
-                "--seed".into(),
-                "9".into(),
-                "--faults".into(),
-                "probe-noise:0.05,outage:ARL_Xeon".into(),
-                "--out".into(),
-                path_s,
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let plan: FaultPlan = serde_json::from_str(&text).unwrap();
-        assert_eq!(plan.seed, 9);
-        assert_eq!(plan.faults.len(), 2);
-        std::fs::remove_file(&path).ok();
+    fn chaos_outages_must_name_a_target_machine() {
+        // A misspelt or miscased label would take nothing out and the run
+        // would look complete; the base system cannot be taken out at all.
+        for label in ["ARL_Xeonn", "arl_xeon"] {
+            let err = build_chaos_plan(Some(1), &format!("outage:{label}")).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown outage machine `{label}`")),
+                "{err}"
+            );
+            for target in MachineId::TARGETS {
+                assert!(err.contains(target.label()), "{err} names {target}");
+            }
+        }
+        let base = MachineId::NavoP690Base.label();
+        let err = build_chaos_plan(Some(1), &format!("outage:{base}")).unwrap_err();
+        assert!(err.contains("base system"), "{err}");
+        assert!(!err.contains("unknown outage machine"), "{err}");
+        // Every target label is accepted.
+        for target in MachineId::TARGETS {
+            let plan = build_chaos_plan(Some(1), &format!("outage:{}", target.label())).unwrap();
+            assert_eq!(plan.faults.len(), 1);
+        }
     }
 
     #[test]
@@ -2142,6 +2036,29 @@ mod tests {
             "chaos",
             &["run", "--seed", "1", "--obs-format", "json"],
             "unknown chaos run flag",
+        );
+        // The manifest is the one timing record, `--faults` the one fault
+        // plan and `chaos run` the one faulted run; `sense` covers the grid.
+        unknown("study", &["--timings"], "unknown study flag `--timings`");
+        unknown(
+            "study",
+            &["--bench-out", "b.json"],
+            "unknown study flag `--bench-out`",
+        );
+        unknown(
+            "study",
+            &["--fault-plan", "p.json"],
+            "unknown study flag `--fault-plan`",
+        );
+        unknown(
+            "chaos",
+            &["plan", "--seed", "1"],
+            "unknown chaos subcommand `plan`",
+        );
+        unknown(
+            "sense",
+            &["--reference"],
+            "unknown sense flag `--reference`",
         );
         assert!(dispatch("audit", &["--manifest".into()]).is_err());
         // The new subcommands validate their argument shapes too.

@@ -3,7 +3,6 @@
 //! exactly the grid behind the paper's Table 4, Table 5, and Figures 2–7.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -117,24 +116,6 @@ impl std::fmt::Display for Coverage {
     }
 }
 
-/// Per-phase wall time of one study run (what `metasim study --timings`
-/// prints). All values in seconds of host wall clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StudyTimings {
-    /// Preflight audit, including warming all 11 machines' probe sweeps
-    /// and the 15 application traces.
-    pub preflight_seconds: f64,
-    /// Warming every ground-truth cell (150 target + 15 base executions).
-    pub ground_truth_seconds: f64,
-    /// Dependency analysis and the 1,350 predictions.
-    pub prediction_seconds: f64,
-    /// End-to-end wall time (load time when served from cache).
-    pub total_seconds: f64,
-    /// Whether the result was loaded whole from a persistent store rather
-    /// than computed (in which case the phase fields are zero).
-    pub loaded_from_cache: bool,
-}
-
 /// Artifact-store kind directory for persisted whole-study results.
 pub const STUDY_KIND: &str = "study";
 
@@ -154,9 +135,8 @@ impl Study {
     /// [`run_sharded`] call over the phase's independent cells (see
     /// [`crate::executor`]), which runs inline at `jobs <= 1`.
     ///
-    /// The obs spans are the *only* timing source: each `StudyTimings`
-    /// field is the `finish()` value of the corresponding phase span, so
-    /// the manifest's span tree and the reported timings cannot disagree.
+    /// The phase spans are the study's only timing record: a recorder
+    /// installed around the run turns them into the run manifest.
     fn compute(
         ctx: SpanCtx,
         fleet: &Fleet,
@@ -164,8 +144,7 @@ impl Study {
         gt: &GroundTruth,
         traces: &TraceCache,
         jobs: usize,
-    ) -> (Self, StudyTimings) {
-        let start = Instant::now();
+    ) -> Self {
         // Preflight: statically verify every input artifact. The phase span
         // closes *before* the error gate below so a failed preflight still
         // shows up — with its wall time — in the recorder.
@@ -204,7 +183,7 @@ impl Study {
                 }
             })
             .collect();
-        let preflight_seconds = pre.finish();
+        drop(pre);
         assert!(
             !report.has_errors(),
             "study preflight found error-severity diagnostics:\n{report}"
@@ -227,7 +206,7 @@ impl Study {
             let _m = metasim_obs::span(format!("cell:{case}/{cpus}/{machine}"));
             let _ = gt.run(case, cpus, fleet.get(machine));
         });
-        let ground_truth_seconds = gt_span.finish();
+        drop(gt_span);
 
         // The prediction cut: (case, cpus) groups are independent, traces
         // are single-flight, every ground-truth read is warm, and the
@@ -282,15 +261,8 @@ impl Study {
             .observations
             .sort_by_key(|o| (o.case, o.cpus, o.machine));
         study.record_obs_metrics();
-        let prediction_seconds = pred_span.finish();
-        let timings = StudyTimings {
-            preflight_seconds,
-            ground_truth_seconds,
-            prediction_seconds,
-            total_seconds: start.elapsed().as_secs_f64(),
-            loaded_from_cache: false,
-        };
-        (study, timings)
+        drop(pred_span);
+        study
     }
 
     /// Feed the finished grid into the metrics registry: the signed-error
@@ -334,7 +306,9 @@ impl Study {
     }
 
     /// Run the full study on `fleet`: the one entry point that computes a
-    /// study.
+    /// study. The `bool` is `true` when the study was loaded whole from
+    /// `store`. Phase wall times are spans, read from the run manifest of a
+    /// recorder installed around the call.
     ///
     /// With a store, a warm hit loads the whole result set in one read —
     /// validated on load by the value-level `MS3xx` audit rules plus a
@@ -362,7 +336,7 @@ impl Study {
         gt: &GroundTruth,
         store: Option<&ArtifactStore>,
         jobs: usize,
-    ) -> (Self, StudyTimings) {
+    ) -> (Self, bool) {
         // A run under a fault plan neither reads nor writes the whole-study
         // store: a cached full grid would mask the injected faults, and a
         // partial grid must never poison fault-free runs. Plans are
@@ -388,24 +362,17 @@ impl Study {
                 }
                 Ok(())
             });
-            let load_seconds = load.finish();
+            drop(load);
             if let Some(study) = loaded {
                 study.record_obs_metrics();
-                let timings = StudyTimings {
-                    preflight_seconds: 0.0,
-                    ground_truth_seconds: 0.0,
-                    prediction_seconds: 0.0,
-                    total_seconds: load_seconds,
-                    loaded_from_cache: true,
-                };
-                return (study, timings);
+                return (study, true);
             }
         }
         let traces = match store {
             Some(store) => TraceCache::with_store(Arc::new(store.clone())),
             None => TraceCache::new(),
         };
-        let (study, timings) = Self::compute(ctx, fleet, suite, gt, &traces, jobs);
+        let study = Self::compute(ctx, fleet, suite, gt, &traces, jobs);
         if let Some(store) = store {
             let _write = ctx.span("store-write");
             let _ = store.store(
@@ -414,7 +381,7 @@ impl Study {
                 &study,
             );
         }
-        (study, timings)
+        (study, false)
     }
 
     /// Table 4: per-metric average absolute error and standard deviation.
@@ -564,7 +531,7 @@ mod tests {
         let suite = ProbeSuite::new();
         let gt = GroundTruth::new();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let (parallel, timings) = metasim_obs::with_recorder(rec.clone(), || {
+        let (parallel, loaded_from_cache) = metasim_obs::with_recorder(rec.clone(), || {
             Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
         });
         assert_eq!(parallel.observations, serial.observations);
@@ -574,7 +541,7 @@ mod tests {
             serde_json::to_string(&parallel).unwrap(),
             serde_json::to_string(serial).unwrap()
         );
-        assert!(!timings.loaded_from_cache);
+        assert!(!loaded_from_cache);
         // The manifest shows the shard layout: every phase ran sharded.
         let spans = rec.span_records();
         let shard_count = spans.iter().filter(|s| s.name == "shard:0").count();
@@ -917,14 +884,14 @@ mod tests {
             .store(STUDY_KIND, Study::store_key(&f), fresh)
             .unwrap();
 
-        let (loaded, timings) = Study::run_with_store_jobs(
+        let (loaded, loaded_from_cache) = Study::run_with_store_jobs(
             &f,
             &ProbeSuite::new(),
             &GroundTruth::new(),
             Some(&store),
             1,
         );
-        assert!(timings.loaded_from_cache, "warm store must serve the load");
+        assert!(loaded_from_cache, "warm store must serve the load");
         assert_eq!(fresh, &loaded, "cached study must equal the fresh study");
         // Bit-for-bit, not merely PartialEq: identical serialized text.
         assert_eq!(
@@ -950,7 +917,7 @@ mod tests {
             .store(STUDY_KIND, Study::store_key(&f), &doctored)
             .unwrap();
 
-        let (recomputed, timings) = Study::run_with_store_jobs(
+        let (recomputed, loaded_from_cache) = Study::run_with_store_jobs(
             &f,
             &ProbeSuite::new(),
             &GroundTruth::new(),
@@ -958,28 +925,19 @@ mod tests {
             1,
         );
         assert!(
-            !timings.loaded_from_cache,
+            !loaded_from_cache,
             "audit-on-load must reject the doctored entry"
         );
         assert_eq!(&recomputed, study(), "fallback recomputes the true study");
-        // Phase timings cover the compute path and add up.
-        assert!(timings.preflight_seconds >= 0.0);
-        let phase_sum =
-            timings.preflight_seconds + timings.ground_truth_seconds + timings.prediction_seconds;
-        assert!(
-            (phase_sum - timings.total_seconds).abs() <= 0.05 * timings.total_seconds + 1e-6,
-            "phases {phase_sum} vs total {}",
-            timings.total_seconds
-        );
         // The recompute rewrote a good entry over the doctored one.
-        let (reloaded, reload_timings) = Study::run_with_store_jobs(
+        let (reloaded, reloaded_from_cache) = Study::run_with_store_jobs(
             &f,
             &ProbeSuite::new(),
             &GroundTruth::new(),
             Some(&store),
             1,
         );
-        assert!(reload_timings.loaded_from_cache);
+        assert!(reloaded_from_cache);
         assert_eq!(reloaded, recomputed);
         store.clear().unwrap();
     }

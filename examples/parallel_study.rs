@@ -13,6 +13,7 @@ use std::sync::Arc;
 use metasim::apps::groundtruth::GroundTruth;
 use metasim::core::study::Study;
 use metasim::machines::fleet;
+use metasim::obs::manifest::{ManifestMeta, RunManifest};
 use metasim::obs::{with_recorder, InMemoryRecorder};
 use metasim::probes::suite::ProbeSuite;
 
@@ -23,13 +24,13 @@ fn main() {
     let suite = ProbeSuite::new();
     let gt = GroundTruth::new();
     let rec = Arc::new(InMemoryRecorder::new());
-    let (parallel, timings) = with_recorder(rec.clone(), || {
+    let (parallel, _) = with_recorder(rec.clone(), || {
         Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
     });
     println!(
         "sharded run (--jobs 4): {} observations in {:.1} s",
         parallel.observations.len(),
-        timings.total_seconds
+        RunManifest::build(&rec, ManifestMeta::default()).total_seconds
     );
 
     // 2. The serial reference, on fresh memos so nothing is shared with the
