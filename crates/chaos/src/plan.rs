@@ -85,7 +85,9 @@ impl FaultPlan {
     /// Parse the CLI `--faults` mini-language: a comma-separated list of
     /// `name:param` entries. Names: `probe-noise:SIGMA`, `measure-fail:P`,
     /// `cache-corrupt:P`, `trace-drop:P`, `outage:MACHINE_LABEL`. An empty
-    /// spec yields an empty plan.
+    /// spec yields an empty plan. Each probabilistic kind may appear once,
+    /// and each machine in one `outage` entry; several `outage` entries
+    /// naming distinct machines take them all down.
     ///
     /// ```
     /// use metasim_chaos::{FaultPlan, FaultSpec};
@@ -93,6 +95,7 @@ impl FaultPlan {
     /// assert_eq!(plan.seed, 42);
     /// assert_eq!(plan.faults.len(), 2);
     /// assert!(FaultPlan::parse_spec(1, "measure-fail:1.5").is_err());
+    /// assert!(FaultPlan::parse_spec(1, "measure-fail:0.1,measure-fail:0.2").is_err());
     /// ```
     pub fn parse_spec(seed: u64, spec: &str) -> Result<Self, String> {
         let mut faults = Vec::new();
@@ -109,7 +112,7 @@ impl FaultPlan {
                 }
                 Ok(p)
             };
-            faults.push(match name {
+            let fault = match name {
                 "probe-noise" => FaultSpec::ProbeNoise {
                     sigma: prob("probe-noise sigma")?,
                 },
@@ -126,7 +129,17 @@ impl FaultPlan {
                     machine: param.to_string(),
                 },
                 other => return Err(format!("unknown fault `{other}`")),
-            });
+            };
+            if let Some(earlier) = faults.iter().find(|f| repeats(f, &fault)) {
+                let what = match earlier {
+                    FaultSpec::MachineOutage { machine } => format!("the outage of `{machine}`"),
+                    _ => format!("`{name}`"),
+                };
+                return Err(format!(
+                    "fault `{entry}` repeats {what}: a plan takes each at most once"
+                ));
+            }
+            faults.push(fault);
         }
         Ok(FaultPlan { seed, faults })
     }
@@ -171,7 +184,7 @@ impl FaultPlan {
     }
 
     fn probability_for(&self, site: &str) -> f64 {
-        // First matching spec wins; duplicate specs of one kind are ignored.
+        // A parsed plan holds at most one spec per kind.
         self.faults
             .iter()
             .find_map(|f| match (site, f) {
@@ -215,6 +228,17 @@ impl FaultPoint for FaultPlan {
     }
 }
 
+/// Whether `b` names the same fault as `a`: the same probabilistic kind,
+/// or an outage of the same machine.
+fn repeats(a: &FaultSpec, b: &FaultSpec) -> bool {
+    match (a, b) {
+        (FaultSpec::MachineOutage { machine: x }, FaultSpec::MachineOutage { machine: y }) => {
+            x == y
+        }
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b),
+    }
+}
+
 fn xorshift64star(mut x: u64) -> u64 {
     if x == 0 {
         // 0 is the xorshift fixed point; nudge it off with a golden-ratio
@@ -243,6 +267,55 @@ mod tests {
         assert!(FaultPlan::parse_spec(1, "").unwrap().is_empty());
     }
 
+    #[test]
+    fn a_fault_named_twice_is_rejected_by_name() {
+        for (spec, named) in [
+            ("probe-noise:0.05,probe-noise:0.9", "`probe-noise`"),
+            (
+                "measure-fail:0.1,trace-drop:0.2,measure-fail:0.1",
+                "`measure-fail`",
+            ),
+            ("cache-corrupt:1,cache-corrupt:0", "`cache-corrupt`"),
+            ("trace-drop:0.5, trace-drop:0.5", "`trace-drop`"),
+            (
+                "outage:ARL_SC45,probe-noise:0.1,outage:ARL_SC45",
+                "`ARL_SC45`",
+            ),
+        ] {
+            let err = FaultPlan::parse_spec(1, spec).unwrap_err();
+            assert!(
+                err.contains(named) && err.contains("repeats"),
+                "{spec}: {err}"
+            );
+        }
+        let plan = FaultPlan::parse_spec(1, "outage:ARL_SC45,outage:ARL_Xeon").unwrap();
+        assert!(plan.fires(site::OUTAGE, &["ARL_SC45"]));
+        assert!(
+            plan.fires(site::OUTAGE, &["ARL_Xeon"]),
+            "distinct outages all hold"
+        );
+    }
+
+    /// Whether `plan` holds at most one entry per probabilistic kind and
+    /// per outage machine.
+    fn at_most_once(plan: &FaultPlan) -> bool {
+        let mut names: Vec<String> = plan
+            .faults
+            .iter()
+            .map(|f| match f {
+                FaultSpec::ProbeNoise { .. } => "probe-noise".to_string(),
+                FaultSpec::MeasureFail { .. } => "measure-fail".to_string(),
+                FaultSpec::CacheCorrupt { .. } => "cache-corrupt".to_string(),
+                FaultSpec::TraceDrop { .. } => "trace-drop".to_string(),
+                FaultSpec::MachineOutage { machine } => format!("outage:{machine}"),
+            })
+            .collect();
+        let entries = names.len();
+        names.sort();
+        names.dedup();
+        names.len() == entries
+    }
+
     /// Whether every probability and sigma of `plan` lies in `[0, 1]`.
     fn in_unit_interval(plan: &FaultPlan) -> bool {
         plan.faults.iter().all(|f| match f {
@@ -255,11 +328,12 @@ mod tests {
     }
 
     /// Specs the parser accepts, the seeds of the mutation fuzz below.
-    const VALID_SPECS: [&str; 4] = [
+    const VALID_SPECS: [&str; 5] = [
         "probe-noise:0.05,measure-fail:0.2,trace-drop:0.1,outage:ARL_Xeon",
         "cache-corrupt:1.0",
         " probe-noise:0 , measure-fail:1 ,",
         "trace-drop:0.5,outage:ARL_SC45,probe-noise:0.25",
+        "outage:ARL_SC40,outage:ARL_SC49",
     ];
 
     /// Characters and number spellings a mutation splices into a spec.
@@ -351,12 +425,13 @@ mod tests {
             let text = String::from_utf8_lossy(&bytes);
             if let Ok(plan) = FaultPlan::parse_spec(1, &text) {
                 prop_assert!(in_unit_interval(&plan), "{text:?} -> {plan:?}");
+                prop_assert!(at_most_once(&plan), "{text:?} -> {plan:?}");
             }
         }
 
         /// Valid specs with characters inserted, deleted or replaced — or
         /// spliced in where a parameter starts — stay panic-free, and every
-        /// accepted mutant is still bounded.
+        /// accepted mutant is still bounded and names each fault once.
         #[test]
         fn mutated_specs_never_panic(
             base in 0usize..VALID_SPECS.len(),
@@ -385,6 +460,7 @@ mod tests {
             let text: String = spec.into_iter().collect();
             if let Ok(plan) = FaultPlan::parse_spec(1, &text) {
                 prop_assert!(in_unit_interval(&plan), "{text:?} -> {plan:?}");
+                prop_assert!(at_most_once(&plan), "{text:?} -> {plan:?}");
             }
         }
     }

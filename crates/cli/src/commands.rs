@@ -16,7 +16,7 @@ use metasim_core::metric::MetricId;
 use metasim_core::prediction::predict_all;
 use metasim_core::ranking::rank_correlations;
 use metasim_core::sensitivity::{SenseModel, SenseScope};
-use metasim_core::study::Study;
+use metasim_core::study::{Study, StudyError};
 use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_obs::diff::{diff_and_audit, DiffBudget};
 use metasim_obs::manifest::{CacheSummary, ManifestMeta, RunManifest};
@@ -60,10 +60,10 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "probes" => probes(&Session::reports()),
         "fig1" => fig1(&Session::reports(), rest.first().map(String::as_str)),
         "table4" => table4(
-            &Session::reports().study().0,
+            &Session::reports().study()?.0,
             rest.first().map(String::as_str),
         ),
-        "table5" => table5(&Session::reports().study().0),
+        "table5" => table5(&Session::reports().study()?.0),
         "fig" => {
             let n: usize = rest
                 .first()
@@ -71,23 +71,23 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
                 .parse()
                 .map_err(|_| "figure number must be 3-7".to_string())?;
             let case = figure_case(n)?;
-            figure(&Session::reports().study().0, n, case)
+            figure(&Session::reports().study()?.0, n, case)
         }
         "appendix" => appendix(&Session::reports()),
         "balanced" => {
             let session = Session::reports();
-            balanced(&session, &session.study().0)
+            balanced(&session, &session.study()?.0)
         }
-        "ranking" => ranking(&Session::reports().study().0),
-        "superlatives" => superlatives(&Session::reports().study().0),
-        "verify" => verify(&Session::reports().study().0),
+        "ranking" => ranking(&Session::reports().study()?.0),
+        "superlatives" => superlatives(&Session::reports().study()?.0),
+        "verify" => verify(&Session::reports().study()?.0),
         "predict" => predict(rest),
         "export" => export(rest),
         "export-workload" => export_workload(rest),
         "predict-custom" => predict_custom(rest),
         "all" => {
             let session = Session::reports();
-            let study = session.study().0;
+            let study = session.study()?.0;
             systems(&session.fleet)?;
             metrics()?;
             probes(&session)?;
@@ -571,15 +571,23 @@ impl Session {
     }
 
     /// The study: one store read when warm, computed (and stored) when not;
-    /// the `bool` is `true` when it was loaded.
-    fn study(&self) -> (Study, bool) {
-        Study::run_with_store_jobs(
+    /// the `bool` is `true` when it was loaded. A study that cannot be
+    /// computed is a one-line error; a failed preflight prints its report
+    /// first.
+    fn study(&self) -> Result<(Study, bool), String> {
+        Study::try_run_with_store_jobs(
             &self.fleet,
             &self.suite,
             &self.gt,
             self.store.as_deref(),
             self.jobs,
         )
+        .map_err(|e| {
+            if let StudyError::Preflight(report) = &e {
+                print!("{}", metasim_audit::render::human(report));
+            }
+            e.to_string()
+        })
     }
 
     /// [`study`](Self::study) under an optional fault plan, recorded into
@@ -588,7 +596,7 @@ impl Session {
         &self,
         plan: Option<Arc<FaultPlan>>,
         rec: Option<&Arc<InMemoryRecorder>>,
-    ) -> (Study, bool) {
+    ) -> Result<(Study, bool), String> {
         let planned = || match &plan {
             Some(p) => {
                 metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn FaultPoint>, || self.study())
@@ -684,7 +692,7 @@ fn study(rest: &[String]) -> Result<(), String> {
     // Recording is opt-in: only pay for span bookkeeping when a manifest
     // will be written.
     let recorder = obs_out.is_some().then(|| Arc::new(InMemoryRecorder::new()));
-    let (study, loaded_from_cache) = session.study_with(None, recorder.as_ref());
+    let (study, loaded_from_cache) = session.study_with(None, recorder.as_ref())?;
 
     println!(
         "study: {} observations, {} predictions ({}{})",
@@ -800,7 +808,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
     let recorder = obs_out.is_some().then(|| Arc::new(InMemoryRecorder::new()));
     let session = Session::new(None, Tier::Exact, 1);
     let study = session
-        .study_with(Some(Arc::new(plan)), recorder.as_ref())
+        .study_with(Some(Arc::new(plan)), recorder.as_ref())?
         .0;
 
     let coverage = study.coverage();
@@ -1394,7 +1402,7 @@ fn superlatives(study: &Study) -> Result<(), String> {
 
 fn export(rest: &[String]) -> Result<(), String> {
     let path = rest.first().ok_or("export needs an output path")?;
-    export_study(&Session::reports().study().0, path)
+    export_study(&Session::reports().study()?.0, path)
 }
 
 fn export_study(study: &Study, path: &str) -> Result<(), String> {
@@ -1797,7 +1805,7 @@ mod tests {
     /// only read it.
     fn session_study() -> &'static Study {
         static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
-        STUDY.get_or_init(|| Session::new(None, Tier::Exact, 1).study().0)
+        STUDY.get_or_init(|| Session::new(None, Tier::Exact, 1).study().unwrap().0)
     }
 
     #[test]
@@ -1805,7 +1813,7 @@ mod tests {
         // The study warms every probe set and ground-truth cell; the tables
         // rendered after it read the same session and measure nothing more.
         let session = Session::new(None, Tier::Exact, 1);
-        let study = session.study().0;
+        let study = session.study().unwrap().0;
         probes(&session).unwrap();
         fig1(&session, None).unwrap();
         appendix(&session).unwrap();
@@ -1990,6 +1998,34 @@ mod tests {
             err.contains("unknown chaos run flag `--frobnicate`"),
             "{err}"
         );
+        let repeated = [
+            "run".into(),
+            "--seed".into(),
+            "1".into(),
+            "--faults".into(),
+            "probe-noise:0.05,probe-noise:0.9".into(),
+        ];
+        let err = dispatch("chaos", &repeated).unwrap_err();
+        assert!(err.contains("repeats `probe-noise`"), "{err}");
+    }
+
+    #[test]
+    fn an_unmeasurable_base_system_is_an_error_not_a_panic() {
+        // Every probe attempt fails, the base system's too: the study
+        // cannot scale any prediction (Equation 1), and says so.
+        let args = [
+            "run".into(),
+            "--seed".into(),
+            "3".into(),
+            "--faults".into(),
+            "measure-fail:1.0".into(),
+        ];
+        let err = dispatch("chaos", &args).unwrap_err();
+        assert!(
+            err.starts_with("the base system is required by Equation 1: probes unavailable for"),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "one line: {err}");
     }
 
     #[test]
@@ -2006,6 +2042,8 @@ mod tests {
                 assert!(err.contains(target.label()), "{err} names {target}");
             }
         }
+        let err = build_chaos_plan(Some(1), "outage:ARL_Xeon,outage:ARL_Xeon").unwrap_err();
+        assert!(err.contains("repeats the outage of `ARL_Xeon`"), "{err}");
         let base = MachineId::NavoP690Base.label();
         let err = build_chaos_plan(Some(1), &format!("outage:{base}")).unwrap_err();
         assert!(err.contains("base system"), "{err}");

@@ -63,4 +63,4 @@ pub use lint::{lint_full_with_policy, LintModel};
 pub use metric::{MetricId, MetricKind};
 pub use prediction::predict_all;
 pub use sensitivity::{SenseModel, SenseScope, SensitivityReport};
-pub use study::{Coverage, Observation, Study};
+pub use study::{Coverage, Observation, Study, StudyError};

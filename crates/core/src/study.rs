@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use metasim_apps::groundtruth::GroundTruth;
 use metasim_apps::registry::{all_test_cases, TestCase};
 use metasim_apps::tracing::TraceCache;
+use metasim_audit::AuditReport;
 use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
 use metasim_machines::{Fleet, MachineId};
 use metasim_memsim::analytic::Tier;
@@ -16,7 +17,7 @@ use metasim_memsim::bandwidth::measure_bandwidth_memo;
 use metasim_obs::hdr::LAT_PREDICTION;
 use metasim_obs::SpanCtx;
 use metasim_probes::audit::hit_fraction_samples;
-use metasim_probes::suite::ProbeSuite;
+use metasim_probes::suite::{ProbeFailure, ProbeSuite};
 use metasim_stats::error_metrics::{percent_error, ErrorAccumulator};
 use metasim_tracer::analysis::analyze_dependencies;
 use metasim_units::{Percent, Seconds};
@@ -119,6 +120,37 @@ impl std::fmt::Display for Coverage {
 /// Artifact-store kind directory for persisted whole-study results.
 pub const STUDY_KIND: &str = "study";
 
+/// Why [`Study::try_run_with_store_jobs`] computed no study.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StudyError {
+    /// The [`crate::audit::preflight`] audit found error-severity
+    /// diagnostics in the fleet configuration or the measured probe curves.
+    Preflight(AuditReport),
+    /// The base system's probes are unavailable (an outage, or retries
+    /// exhausted under a fault plan). It is not degradable like a target:
+    /// every prediction scales from its measured runtime (Equation 1).
+    BaseUnavailable(ProbeFailure),
+}
+
+impl std::fmt::Display for StudyError {
+    /// One line; a preflight failure gives the report's totals, and the
+    /// report itself renders the findings.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Preflight(report) => write!(
+                f,
+                "study preflight found error-severity diagnostics: {}",
+                report.summary_line()
+            ),
+            Self::BaseUnavailable(e) => {
+                write!(f, "the base system is required by Equation 1: {e}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StudyError {}
+
 impl Study {
     /// The computation behind [`run_with_store_jobs`](Self::run_with_store_jobs),
     /// with an explicit trace cache, so a store-backed run can reuse
@@ -137,6 +169,11 @@ impl Study {
     ///
     /// The phase spans are the study's only timing record: a recorder
     /// installed around the run turns them into the run manifest.
+    ///
+    /// # Errors
+    /// [`StudyError::BaseUnavailable`] when the base system cannot be
+    /// measured, then [`StudyError::Preflight`] when the preflight audit
+    /// finds errors; either way before any ground-truth work.
     fn compute(
         ctx: SpanCtx,
         fleet: &Fleet,
@@ -144,9 +181,9 @@ impl Study {
         gt: &GroundTruth,
         traces: &TraceCache,
         jobs: usize,
-    ) -> Self {
+    ) -> Result<Self, StudyError> {
         // Preflight: statically verify every input artifact. The phase span
-        // closes *before* the error gate below so a failed preflight still
+        // closes *before* the error gates below so a failed preflight still
         // shows up — with its wall time — in the recorder.
         let pre = ctx.span("phase:preflight");
         // Warm every machine's probe sweep and its two MS204 samples so the
@@ -169,7 +206,7 @@ impl Study {
         // its measured runtime (Equation 1), so losing it loses the study.
         let base_probes = suite
             .try_measure(base_cfg)
-            .unwrap_or_else(|e| panic!("the base system is required by Equation 1: {e}"));
+            .map_err(StudyError::BaseUnavailable)?;
         // Graceful degradation: a target whose probes are unavailable
         // (outage or exhausted retries under an installed fault plan) is
         // skipped, not fatal. `Study::coverage` and MS601 report the gap.
@@ -184,10 +221,9 @@ impl Study {
             })
             .collect();
         drop(pre);
-        assert!(
-            !report.has_errors(),
-            "study preflight found error-severity diagnostics:\n{report}"
-        );
+        if report.has_errors() {
+            return Err(StudyError::Preflight(report));
+        }
 
         // Warm every ground-truth cell: the 165-cell grid flattened in
         // canonical order, each (case, cpus) with the base system first
@@ -262,7 +298,7 @@ impl Study {
             .sort_by_key(|o| (o.case, o.cpus, o.machine));
         study.record_obs_metrics();
         drop(pred_span);
-        study
+        Ok(study)
     }
 
     /// Feed the finished grid into the metrics registry: the signed-error
@@ -325,10 +361,9 @@ impl Study {
     /// and a cold run stores the identical bytes.
     ///
     /// # Panics
-    /// Refuses to run — panicking with the rendered report — when the
-    /// [`crate::audit::preflight`] audit finds error-severity diagnostics
-    /// in the fleet configuration or the measured probe curves (compute
-    /// path only).
+    /// Refuses to run, panicking with the one-line error, where
+    /// [`try_run_with_store_jobs`](Self::try_run_with_store_jobs) returns
+    /// an `Err` (compute path only).
     #[must_use]
     pub fn run_with_store_jobs(
         fleet: &Fleet,
@@ -337,6 +372,24 @@ impl Study {
         store: Option<&ArtifactStore>,
         jobs: usize,
     ) -> (Self, bool) {
+        Self::try_run_with_store_jobs(fleet, suite, gt, store, jobs)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run_with_store_jobs`](Self::run_with_store_jobs), returning why no
+    /// study could be computed instead of panicking.
+    ///
+    /// # Errors
+    /// A [`StudyError`] when the preflight audit finds error-severity
+    /// diagnostics or the base system cannot be measured (compute path
+    /// only: a stored study was audited when it was written and on load).
+    pub fn try_run_with_store_jobs(
+        fleet: &Fleet,
+        suite: &ProbeSuite,
+        gt: &GroundTruth,
+        store: Option<&ArtifactStore>,
+        jobs: usize,
+    ) -> Result<(Self, bool), StudyError> {
         // A run under a fault plan neither reads nor writes the whole-study
         // store: a cached full grid would mask the injected faults, and a
         // partial grid must never poison fault-free runs. Plans are
@@ -365,14 +418,14 @@ impl Study {
             drop(load);
             if let Some(study) = loaded {
                 study.record_obs_metrics();
-                return (study, true);
+                return Ok((study, true));
             }
         }
         let traces = match store {
             Some(store) => TraceCache::with_store(Arc::new(store.clone())),
             None => TraceCache::new(),
         };
-        let study = Self::compute(ctx, fleet, suite, gt, &traces, jobs);
+        let study = Self::compute(ctx, fleet, suite, gt, &traces, jobs)?;
         if let Some(store) = store {
             let _write = ctx.span("store-write");
             let _ = store.store(
@@ -381,7 +434,7 @@ impl Study {
                 &study,
             );
         }
-        (study, false)
+        Ok((study, false))
     }
 
     /// Table 4: per-metric average absolute error and standard deviation.
@@ -854,6 +907,14 @@ mod tests {
                 }))
             });
         assert!(result.is_err(), "doctored fleet must fail preflight");
+        let err =
+            Study::try_run_with_store_jobs(&bad, &ProbeSuite::new(), &GroundTruth::new(), None, 1)
+                .unwrap_err();
+        let StudyError::Preflight(report) = &err else {
+            panic!("expected a preflight error, got {err:?}");
+        };
+        assert!(report.has_errors());
+        assert!(!err.to_string().contains('\n'), "one line: {err}");
 
         // The satellite guarantee: the preflight phase is reported — with a
         // wall time — even though preflight itself aborted the study.
@@ -1022,6 +1083,26 @@ mod tests {
                 !report.has_errors(),
                 "partial coverage is a warning, not an error: {report}"
             );
+        }
+
+        #[test]
+        fn an_unmeasurable_base_system_is_an_error() {
+            let plan = FaultPlan::parse_spec(3, "measure-fail:1.0").unwrap();
+            let result = metasim_chaos::with_plan(Arc::new(plan), || {
+                Study::try_run_with_store_jobs(
+                    &fleet(),
+                    &ProbeSuite::new(),
+                    &GroundTruth::new(),
+                    None,
+                    1,
+                )
+            });
+            let Err(StudyError::BaseUnavailable(failure)) = result else {
+                panic!("expected BaseUnavailable, got {result:?}");
+            };
+            assert_eq!(failure.machine, MachineId::NavoP690Base);
+            let line = StudyError::BaseUnavailable(failure).to_string();
+            assert!(line.starts_with("the base system is required by Equation 1"));
         }
     }
 }

@@ -19,6 +19,13 @@
 //! profiles but not timings, and [`measure_bandwidth_memo`] simulates each
 //! (hierarchy, address stream) once per [`ProfileMemo`] while timing every
 //! call with its own spec.
+//!
+//! A sequential or strided measurement whose warm-up and measured passes
+//! never wrap round the working set is counted rather than simulated
+//! (`fresh_sweep_profile`): in a simulator that starts empty, a sweep of
+//! increasing addresses hits a cache level exactly when it stays on the
+//! previous access's line, and the TLB exactly when it stays on the
+//! previous access's page. Every other measurement drives the simulator.
 
 use serde::{Deserialize, Serialize};
 
@@ -195,13 +202,14 @@ pub fn measure_bandwidth_memo(
 
 /// Drive `workload`'s address stream through a fresh simulator of
 /// `hierarchy`: a warm-up pass, then the measured pass whose profile is
-/// returned. Reads the working set, access kind and seed; not `deps`.
+/// returned. Reads the working set, access kind and seed; not `deps`. A
+/// sweep that never wraps is counted instead ([`fresh_sweep_profile`]).
 ///
 /// # Panics
-/// Panics if the hierarchy's geometry is invalid.
+/// Panics if the hierarchy's geometry is invalid and the stream is driven;
+/// the counting path builds no simulator, so callers validate the spec
+/// first, as [`measure_bandwidth_memo`] does.
 fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile {
-    let mut sim = HierarchySim::new(hierarchy);
-
     let per_pass = workload.accesses_per_pass();
     let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
     // Warm-up must visit the whole working set at least once (capped so huge
@@ -211,36 +219,108 @@ fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile
 
     match workload.kind {
         AccessKind::Sequential | AccessKind::Strided(_) => {
-            let mut stream = StridedStream::new(
-                0,
+            let (working_set, stride) = (
                 workload.working_set.max(ELEMENT_BYTES),
                 workload.stride_bytes(),
-                ELEMENT_BYTES,
             );
-            drive(&mut sim, &mut stream, warmup);
-            sim.clear_profile();
-            drive(&mut sim, &mut stream, measured);
+            if sweep_stays_fresh(working_set, stride, warmup + measured) {
+                return fresh_sweep_profile(hierarchy, stride, warmup, measured);
+            }
+            let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
+            driven_profile(hierarchy, stream, warmup, measured)
         }
         AccessKind::Random => {
             let rng = SeededRng::new(workload.seed ^ workload.working_set);
-            let mut stream = RandomStream::new(
+            let stream = RandomStream::new(
                 0,
                 workload.working_set.max(ELEMENT_BYTES),
                 ELEMENT_BYTES,
                 rng,
             );
-            drive(&mut sim, &mut stream, warmup);
-            sim.clear_profile();
-            drive(&mut sim, &mut stream, measured);
+            driven_profile(hierarchy, stream, warmup, measured)
         }
     }
+}
+
+/// Drive `warmup` accesses of `stream` through a fresh simulator of
+/// `hierarchy`, clear the profile, drive `measured` more and return their
+/// profile.
+fn driven_profile<S: AddressStream>(
+    hierarchy: &Hierarchy,
+    mut stream: S,
+    warmup: u64,
+    measured: u64,
+) -> AccessProfile {
+    let mut sim = HierarchySim::new(hierarchy);
+    drive(&mut sim, &mut stream, warmup);
+    sim.clear_profile();
+    drive(&mut sim, &mut stream, measured);
     sim.profile().clone()
+}
+
+/// Whether `accesses` steps of a [`StridedStream`] from address 0 over
+/// `working_set` bytes all come before its first wrap: the last one,
+/// `(accesses - 1) · stride`, still has a whole element inside the set.
+fn sweep_stays_fresh(working_set: u64, stride: u64, accesses: u64) -> bool {
+    (accesses - 1)
+        .checked_mul(stride)
+        .and_then(|last| last.checked_add(ELEMENT_BYTES))
+        .is_some_and(|end| end <= working_set)
+}
+
+/// The profile of accesses `warmup..warmup + measured` of a sweep that
+/// reads address `k · stride` at step `k`, in a fresh simulator of
+/// `hierarchy`, counted instead of simulated.
+///
+/// Exact, not a model: the simulator starts empty and the addresses only
+/// increase, so no line or page is ever seen again once the sweep has
+/// left it. A cache level therefore hits access `k` exactly when `k`
+/// shares that level's line with access `k - 1` (the line is then the
+/// level's most recently used), and misses it otherwise, compulsorily;
+/// the TLB likewise hits exactly when `k` shares the page of `k - 1`. The
+/// access is served by the first level that hits, as in [`HierarchySim`].
+/// The warm-up steps still count towards `memsim.addresses`, as when they
+/// are driven.
+fn fresh_sweep_profile(
+    hierarchy: &Hierarchy,
+    stride: u64,
+    warmup: u64,
+    measured: u64,
+) -> AccessProfile {
+    let shifts: Vec<u32> = hierarchy
+        .levels
+        .iter()
+        .map(|l| l.line_bytes.trailing_zeros())
+        .collect();
+    let page_shift = hierarchy.tlb.page_bytes.trailing_zeros();
+    let mut profile = AccessProfile {
+        level_hits: vec![0; shifts.len()],
+        requested_bytes: measured * ELEMENT_BYTES,
+        ..AccessProfile::default()
+    };
+    for k in warmup..warmup + measured {
+        let addr = k * stride;
+        // Access 0 has no predecessor: it misses everywhere.
+        let stays = |shift: u32| k > 0 && addr >> shift == (addr - stride) >> shift;
+        match shifts.iter().position(|&shift| stays(shift)) {
+            Some(level) => profile.level_hits[level] += 1,
+            None => profile.memory_hits += 1,
+        }
+        if !stays(page_shift) {
+            profile.tlb_misses += 1;
+        }
+    }
+    metasim_obs::counter_add("memsim.addresses", warmup + measured);
+    metasim_obs::counter_add("memsim.sweep.closed_form", 1);
+    profile
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MemorySpec;
+    use crate::spec::{CacheGeometry, MemorySpec, TlbGeometry};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn spec() -> MemorySpec {
         MemorySpec::example_two_level()
@@ -384,6 +464,91 @@ mod tests {
             }
             assert_eq!(batched.profile(), scalar.profile(), "{kind:?}");
         }
+    }
+
+    /// The profile of `warmup` then `measured` accesses of a `stride`-byte
+    /// sweep over `working_set` bytes, driven through a fresh simulator.
+    fn driven_sweep(
+        h: &Hierarchy,
+        working_set: u64,
+        stride: u64,
+        warmup: u64,
+        measured: u64,
+    ) -> AccessProfile {
+        let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
+        driven_profile(h, stream, warmup, measured)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The counted profile of a sweep that never wraps equals driving
+        // it through the simulator, whatever the hierarchy: 1-4 levels in
+        // any order of line sizes, TLBs from one entry up, and strides
+        // above and below the line and page sizes.
+        #[test]
+        fn fresh_sweeps_count_what_the_simulator_drives(
+            levels in prop::collection::vec((4u32..10, 0usize..7, 0u32..8), 1..5),
+            tlb in (1usize..65, 9u32..15),
+            stride_elems in 1u64..17,
+            warmup in 0u64..5000,
+            measured in 1u64..5000,
+        ) {
+            let h = Hierarchy {
+                levels: levels
+                    .iter()
+                    .map(|&(line_log2, assoc_idx, sets_log2)| {
+                        let associativity = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
+                        let line_bytes = 1u64 << line_log2;
+                        CacheGeometry {
+                            capacity_bytes: (line_bytes * u64::from(associativity)) << sets_log2,
+                            line_bytes,
+                            associativity,
+                        }
+                    })
+                    .collect(),
+                tlb: TlbGeometry { entries: tlb.0, page_bytes: 1 << tlb.1 },
+            };
+            let stride = stride_elems * ELEMENT_BYTES;
+            let working_set = (warmup + measured - 1) * stride + ELEMENT_BYTES;
+            prop_assert!(sweep_stays_fresh(working_set, stride, warmup + measured));
+            prop_assert_eq!(
+                fresh_sweep_profile(&h, stride, warmup, measured),
+                driven_sweep(&h, working_set, stride, warmup, measured)
+            );
+        }
+    }
+
+    #[test]
+    fn the_largest_wrapping_sweep_is_driven_and_one_element_more_is_counted() {
+        let spec = spec();
+        let h = spec.hierarchy();
+        let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
+        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
+        for kind in [AccessKind::Sequential, AccessKind::Strided(3)] {
+            let stride = Workload::new(0, kind, DependencyMode::Independent).stride_bytes();
+            // A working set past the measured-access cap, so warm-up plus
+            // measured is a fixed 2 * MAX_MEASURED_ACCESSES steps.
+            let steps = 2 * MAX_MEASURED_ACCESSES;
+            let fresh = (steps - 1) * stride + ELEMENT_BYTES;
+            for (working_set, counted) in [(fresh - ELEMENT_BYTES, false), (fresh, true)] {
+                let w = Workload::new(working_set, kind, DependencyMode::Independent);
+                assert_eq!(w.accesses_per_pass().min(MAX_MEASURED_ACCESSES), steps / 2);
+                let before = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
+                let profile =
+                    metasim_obs::with_recorder(Arc::clone(&recorder), || simulate_profile(&h, &w));
+                let after = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
+                assert_eq!(after - before, u64::from(counted), "{kind:?} {working_set}");
+                let driven = driven_sweep(&h, working_set, stride, steps / 2, steps / 2);
+                assert_eq!(profile, driven, "{kind:?} {working_set}");
+            }
+        }
+        // Either path adds every simulated access to `memsim.addresses`.
+        let snap = rec.metrics_snapshot();
+        assert_eq!(
+            snap.counter("memsim.addresses"),
+            4 * 2 * MAX_MEASURED_ACCESSES
+        );
     }
 
     /// `spec` with a second hierarchy-sharing twin whose every timing

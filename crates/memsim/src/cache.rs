@@ -3,17 +3,26 @@
 //! The simulator models tag state only (no data), which is all a timing study
 //! needs. Associativity in the fleet this workspace models is small (1–16
 //! ways), so each set is a tiny array kept in recency order, most recently
-//! used way first: a hit at position `k` rotates the first `k + 1` ways one
-//! step (the hit line moves to the front), and a miss shifts the whole set
-//! one step, dropping the least recently used way at the tail. Empty ways
-//! sit at the tail of their set, so they are consumed before any eviction
-//! happens.
+//! used way first. An access carries its line in at the front and walks the
+//! set once, each way taking the line before it: the walk stops where it
+//! meets the line (a hit, whose way moved to the front) or drops the tail
+//! way off the end (a miss, evicting the least recently used way). Empty
+//! ways sit at the tail of their set, so they are consumed before any
+//! eviction happens.
+//!
+//! A cache remembers which chunks of 64 sets a miss filled, so
+//! [`Cache::reset`] and dropping a cache re-empty only those: a run that
+//! touched a few sets of a 16 MiB tag array clears a few KiB, and the
+//! array goes back to the tag pool clean.
 
 use crate::spec::CacheGeometry;
-use crate::tag_pool::TagPool;
+use crate::tag_pool::{TagPool, EMPTY};
 
-/// Marks an empty way; line `u64::MAX` aliases it.
-const EMPTY: u64 = u64::MAX;
+/// Log2 of [`CHUNK_SETS`].
+const CHUNK_SHIFT: u32 = 6;
+
+/// Sets per chunk of the touched-chunk bitmap.
+const CHUNK_SETS: usize = 1 << CHUNK_SHIFT;
 
 /// Where every cache's tag array comes from and goes back to.
 static TAGS: TagPool = TagPool::new();
@@ -25,6 +34,9 @@ pub struct Cache {
     /// each set ordered most to least recently used; [`EMPTY`] marks an
     /// unused way.
     ways: Vec<u64>,
+    /// One bit per chunk of [`CHUNK_SETS`] sets, set when a miss fills a
+    /// way in the chunk. Every way outside the marked chunks is [`EMPTY`].
+    touched: Vec<u64>,
     assoc: usize,
     set_mask: u64,
     line_shift: u32,
@@ -52,12 +64,13 @@ impl Cache {
 
     fn new_in(geometry: &CacheGeometry, pool: &'static TagPool) -> Self {
         geometry.validate().expect("invalid cache spec");
-        let sets = geometry.sets();
+        let sets = geometry.sets() as usize;
         let assoc = geometry.associativity as usize;
         Self {
-            ways: pool.take(sets as usize * assoc, EMPTY),
+            ways: pool.take(sets * assoc),
+            touched: vec![0; sets.div_ceil(CHUNK_SETS).div_ceil(64)],
             assoc,
-            set_mask: sets - 1,
+            set_mask: sets as u64 - 1,
             line_shift: geometry.line_bytes.trailing_zeros(),
             hits: 0,
             misses: 0,
@@ -83,19 +96,25 @@ impl Cache {
             return true;
         }
         self.last_line = line;
-        let base = (line & self.set_mask) as usize * self.assoc;
-        let set = &mut self.ways[base..base + self.assoc];
-        // A hit at position k moves ways 0..k back one step; a miss moves
-        // all but the last, which is the LRU victim (or an empty way).
-        let hit = set.iter().position(|&t| t == line);
-        set.copy_within(0..hit.unwrap_or(self.assoc - 1), 1);
-        set[0] = line;
-        if hit.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        let set_index = (line & self.set_mask) as usize;
+        let base = set_index * self.assoc;
+        // Carry the line in at the front; each way takes the one before it
+        // until the line itself turns up (a hit at position k: ways 0..k
+        // moved back one step) or the last way is carried off the end (a
+        // miss: the LRU victim, or an empty way, is dropped).
+        let mut carried = line;
+        for way in &mut self.ways[base..base + self.assoc] {
+            let held = std::mem::replace(way, carried);
+            if held == line {
+                self.hits += 1;
+                return true;
+            }
+            carried = held;
         }
-        hit.is_some()
+        self.misses += 1;
+        let chunk = set_index >> CHUNK_SHIFT;
+        self.touched[chunk / 64] |= 1 << (chunk % 64);
+        false
     }
 
     /// Count `reps` further accesses to the most recently touched line.
@@ -121,7 +140,7 @@ impl Cache {
 
     /// Invalidate all contents and reset statistics.
     pub fn reset(&mut self) {
-        self.ways.fill(EMPTY);
+        self.clear_touched();
         self.hits = 0;
         self.misses = 0;
         self.last_line = EMPTY;
@@ -155,18 +174,40 @@ impl Cache {
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
     }
+
+    /// Re-empty every chunk a miss filled and unmark it: afterwards every
+    /// way is [`EMPTY`].
+    fn clear_touched(&mut self) {
+        let chunk_ways = CHUNK_SETS * self.assoc;
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let start = (w * 64 + bits.trailing_zeros() as usize) * chunk_ways;
+                let end = self.ways.len().min(start + chunk_ways);
+                self.ways[start..end].fill(EMPTY);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 impl Clone for Cache {
     fn clone(&self) -> Self {
-        let mut ways = self.pool.take(self.ways.len(), EMPTY);
+        let mut ways = self.pool.take(self.ways.len());
         ways.copy_from_slice(&self.ways);
-        Self { ways, ..*self }
+        Self {
+            ways,
+            touched: self.touched.clone(),
+            ..*self
+        }
     }
 }
 
 impl Drop for Cache {
     fn drop(&mut self) {
+        if TagPool::keeps(self.ways.len()) {
+            self.clear_touched();
+        }
         self.pool.give(std::mem::take(&mut self.ways));
     }
 }
@@ -321,25 +362,63 @@ mod tests {
     #[test]
     fn dropped_tag_arrays_are_recycled_empty() {
         static POOL: TagPool = TagPool::new();
-        let spec = CacheGeometry {
-            capacity_bytes: 64 << 20,
-            line_bytes: 64,
-            associativity: 8,
-        };
-        let mut c = Cache::new_in(&spec, &POOL);
-        for line in 0..64 {
-            c.access(line * 64);
+        // A pooled array, and one with fewer sets than a single chunk (and
+        // so than one bitmap word) covers, at an associativity that is not
+        // a power of two.
+        for spec in [
+            CacheGeometry {
+                capacity_bytes: 64 << 20,
+                line_bytes: 64,
+                associativity: 8,
+            },
+            CacheGeometry {
+                capacity_bytes: 64 * 3 * 16,
+                line_bytes: 64,
+                associativity: 3,
+            },
+        ] {
+            let sets = spec.sets();
+            let pooled = TagPool::keeps(sets as usize * spec.associativity as usize);
+            // One more line than the set holds, in one set of every chunk.
+            let fill = |c: &mut Cache| {
+                for chunk in 0..sets.div_ceil(CHUNK_SETS as u64) {
+                    let set = (chunk * CHUNK_SETS as u64 + chunk % CHUNK_SETS as u64) % sets;
+                    for k in 0..=u64::from(spec.associativity) {
+                        c.access((set + k * sets) * 64);
+                    }
+                }
+            };
+            let all_empty = |c: &Cache| c.ways.iter().all(|&w| w == EMPTY);
+
+            let mut c = Cache::new_in(&spec, &POOL);
+            assert!(all_empty(&c));
+            fill(&mut c);
+            let d = c.clone();
+            assert_eq!(d.ways, c.ways, "a clone copies every chunk");
+            c.reset();
+            assert!(all_empty(&c), "{spec:?}: reset left a filled way");
+            assert_eq!((c.hits(), c.misses()), (0, 0));
+            assert!(
+                !d.contains(0) && d.contains(sets * 64),
+                "the clone keeps its lines"
+            );
+
+            fill(&mut c);
+            let ptr = c.ways.as_ptr();
+            drop(c);
+            let c = Cache::new_in(&spec, &POOL);
+            if pooled {
+                assert_eq!(c.ways.as_ptr(), ptr, "the spare must be reused");
+            }
+            assert!(all_empty(&c), "{spec:?}: a recycled array kept a line");
+            drop(d);
+            let mut e = Cache::new_in(&spec, &POOL);
+            assert!(all_empty(&e), "{spec:?}: a dropped clone kept a line");
+            assert!(!e.access(0));
+            assert_eq!((e.hits(), e.misses()), (0, 1));
+            drop(c);
         }
-        let ptr = c.ways.as_ptr();
-        drop(c);
-        assert_eq!(POOL.spare_ptrs(), [ptr], "drop must return the array");
-        let mut c = Cache::new_in(&spec, &POOL);
-        assert_eq!(c.ways.as_ptr(), ptr, "the spare must be reused");
-        for line in 0..64 {
-            assert!(!c.contains(line * 64), "line {line} survived recycling");
-        }
-        assert!(!c.access(0));
-        assert_eq!((c.hits(), c.misses()), (0, 1));
+        assert_eq!(POOL.spare_ptrs().len(), 2, "both pooled arrays come back");
     }
 
     #[test]

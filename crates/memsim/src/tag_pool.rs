@@ -7,8 +7,13 @@
 //! resident in the malloc arena of the thread that allocated it; once two
 //! arenas each held one, a fleet study's peak resident set grew by the
 //! array's size. So dropped caches hand large arrays to a process-wide
-//! [`TagPool`], and new caches of the same size refill one instead of
+//! [`TagPool`], and new caches of the same size reuse one instead of
 //! allocating.
+//!
+//! Arrays come back clean: a cache re-empties the ways it filled before it
+//! gives its array back (it tracks them, so the cost follows what a run
+//! touched, not the array's size), and the pool hands a spare out as it
+//! was given, every way [`EMPTY`].
 //!
 //! What the pool keeps is bounded by what the simulators themselves once
 //! needed: live arrays plus spares never exceed the most ways that were live
@@ -17,6 +22,9 @@
 //! use. Spares are held until then, also after the last cache is dropped.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Marks an empty way; line `u64::MAX` aliases it.
+pub(crate) const EMPTY: u64 = u64::MAX;
 
 /// Arrays of at least this many ways (1 MiB) are pooled. Smaller ones come
 /// from the allocating thread's own bins, and together they are a rounding
@@ -50,31 +58,39 @@ impl TagPool {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// An array of `len` ways, each set to `value`: a spare of that length
-    /// when there is one, a fresh allocation otherwise.
-    pub(crate) fn take(&self, len: usize, value: u64) -> Vec<u64> {
-        if len < MIN_POOLED_WAYS {
-            return vec![value; len];
+    /// Whether [`give`](Self::give) keeps an array of `len` ways, and so
+    /// whether its giver must re-empty it first.
+    pub(crate) fn keeps(len: usize) -> bool {
+        len >= MIN_POOLED_WAYS
+    }
+
+    /// An array of `len` ways, each [`EMPTY`]: a spare of that length when
+    /// there is one, a fresh allocation otherwise.
+    pub(crate) fn take(&self, len: usize) -> Vec<u64> {
+        if !Self::keeps(len) {
+            return vec![EMPTY; len];
         }
         let mut pool = self.lock();
         pool.live += len;
         if let Some(i) = pool.spares.iter().position(|w| w.len() == len) {
-            let mut ways = pool.spares.remove(i);
-            drop(pool);
-            ways.fill(value);
-            return ways;
+            return pool.spares.remove(i);
         }
         pool.peak = pool.peak.max(pool.live);
         while pool.live + pool.spares.iter().map(Vec::len).sum::<usize>() > pool.peak {
             pool.spares.remove(0);
         }
         drop(pool);
-        vec![value; len]
+        vec![EMPTY; len]
     }
 
-    /// Return an array obtained from [`take`](Self::take).
+    /// Return an array obtained from [`take`](Self::take), every way
+    /// [`EMPTY`] again if the pool [`keeps`](Self::keeps) it.
     pub(crate) fn give(&self, ways: Vec<u64>) {
-        if ways.len() >= MIN_POOLED_WAYS {
+        if Self::keeps(ways.len()) {
+            debug_assert!(
+                ways.iter().all(|&w| w == EMPTY),
+                "a pooled tag array must come back empty"
+            );
             let mut pool = self.lock();
             pool.live -= ways.len();
             pool.spares.push(ways);
@@ -94,24 +110,33 @@ mod tests {
     const BIG: usize = MIN_POOLED_WAYS;
 
     #[test]
-    fn a_returned_array_is_reused_and_refilled() {
+    fn a_returned_array_is_reused_as_given() {
         let pool = TagPool::new();
-        let mut a = pool.take(BIG, 7);
-        assert!(a.iter().all(|&w| w == 7));
-        a[3] = 1;
+        let a = pool.take(BIG);
+        assert!(a.iter().all(|&w| w == EMPTY));
         let ptr = a.as_ptr();
         pool.give(a);
         assert_eq!(pool.spare_ptrs(), [ptr]);
-        let b = pool.take(BIG, 9);
+        let b = pool.take(BIG);
         assert_eq!(b.as_ptr(), ptr, "the spare must be reused");
-        assert!(b.iter().all(|&w| w == 9), "a reused array must be refilled");
+        assert!(b.iter().all(|&w| w == EMPTY), "a spare comes back empty");
         assert!(pool.spare_ptrs().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must come back empty")]
+    fn a_dirty_array_is_refused() {
+        let pool = TagPool::new();
+        let mut a = pool.take(BIG);
+        a[BIG - 1] = 3;
+        pool.give(a);
     }
 
     #[test]
     fn small_arrays_bypass_the_pool() {
         let pool = TagPool::new();
-        let a = pool.take(BIG - 1, 0);
+        let a = pool.take(BIG - 1);
         pool.give(a);
         assert!(pool.spare_ptrs().is_empty());
     }
@@ -120,23 +145,23 @@ mod tests {
     fn spares_never_exceed_the_peak_of_live_ways() {
         let pool = TagPool::new();
         // Two caches of different sizes live at once: the peak is 3 * BIG.
-        let (a, b) = (pool.take(2 * BIG, 0), pool.take(BIG, 0));
+        let (a, b) = (pool.take(2 * BIG), pool.take(BIG));
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
         pool.give(a);
         pool.give(b);
         assert_eq!(pool.spare_ptrs(), [pa, pb]);
         // A third size fits next to the spares only after the oldest
         // (2 * BIG) is freed.
-        let c = pool.take(BIG + 1, 0);
+        let c = pool.take(BIG + 1);
         assert_eq!(pool.spare_ptrs(), [pb]);
         // A fresh size that sets a new peak of live ways keeps no spare.
-        let d = pool.take(3 * BIG, 0);
+        let d = pool.take(3 * BIG);
         assert!(pool.spare_ptrs().is_empty());
         let pc = c.as_ptr();
         pool.give(c);
         pool.give(d);
         assert_eq!(pool.spare_ptrs().len(), 2);
-        let e = pool.take(BIG + 1, 0);
+        let e = pool.take(BIG + 1);
         assert_eq!(e.as_ptr(), pc);
     }
 }
