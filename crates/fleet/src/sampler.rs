@@ -277,7 +277,8 @@ fn sample_machine(spec: &FleetSpec, rng: &mut SeededRng, name: String) -> Genera
             bandwidth *= m.level_bandwidth_ratio.sample(rng).clamp(0.05, 1.0);
             latency *= m.level_latency_ratio.sample(rng).max(1.0);
         }
-        let associativity = u32::try_from(*rng.choose(&m.associativity)).unwrap();
+        let associativity =
+            u32::try_from(*rng.choose(&m.associativity)).expect("MS1002 bounds associativity");
         let capacity_bytes = (1u64 << cap_log2.min(40)).max(line * u64::from(associativity) * 2);
         levels.push(LevelSpec {
             capacity_bytes,

@@ -444,6 +444,13 @@ pub fn audit_spec(spec: &FleetSpec, a: &mut Auditor) {
             }
             audit_choice_u64(&m.line_bytes, "line_bytes", true, a);
             audit_choice_u64(&m.associativity, "associativity", true, a);
+            if m.associativity.iter().any(|&w| u32::try_from(w).is_err()) {
+                a.finding_at(
+                    &MS1002,
+                    "associativity",
+                    "associativity must be below 2^32, the most ways a cache level holds",
+                );
+            }
             m.l1_capacity_log2.audit("l1_capacity_log2", a);
             m.level_capacity_step_log2
                 .audit("level_capacity_step_log2", a);
@@ -512,4 +519,106 @@ pub fn audit_spec(spec: &FleetSpec, a: &mut Auditor) {
             );
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metasim_audit::audit_value;
+    use proptest::prelude::*;
+
+    #[test]
+    fn an_associativity_beyond_u32_is_an_ms1002_finding_on_its_field() {
+        let mut spec = FleetSpec::paper_space();
+        spec.machines.associativity = vec![4, u64::from(u32::MAX) + 1];
+        let report = audit_value(|a| audit_spec(&spec, a));
+        assert!(report.has_errors());
+        assert_eq!(report.diagnostics.len(), 1, "{}", report.summary_line());
+        let finding = &report.diagnostics[0];
+        assert_eq!(finding.rule.code, "MS1002");
+        assert!(
+            finding.subject.ends_with("associativity"),
+            "the finding names its field: {}",
+            finding.subject
+        );
+
+        spec.machines.associativity = vec![4, 1 << 31];
+        assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
+    }
+
+    /// Stand-ins for a number of the spec template: each type's extremes,
+    /// one past them, and the spellings JSON forbids.
+    const EXTREMES: [&str; 16] = [
+        "0",
+        "-0",
+        "-1",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "1e308",
+        "-1e308",
+        "1e309",
+        "5e-324",
+        "1e-400",
+        "99999999999999999999999999999999",
+        "NaN",
+        "-",
+        "1e",
+    ];
+
+    /// Text spliced in at a random place.
+    const SPLICES: [&str; 8] = ["{", "}", "[", "]", ",", ":", "\"", "\\u0000"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes, read as lossy UTF-8, never make the loader
+        /// panic.
+        #[test]
+        fn arbitrary_text_never_panics(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = FleetSpec::from_json(&text);
+        }
+
+        /// The `fleet spec` template with characters inserted or deleted
+        /// and numbers swapped for extremes never makes the loader panic,
+        /// nor the MS1002 audit of whatever it accepts.
+        #[test]
+        fn mutated_spec_text_never_panics(
+            edits in prop::collection::vec((0u8..3, 0usize..1 << 16, 0usize..16), 1..6),
+        ) {
+            let mut text: Vec<char> = FleetSpec::paper_space().to_json_pretty().chars().collect();
+            for (op, at, pick) in edits {
+                match op {
+                    0 => {
+                        let at = at % (text.len() + 1);
+                        text.splice(at..at, SPLICES[pick % SPLICES.len()].chars());
+                    }
+                    1 if !text.is_empty() => {
+                        text.remove(at % text.len());
+                    }
+                    _ => {
+                        // The starts of the numbers: a digit or minus sign
+                        // after a non-number character.
+                        let is_num = |c: char| c.is_ascii_digit() || "-+.eE".contains(c);
+                        let starts: Vec<usize> = (0..text.len())
+                            .filter(|&i| {
+                                (text[i].is_ascii_digit() || text[i] == '-')
+                                    && (i == 0 || !is_num(text[i - 1]))
+                            })
+                            .collect();
+                        if let Some(&start) = starts.get(at % starts.len().max(1)) {
+                            let end = (start..text.len()).find(|&i| !is_num(text[i])).unwrap_or(text.len());
+                            text.splice(start..end, EXTREMES[pick].chars());
+                        }
+                    }
+                }
+            }
+            let text: String = text.into_iter().collect();
+            if let Ok(spec) = FleetSpec::from_json(&text) {
+                let _ = audit_value(|a| audit_spec(&spec, a));
+            }
+        }
+    }
 }

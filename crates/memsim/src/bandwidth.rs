@@ -26,6 +26,13 @@
 //! increasing addresses hits a cache level exactly when it stays on the
 //! previous access's line, and the TLB exactly when it stays on the
 //! previous access's page. Every other measurement drives the simulator.
+//!
+//! A driven stream starts at address 0 and stays inside its working set, so
+//! its simulator is built for that span ([`HierarchySim`]'s span
+//! constructor): a cache level that can hold the whole working set never
+//! evicts, so it keeps a bitmap of the lines seen (an access hits exactly
+//! when its line was touched before) in place of an LRU tag array. The
+//! profile is the all-LRU simulator's, bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -210,13 +217,7 @@ pub fn measure_bandwidth_memo(
 /// the counting path builds no simulator, so callers validate the spec
 /// first, as [`measure_bandwidth_memo`] does.
 fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile {
-    let per_pass = workload.accesses_per_pass();
-    let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
-    // Warm-up must visit the whole working set at least once (capped so huge
-    // sweeps stay cheap: beyond the cap the caches are in steady-state
-    // thrash anyway).
-    let warmup = per_pass.min(MAX_MEASURED_ACCESSES);
-
+    let (warmup, measured) = pass_lengths(workload);
     match workload.kind {
         AccessKind::Sequential | AccessKind::Strided(_) => {
             let (working_set, stride) = (
@@ -227,31 +228,41 @@ fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile
                 return fresh_sweep_profile(hierarchy, stride, warmup, measured);
             }
             let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-            driven_profile(hierarchy, stream, warmup, measured)
+            let sim = HierarchySim::spanning(hierarchy, working_set);
+            driven_profile(sim, stream, warmup, measured)
         }
         AccessKind::Random => {
+            let working_set = workload.working_set.max(ELEMENT_BYTES);
             let rng = SeededRng::new(workload.seed ^ workload.working_set);
-            let stream = RandomStream::new(
-                0,
-                workload.working_set.max(ELEMENT_BYTES),
-                ELEMENT_BYTES,
-                rng,
-            );
-            driven_profile(hierarchy, stream, warmup, measured)
+            let stream = RandomStream::new(0, working_set, ELEMENT_BYTES, rng);
+            let sim = HierarchySim::spanning(hierarchy, working_set);
+            driven_profile(sim, stream, warmup, measured)
         }
     }
 }
 
-/// Drive `warmup` accesses of `stream` through a fresh simulator of
-/// `hierarchy`, clear the profile, drive `measured` more and return their
-/// profile.
+/// The warm-up and measured access counts of `workload`'s measurement.
+fn pass_lengths(workload: &Workload) -> (u64, u64) {
+    let per_pass = workload.accesses_per_pass();
+    // Warm-up must visit the whole working set at least once (capped so huge
+    // sweeps stay cheap: beyond the cap the caches are in steady-state
+    // thrash anyway).
+    let warmup = per_pass.min(MAX_MEASURED_ACCESSES);
+    let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
+    (warmup, measured)
+}
+
+/// Drive `warmup` accesses of `stream` through `sim`, fresh, clear the
+/// profile, drive `measured` more and return their profile. Both streams
+/// start at address 0 and stay inside the working set, so the simulator is
+/// built for that span ([`HierarchySim::spanning`]): a level that holds the
+/// whole working set is first-touch.
 fn driven_profile<S: AddressStream>(
-    hierarchy: &Hierarchy,
+    mut sim: HierarchySim,
     mut stream: S,
     warmup: u64,
     measured: u64,
 ) -> AccessProfile {
-    let mut sim = HierarchySim::new(hierarchy);
     drive(&mut sim, &mut stream, warmup);
     sim.clear_profile();
     drive(&mut sim, &mut stream, measured);
@@ -467,7 +478,8 @@ mod tests {
     }
 
     /// The profile of `warmup` then `measured` accesses of a `stride`-byte
-    /// sweep over `working_set` bytes, driven through a fresh simulator.
+    /// sweep over `working_set` bytes, driven through a fresh all-LRU
+    /// simulator.
     fn driven_sweep(
         h: &Hierarchy,
         working_set: u64,
@@ -476,7 +488,49 @@ mod tests {
         measured: u64,
     ) -> AccessProfile {
         let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-        driven_profile(h, stream, warmup, measured)
+        driven_profile(HierarchySim::new(h), stream, warmup, measured)
+    }
+
+    /// `workload`'s measurement driven through a fresh all-LRU simulator,
+    /// whatever path [`simulate_profile`] takes.
+    fn all_lru_profile(h: &Hierarchy, w: &Workload) -> AccessProfile {
+        let (warmup, measured) = pass_lengths(w);
+        let sim = HierarchySim::new(h);
+        match w.kind {
+            AccessKind::Random => {
+                let rng = SeededRng::new(w.seed ^ w.working_set);
+                let stream = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng);
+                driven_profile(sim, stream, warmup, measured)
+            }
+            _ => {
+                let stream = StridedStream::new(0, w.working_set, w.stride_bytes(), ELEMENT_BYTES);
+                driven_profile(sim, stream, warmup, measured)
+            }
+        }
+    }
+
+    /// A hierarchy of `(log2 line bytes, associativity index, log2 sets)`
+    /// levels, associativities drawn from 1-16, and a `(entries, log2 page
+    /// bytes)` TLB.
+    fn hierarchy_of(levels: &[(u32, usize, u32)], tlb: (usize, u32)) -> Hierarchy {
+        Hierarchy {
+            levels: levels
+                .iter()
+                .map(|&(line_log2, assoc_idx, sets_log2)| {
+                    let associativity = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
+                    let line_bytes = 1u64 << line_log2;
+                    CacheGeometry {
+                        capacity_bytes: (line_bytes * u64::from(associativity)) << sets_log2,
+                        line_bytes,
+                        associativity,
+                    }
+                })
+                .collect(),
+            tlb: TlbGeometry {
+                entries: tlb.0,
+                page_bytes: 1 << tlb.1,
+            },
+        }
     }
 
     proptest! {
@@ -494,21 +548,7 @@ mod tests {
             warmup in 0u64..5000,
             measured in 1u64..5000,
         ) {
-            let h = Hierarchy {
-                levels: levels
-                    .iter()
-                    .map(|&(line_log2, assoc_idx, sets_log2)| {
-                        let associativity = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
-                        let line_bytes = 1u64 << line_log2;
-                        CacheGeometry {
-                            capacity_bytes: (line_bytes * u64::from(associativity)) << sets_log2,
-                            line_bytes,
-                            associativity,
-                        }
-                    })
-                    .collect(),
-                tlb: TlbGeometry { entries: tlb.0, page_bytes: 1 << tlb.1 },
-            };
+            let h = hierarchy_of(&levels, tlb);
             let stride = stride_elems * ELEMENT_BYTES;
             let working_set = (warmup + measured - 1) * stride + ELEMENT_BYTES;
             prop_assert!(sweep_stays_fresh(working_set, stride, warmup + measured));
@@ -517,6 +557,86 @@ mod tests {
                 driven_sweep(&h, working_set, stride, warmup, measured)
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // A simulator built for the stream's span, first-touch in every
+        // level that holds it, yields the all-LRU simulator's profile
+        // after a warm-up and `clear_profile`: 1-4 levels, 16-512 B lines,
+        // associativity 1-16, random and wrapping strided streams, and a
+        // span from one line up to a chosen level's capacity, exactly at
+        // it, or one line beyond it.
+        #[test]
+        fn spanning_simulators_profile_as_all_lru_ones(
+            levels in prop::collection::vec((4u32..10, 0usize..7, 0u32..8), 1..5),
+            tlb in (1usize..65, 9u32..15),
+            (held, edge, fill, trim) in (0usize..4, 0u8..4, 0u64..1 << 20, 0u64..512),
+            random in 0u8..2,
+            stride_elems in 1u64..17,
+            seed in 0u64..=u64::MAX,
+            warmup in 0u64..3000,
+            measured in 1u64..3000,
+        ) {
+            let h = hierarchy_of(&levels, tlb);
+            let level = h.levels[held % h.levels.len()];
+            let capacity = level.capacity_bytes / level.line_bytes;
+            let lines = match edge {
+                0 => capacity,
+                1 => capacity + 1,
+                _ => 1 + fill % capacity,
+            };
+            // Any span of `lines` lines, not only whole ones.
+            let span = (lines * level.line_bytes - trim % level.line_bytes).max(ELEMENT_BYTES);
+            let spanning = HierarchySim::spanning(&h, span);
+            if lines <= capacity {
+                prop_assert!(spanning.first_touch_levels() > 0);
+            }
+            let lru = HierarchySim::new(&h);
+            let (a, b) = if random == 1 {
+                let stream = RandomStream::new(0, span, ELEMENT_BYTES, SeededRng::new(seed));
+                (
+                    driven_profile(spanning, stream.clone(), warmup, measured),
+                    driven_profile(lru, stream, warmup, measured),
+                )
+            } else {
+                let stride = stride_elems * ELEMENT_BYTES;
+                let stream = StridedStream::new(0, span, stride, ELEMENT_BYTES);
+                (
+                    driven_profile(spanning, stream.clone(), warmup, measured),
+                    driven_profile(lru, stream, warmup, measured),
+                )
+            };
+            prop_assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn a_level_that_holds_the_working_set_is_first_touch_and_one_line_more_is_lru() {
+        let h = spec().hierarchy();
+        let l2 = h.levels[1];
+        assert!(h.levels[0].capacity_bytes < l2.capacity_bytes);
+        let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
+        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
+        // Random, and a strided sweep that wraps (so is driven, not
+        // counted), each at exactly the L2's capacity and one line more.
+        for kind in [AccessKind::Random, AccessKind::Strided(16)] {
+            let at_capacity = l2.capacity_bytes;
+            for (working_set, first_touch) in [(at_capacity, 1), (at_capacity + l2.line_bytes, 0)] {
+                let w = Workload::new(working_set, kind, DependencyMode::Independent);
+                let before = rec.metrics_snapshot().counter("memsim.level.first_touch");
+                let profile =
+                    metasim_obs::with_recorder(Arc::clone(&recorder), || simulate_profile(&h, &w));
+                let after = rec.metrics_snapshot().counter("memsim.level.first_touch");
+                assert_eq!(after - before, first_touch, "{kind:?} {working_set}");
+                assert_eq!(profile, all_lru_profile(&h, &w), "{kind:?} {working_set}");
+            }
+        }
+        assert_eq!(
+            rec.metrics_snapshot().counter("memsim.sweep.closed_form"),
+            0
+        );
     }
 
     #[test]

@@ -14,7 +14,17 @@
 //! [`Cache::reset`] and dropping a cache re-empty only those: a run that
 //! touched a few sets of a 16 MiB tag array clears a few KiB, and the
 //! array goes back to the tag pool clean.
+//!
+//! A cache built for a known *span* (`Cache::spanning`: every address the
+//! run will access lies below it) whose lines all fit in the cache keeps no
+//! sets at all. Set `s` then only ever receives lines `l ≡ s (mod sets)`
+//! below the span's `L` lines, at most `ceil(L / sets) ≤ assoc` of them, so
+//! no set overflows and no line is ever evicted: an access hits exactly
+//! when its line was touched before. Such a *first-touch* cache keeps one
+//! bit per line of the span and takes nothing from the tag pool; its hits
+//! and misses are the LRU cache's, access for access.
 
+use crate::hierarchy::SERVED_MEMORY;
 use crate::spec::CacheGeometry;
 use crate::tag_pool::{TagPool, EMPTY};
 
@@ -27,9 +37,46 @@ const CHUNK_SETS: usize = 1 << CHUNK_SHIFT;
 /// Where every cache's tag array comes from and goes back to.
 static TAGS: TagPool = TagPool::new();
 
-/// A set-associative LRU cache over 64-bit byte addresses.
-#[derive(Debug)]
+/// A set-associative LRU cache over 64-bit byte addresses (kept first-touch
+/// when it holds a run's whole span, with the same hits and misses).
+#[derive(Debug, Clone)]
 pub struct Cache {
+    tags: Tags,
+    line_shift: u32,
+    mru: Mru,
+}
+
+/// How a cache remembers the lines it holds.
+#[derive(Debug, Clone)]
+enum Tags {
+    /// Recency-ordered sets: the general case.
+    Lru(Sets),
+    /// One bit per line of a span the cache can hold whole.
+    FirstTouch(Seen),
+}
+
+/// Either kind of line store, behind the MRU fast path.
+trait Store {
+    /// Touch `line`: `true` if the store held it (a hit); otherwise it is
+    /// filled.
+    fn touch(&mut self, line: u64) -> bool;
+}
+
+/// A cache's counters and its most-recently-used line, kept in front of
+/// its [`Store`].
+#[derive(Debug, Clone)]
+struct Mru {
+    hits: u64,
+    misses: u64,
+    /// Line most recently touched, [`EMPTY`] before the first access. Every
+    /// access moves its line to the front of its set (or marks it seen), so
+    /// a repeat of this line hits.
+    last_line: u64,
+}
+
+/// The LRU tag array.
+#[derive(Debug)]
+struct Sets {
     /// Line number per way (`addr >> line_shift`), `assoc` ways per set,
     /// each set ordered most to least recently used; [`EMPTY`] marks an
     /// unused way.
@@ -39,15 +86,17 @@ pub struct Cache {
     touched: Vec<u64>,
     assoc: usize,
     set_mask: u64,
-    line_shift: u32,
-    hits: u64,
-    misses: u64,
-    /// Line most recently touched, [`EMPTY`] before the first access. Every
-    /// access moves its line to the front of its set, so this line is
-    /// always at position 0 of its set.
-    last_line: u64,
     /// Lends `ways` and takes it back on drop.
     pool: &'static TagPool,
+}
+
+/// The lines of a span seen so far, for a cache that never evicts.
+#[derive(Debug, Clone)]
+struct Seen {
+    /// Bit `l` is set once line `l` has been accessed.
+    bits: Vec<u64>,
+    /// Lines in the span; a line at or beyond it is outside the rule.
+    lines: u64,
 }
 
 impl Cache {
@@ -59,23 +108,38 @@ impl Cache {
     /// the `machines` crate or validate first.
     #[must_use]
     pub fn new(geometry: &CacheGeometry) -> Self {
-        Self::new_in(geometry, &TAGS)
+        geometry.validate().expect("invalid cache spec");
+        Self::with_tags(geometry, Tags::Lru(Sets::new(geometry, &TAGS)))
     }
 
-    fn new_in(geometry: &CacheGeometry, pool: &'static TagPool) -> Self {
+    /// Build a cache for a run whose every address lies below `span`
+    /// bytes. When the span's lines fit in the cache it is first-touch
+    /// (counter `memsim.level.first_touch`), otherwise it is
+    /// [`new`](Self::new)'s LRU cache; either way its hits and misses are
+    /// the LRU cache's for every run that stays below the span.
+    ///
+    /// # Panics
+    /// Panics if the geometry fails validation.
+    pub(crate) fn spanning(geometry: &CacheGeometry, span: u64) -> Self {
         geometry.validate().expect("invalid cache spec");
-        let sets = geometry.sets() as usize;
-        let assoc = geometry.associativity as usize;
+        let lines = span.div_ceil(geometry.line_bytes);
+        if lines > geometry.capacity_bytes / geometry.line_bytes {
+            return Self::with_tags(geometry, Tags::Lru(Sets::new(geometry, &TAGS)));
+        }
+        metasim_obs::counter_add("memsim.level.first_touch", 1);
+        let bits = vec![0; lines.div_ceil(64) as usize];
+        Self::with_tags(geometry, Tags::FirstTouch(Seen { bits, lines }))
+    }
+
+    fn with_tags(geometry: &CacheGeometry, tags: Tags) -> Self {
         Self {
-            ways: pool.take(sets * assoc),
-            touched: vec![0; sets.div_ceil(CHUNK_SETS).div_ceil(64)],
-            assoc,
-            set_mask: sets as u64 - 1,
+            tags,
             line_shift: geometry.line_bytes.trailing_zeros(),
-            hits: 0,
-            misses: 0,
-            last_line: EMPTY,
-            pool,
+            mru: Mru {
+                hits: 0,
+                misses: 0,
+                last_line: EMPTY,
+            },
         }
     }
 
@@ -89,83 +153,92 @@ impl Cache {
     /// per batch instead of once per level per access). Bit-identical to
     /// [`access`](Self::access) on the containing address.
     pub(crate) fn access_line(&mut self, line: u64) -> bool {
-        // MRU fast path: a repeat of the line we just touched is already at
-        // the front of its set, so it hits with no scan and no move.
-        if line == self.last_line {
-            self.hits += 1;
-            return true;
+        match &mut self.tags {
+            Tags::Lru(sets) => self.mru.access(sets, line),
+            Tags::FirstTouch(seen) => self.mru.access(seen, line),
         }
-        self.last_line = line;
-        let set_index = (line & self.set_mask) as usize;
-        let base = set_index * self.assoc;
-        // Carry the line in at the front; each way takes the one before it
-        // until the line itself turns up (a hit at position k: ways 0..k
-        // moved back one step) or the last way is carried off the end (a
-        // miss: the LRU victim, or an empty way, is dropped).
-        let mut carried = line;
-        for way in &mut self.ways[base..base + self.assoc] {
-            let held = std::mem::replace(way, carried);
-            if held == line {
-                self.hits += 1;
-                return true;
-            }
-            carried = held;
-        }
-        self.misses += 1;
-        let chunk = set_index >> CHUNK_SHIFT;
-        self.touched[chunk / 64] |= 1 << (chunk % 64);
-        false
     }
 
-    /// Count `reps` further accesses to the most recently touched line.
-    /// Bit-identical to calling [`access_line`](Self::access_line) `reps`
-    /// times with the same line: each would hit the MRU fast path, which
-    /// changes nothing but the hit count.
+    /// Access every address of `addrs` in order, as
+    /// [`access`](Self::access) would, and mark in `served` (one entry per
+    /// address) each access that hits here and is not yet marked, with
+    /// `level`. Unmarked entries hold
+    /// [`SERVED_MEMORY`](crate::hierarchy::SERVED_MEMORY).
+    ///
+    /// The store is chosen once per batch, not once per access. Runs of
+    /// consecutive accesses to the same line — every monotone-stride sweep
+    /// with stride below the line size — collapse into one lookup plus a
+    /// hit-count update.
+    pub(crate) fn serve_batch(&mut self, addrs: &[u64], level: u8, served: &mut [u8]) {
+        let shift = self.line_shift;
+        match &mut self.tags {
+            Tags::Lru(sets) => self.mru.serve_batch(sets, shift, addrs, level, served),
+            Tags::FirstTouch(seen) => self.mru.serve_batch(seen, shift, addrs, level, served),
+        }
+    }
+
+    /// Count `reps` further accesses to the most recently touched line
+    /// ([`Mru::touch_repeat`]).
+    #[cfg(test)]
     pub(crate) fn touch_repeat(&mut self, reps: u64) {
-        self.hits += reps;
+        self.mru.touch_repeat(reps);
     }
 
     /// Log2 of the line size, for callers that pre-decompose addresses.
+    #[cfg(test)]
     pub(crate) fn line_shift(&self) -> u32 {
         self.line_shift
+    }
+
+    /// Whether this cache was built first-touch ([`spanning`](Self::spanning)).
+    #[cfg(test)]
+    pub(crate) fn is_first_touch(&self) -> bool {
+        matches!(self.tags, Tags::FirstTouch(_))
     }
 
     /// Probe without updating state (no fill, no LRU touch).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let base = (line & self.set_mask) as usize * self.assoc;
-        self.ways[base..base + self.assoc].contains(&line)
+        match &self.tags {
+            Tags::Lru(sets) => sets.contains(line),
+            Tags::FirstTouch(seen) => seen.contains(line),
+        }
     }
 
     /// Invalidate all contents and reset statistics.
     pub fn reset(&mut self) {
-        self.clear_touched();
-        self.hits = 0;
-        self.misses = 0;
-        self.last_line = EMPTY;
+        match &mut self.tags {
+            Tags::Lru(sets) => sets.clear_touched(),
+            Tags::FirstTouch(seen) => seen.bits.fill(0),
+        }
+        self.mru = Mru {
+            hits: 0,
+            misses: 0,
+            last_line: EMPTY,
+        };
     }
 
     /// Hits observed since construction/reset.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.mru.hits
     }
 
     /// Misses observed since construction/reset.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.mru.misses
     }
 
     /// Hit fraction; 0 if no accesses yet.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits() + self.misses();
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            self.hits() as f64 / total as f64
         }
     }
 
@@ -173,6 +246,87 @@ impl Cache {
     #[must_use]
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
+    }
+}
+
+impl Mru {
+    #[inline]
+    fn access<S: Store>(&mut self, store: &mut S, line: u64) -> bool {
+        // MRU fast path: a repeat of the line we just touched is already at
+        // the front of its set, so it hits with no scan and no move.
+        if line == self.last_line {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        let hit = store.touch(line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Count `reps` further accesses to the most recently touched line.
+    /// Bit-identical to `reps` more [`access`](Self::access)es of that
+    /// line: each would hit the fast path, which changes nothing but the
+    /// hit count.
+    fn touch_repeat(&mut self, reps: u64) {
+        self.hits += reps;
+    }
+
+    /// [`Cache::serve_batch`] over a store of known kind.
+    fn serve_batch<S: Store>(
+        &mut self,
+        store: &mut S,
+        shift: u32,
+        addrs: &[u64],
+        level: u8,
+        served: &mut [u8],
+    ) {
+        let n = addrs.len();
+        let mut i = 0;
+        while i < n {
+            let line = addrs[i] >> shift;
+            let mut j = i + 1;
+            while j < n && addrs[j] >> shift == line {
+                j += 1;
+            }
+            let first_hit = self.access(store, line);
+            // Repeats within the run hit this level unconditionally.
+            self.touch_repeat((j - i - 1) as u64);
+            let run = &mut served[i..j];
+            if first_hit && run[0] == SERVED_MEMORY {
+                run[0] = level;
+            }
+            for s in &mut run[1..] {
+                if *s == SERVED_MEMORY {
+                    *s = level;
+                }
+            }
+            i = j;
+        }
+    }
+}
+
+impl Sets {
+    /// Empty sets of a validated geometry.
+    fn new(geometry: &CacheGeometry, pool: &'static TagPool) -> Self {
+        let sets = geometry.sets() as usize;
+        let assoc = geometry.associativity as usize;
+        Self {
+            ways: pool.take(sets * assoc),
+            touched: vec![0; sets.div_ceil(CHUNK_SETS).div_ceil(64)],
+            assoc,
+            set_mask: sets as u64 - 1,
+            pool,
+        }
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        self.ways[base..base + self.assoc].contains(&line)
     }
 
     /// Re-empty every chunk a miss filled and unmark it: afterwards every
@@ -191,7 +345,32 @@ impl Cache {
     }
 }
 
-impl Clone for Cache {
+impl Store for Sets {
+    /// Move `line` to the front of its set; `true` if it was there (a hit),
+    /// otherwise it is filled and the set's LRU way dropped.
+    #[inline]
+    fn touch(&mut self, line: u64) -> bool {
+        let set_index = (line & self.set_mask) as usize;
+        let base = set_index * self.assoc;
+        // Carry the line in at the front; each way takes the one before it
+        // until the line itself turns up (a hit at position k: ways 0..k
+        // moved back one step) or the last way is carried off the end (a
+        // miss: the LRU victim, or an empty way, is dropped).
+        let mut carried = line;
+        for way in &mut self.ways[base..base + self.assoc] {
+            let held = std::mem::replace(way, carried);
+            if held == line {
+                return true;
+            }
+            carried = held;
+        }
+        let chunk = set_index >> CHUNK_SHIFT;
+        self.touched[chunk / 64] |= 1 << (chunk % 64);
+        false
+    }
+}
+
+impl Clone for Sets {
     fn clone(&self) -> Self {
         let mut ways = self.pool.take(self.ways.len());
         ways.copy_from_slice(&self.ways);
@@ -203,12 +382,33 @@ impl Clone for Cache {
     }
 }
 
-impl Drop for Cache {
+impl Drop for Sets {
     fn drop(&mut self) {
         if TagPool::keeps(self.ways.len()) {
             self.clear_touched();
         }
         self.pool.give(std::mem::take(&mut self.ways));
+    }
+}
+
+impl Seen {
+    fn contains(&self, line: u64) -> bool {
+        line < self.lines && self.bits[(line >> 6) as usize] & (1 << (line & 63)) != 0
+    }
+}
+
+impl Store for Seen {
+    /// Mark `line` seen; `true` if it already was. The line lies inside
+    /// the span: [`HierarchySim`](crate::HierarchySim) refuses addresses
+    /// at or above it, where a first-touch cache would no longer match the
+    /// LRU one.
+    #[inline]
+    fn touch(&mut self, line: u64) -> bool {
+        debug_assert!(line < self.lines, "line {line} lies beyond the span");
+        let (word, bit) = (&mut self.bits[(line >> 6) as usize], 1u64 << (line & 63));
+        let seen = *word & bit != 0;
+        *word |= bit;
+        seen
     }
 }
 
@@ -359,6 +559,19 @@ mod tests {
         assert_eq!(fast.hits(), slow.hits());
     }
 
+    /// An LRU cache whose tag array comes from `pool`.
+    fn new_in(geometry: &CacheGeometry, pool: &'static TagPool) -> Cache {
+        Cache::with_tags(geometry, Tags::Lru(Sets::new(geometry, pool)))
+    }
+
+    /// The tag array of an LRU cache.
+    fn ways(c: &Cache) -> &[u64] {
+        match &c.tags {
+            Tags::Lru(sets) => &sets.ways,
+            Tags::FirstTouch(_) => panic!("a first-touch cache has no tag array"),
+        }
+    }
+
     #[test]
     fn dropped_tag_arrays_are_recycled_empty() {
         static POOL: TagPool = TagPool::new();
@@ -388,13 +601,13 @@ mod tests {
                     }
                 }
             };
-            let all_empty = |c: &Cache| c.ways.iter().all(|&w| w == EMPTY);
+            let all_empty = |c: &Cache| ways(c).iter().all(|&w| w == EMPTY);
 
-            let mut c = Cache::new_in(&spec, &POOL);
+            let mut c = new_in(&spec, &POOL);
             assert!(all_empty(&c));
             fill(&mut c);
             let d = c.clone();
-            assert_eq!(d.ways, c.ways, "a clone copies every chunk");
+            assert_eq!(ways(&d), ways(&c), "a clone copies every chunk");
             c.reset();
             assert!(all_empty(&c), "{spec:?}: reset left a filled way");
             assert_eq!((c.hits(), c.misses()), (0, 0));
@@ -404,15 +617,15 @@ mod tests {
             );
 
             fill(&mut c);
-            let ptr = c.ways.as_ptr();
+            let ptr = ways(&c).as_ptr();
             drop(c);
-            let c = Cache::new_in(&spec, &POOL);
+            let c = new_in(&spec, &POOL);
             if pooled {
-                assert_eq!(c.ways.as_ptr(), ptr, "the spare must be reused");
+                assert_eq!(ways(&c).as_ptr(), ptr, "the spare must be reused");
             }
             assert!(all_empty(&c), "{spec:?}: a recycled array kept a line");
             drop(d);
-            let mut e = Cache::new_in(&spec, &POOL);
+            let mut e = new_in(&spec, &POOL);
             assert!(all_empty(&e), "{spec:?}: a dropped clone kept a line");
             assert!(!e.access(0));
             assert_eq!((e.hits(), e.misses()), (0, 1));

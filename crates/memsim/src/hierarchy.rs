@@ -100,7 +100,7 @@ impl AccessProfile {
 }
 
 /// Sentinel in [`BatchScratch::served`] for "missed every cache level".
-const SERVED_MEMORY: u8 = u8::MAX;
+pub(crate) const SERVED_MEMORY: u8 = u8::MAX;
 
 /// Reusable per-batch working memory for [`HierarchySim::access_batch`]:
 /// allocated once per simulator, not once per 1,024-address buffer on the
@@ -121,6 +121,8 @@ pub struct HierarchySim {
     tlb: Tlb,
     profile: AccessProfile,
     scratch: BatchScratch,
+    /// Every address must lie below this ([`spanning`](Self::spanning)).
+    span: Option<u64>,
 }
 
 impl HierarchySim {
@@ -131,7 +133,28 @@ impl HierarchySim {
     /// no entries or a page size that is not a power of two.
     #[must_use]
     pub fn new(hierarchy: &Hierarchy) -> Self {
-        let caches = hierarchy.levels.iter().map(Cache::new).collect::<Vec<_>>();
+        Self::with_caches(hierarchy, hierarchy.levels.iter().map(Cache::new), None)
+    }
+
+    /// A simulator for a run whose every address lies below `span` bytes:
+    /// each level whose capacity holds the span's lines is first-touch
+    /// ([`Cache::spanning`]), the others are LRU. Its profiles equal
+    /// [`new`](Self::new)'s for every such run.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new); accessing an address at or above `span`
+    /// panics.
+    pub(crate) fn spanning(hierarchy: &Hierarchy, span: u64) -> Self {
+        let caches = hierarchy.levels.iter().map(|g| Cache::spanning(g, span));
+        Self::with_caches(hierarchy, caches, Some(span))
+    }
+
+    fn with_caches(
+        hierarchy: &Hierarchy,
+        caches: impl Iterator<Item = Cache>,
+        span: Option<u64>,
+    ) -> Self {
+        let caches = caches.collect::<Vec<_>>();
         let profile = AccessProfile {
             level_hits: vec![0; caches.len()],
             ..AccessProfile::default()
@@ -145,6 +168,18 @@ impl HierarchySim {
             tlb: Tlb::new(&hierarchy.tlb),
             profile,
             scratch,
+            span,
+        }
+    }
+
+    /// Panic on an address at or above the span, where first-touch levels
+    /// would no longer match LRU ones.
+    fn check_span(&self, addrs: &[u64]) {
+        if let (Some(span), Some(&addr)) = (self.span, addrs.iter().max()) {
+            assert!(
+                addr < span,
+                "address {addr:#x} lies at or above the simulator's span {span:#x}"
+            );
         }
     }
 
@@ -153,6 +188,7 @@ impl HierarchySim {
     /// The line is filled into every inner level on a miss (inclusive
     /// hierarchy). Returns where the access was served.
     pub fn access(&mut self, addr: u64, bytes: u64) -> LevelHit {
+        self.check_span(&[addr]);
         if !self.tlb.access(addr) {
             self.profile.tlb_misses += 1;
         }
@@ -184,7 +220,8 @@ impl HierarchySim {
     /// restructured for throughput. Each cache (and the TLB) is an
     /// independent state machine keyed only on the address sequence, so the
     /// batch is replayed level by level instead of interleaving levels per
-    /// address: one tight pass over each level's recency-ordered sets.
+    /// address: one tight pass over each level's recency-ordered sets (or
+    /// first-touch bitmap).
     /// Within a pass, runs of consecutive accesses to the same line — every
     /// monotone-stride MAPS sweep with stride below the line size — collapse
     /// into one set scan plus a hit-count update. Per-batch counters live in
@@ -197,6 +234,7 @@ impl HierarchySim {
             return;
         }
         debug_assert!(self.caches.len() < SERVED_MEMORY as usize);
+        self.check_span(addrs);
         let scratch = &mut self.scratch;
         scratch.served.clear();
         scratch.served.resize(n, SERVED_MEMORY);
@@ -228,31 +266,7 @@ impl HierarchySim {
         // path — feeding a level the whole batch before the next level sees
         // any of it reproduces the interleaved order's state bit for bit.
         for (level, c) in self.caches.iter_mut().enumerate() {
-            let shift = c.line_shift();
-            let lvl = level as u8;
-            let mut i = 0;
-            while i < n {
-                let line = addrs[i] >> shift;
-                let mut j = i + 1;
-                while j < n && addrs[j] >> shift == line {
-                    j += 1;
-                }
-                let first_hit = c.access_line(line);
-                if j - i > 1 {
-                    c.touch_repeat((j - i - 1) as u64);
-                }
-                let served = &mut scratch.served[i..j];
-                if first_hit && served[0] == SERVED_MEMORY {
-                    served[0] = lvl;
-                }
-                // Repeats within the run hit this level unconditionally.
-                for s in &mut served[1..] {
-                    if *s == SERVED_MEMORY {
-                        *s = lvl;
-                    }
-                }
-                i = j;
-            }
+            c.serve_batch(addrs, level as u8, &mut scratch.served);
         }
 
         let mut memory_hits = 0u64;
@@ -297,6 +311,12 @@ impl HierarchySim {
     #[must_use]
     pub fn profile(&self) -> &AccessProfile {
         &self.profile
+    }
+
+    /// Number of cache levels built first-touch.
+    #[cfg(test)]
+    pub(crate) fn first_touch_levels(&self) -> usize {
+        self.caches.iter().filter(|c| c.is_first_touch()).count()
     }
 
     /// Number of cache levels simulated.
@@ -417,6 +437,40 @@ mod tests {
         sim.reset();
         assert_eq!(sim.profile().total_accesses(), 0);
         assert_eq!(sim.access(0, 8), LevelHit::Memory, "cold after reset");
+    }
+
+    #[test]
+    fn a_spanning_simulator_is_first_touch_only_where_the_span_fits() {
+        let h = MemorySpec::example_two_level().hierarchy();
+        let l1 = h.levels[0].capacity_bytes;
+        for (span, first_touch) in [
+            (64, 2),
+            (l1, 2),
+            (l1 + 1, 1),
+            (h.levels[1].capacity_bytes + 1, 0),
+        ] {
+            let sim = HierarchySim::spanning(&h, span);
+            assert_eq!(sim.first_touch_levels(), first_touch, "span {span}");
+        }
+        assert_eq!(HierarchySim::new(&h).first_touch_levels(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above the simulator's span")]
+    fn a_batch_address_at_the_span_panics() {
+        let mut sim = HierarchySim::spanning(&MemorySpec::example_two_level().hierarchy(), 4096);
+        sim.access_batch(&[0, 4088, 4096], 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above the simulator's span")]
+    fn a_scalar_address_past_the_span_panics_even_when_every_level_is_lru() {
+        let h = MemorySpec::example_two_level().hierarchy();
+        let span = h.levels[1].capacity_bytes * 2;
+        let mut sim = HierarchySim::spanning(&h, span);
+        assert_eq!(sim.first_touch_levels(), 0);
+        sim.access(span - 8, 8);
+        sim.access(span + 4096, 8);
     }
 
     #[test]
