@@ -369,6 +369,7 @@ impl fmt::Display for AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rule() -> &'static Rule {
         registry::by_code("MS001").expect("MS001 registered")
@@ -460,5 +461,50 @@ mod tests {
         assert_eq!(report.count(Severity::Error), 1);
         assert_eq!(report.count(Severity::Warn), 1);
         assert_eq!(report.summary_line(), "1 error, 1 warning, 0 notes");
+    }
+
+    /// Text spliced into an allow entry: its separators, whitespace, a
+    /// multi-byte character and a NUL.
+    const ALLOW_SPLICES: [&str; 8] = ["@", "@@", " ", "\t", "MS", "0", "é", "\u{0}"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes, read as lossy UTF-8, never make `parse` panic,
+        /// and whatever it accepts names a registered rule and no empty
+        /// prefix.
+        #[test]
+        fn arbitrary_allow_entries_never_panic(
+            bytes in prop::collection::vec(0u8..=255, 0..64),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(rule) = AllowRule::parse(&text) {
+                prop_assert!(registry::by_code(&rule.code).is_some());
+                prop_assert_ne!(rule.subject_prefix.as_deref(), Some(""));
+            }
+        }
+
+        /// `MS008@fleet.xt3` with characters inserted, deleted or replaced
+        /// never makes `parse` panic, and whatever it accepts is well formed.
+        #[test]
+        fn mutated_allow_entries_never_panic(
+            edits in prop::collection::vec((0u8..3, 0usize..64, 0usize..8), 1..6),
+        ) {
+            let mut text: Vec<char> = "MS008@fleet.xt3".chars().collect();
+            for (op, at, pick) in edits {
+                let at = at % (text.len() + 1);
+                if op != 0 && at < text.len() {
+                    text.remove(at);
+                }
+                if op != 1 {
+                    text.splice(at..at, ALLOW_SPLICES[pick].chars());
+                }
+            }
+            let text: String = text.into_iter().collect();
+            if let Ok(rule) = AllowRule::parse(&text) {
+                prop_assert!(registry::by_code(&rule.code).is_some());
+                prop_assert_ne!(rule.subject_prefix.as_deref(), Some(""));
+            }
+        }
     }
 }

@@ -16,11 +16,13 @@ use metasim_machines::MachineId;
 use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload, ELEMENT_BYTES};
 use metasim_memsim::cache::Cache;
 use metasim_memsim::hierarchy::HierarchySim;
+use metasim_memsim::spec::MemorySpec;
 use metasim_memsim::streams::{AddressStream, RandomStream, StridedStream};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
 use metasim_memsim::tlb::Tlb;
 use metasim_netsim::collectives::allreduce_time;
 use metasim_netsim::replay::replay;
+use metasim_probes::audit::hit_fraction_samples;
 use metasim_probes::maps::{sweep_sizes, DependencyFlavor, MapsCurve};
 use metasim_stats::rng::SeededRng;
 use metasim_tracer::analysis::analyze_dependencies;
@@ -88,6 +90,31 @@ fn bench_bandwidth(c: &mut Criterion) {
             b.iter(|| black_box(measure_bandwidth(spec, &w)));
         });
     }
+    group.finish();
+}
+
+/// The MS204 memory-resident sample (a 64 MiB random stream: 32 Ki
+/// warm-up and 32 Ki measured accesses) on each distinct hierarchy of the
+/// paper fleet, one fresh measurement per hierarchy per iteration.
+fn bench_random_measurement(c: &mut Criterion) {
+    let fleet = shared_fleet();
+    let mut specs: Vec<MemorySpec> = Vec::new();
+    for m in fleet.all() {
+        if !specs.iter().any(|s| s.hierarchy() == m.memory.hierarchy()) {
+            specs.push(m.memory.clone());
+        }
+    }
+    let (_, sample) = hit_fraction_samples()[1];
+    let mut group = c.benchmark_group("memsim");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(specs.len() as u64));
+    group.bench_function("random_measurement_64mib", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                black_box(measure_bandwidth(spec, &sample));
+            }
+        });
+    });
     group.finish();
 }
 
@@ -204,6 +231,7 @@ fn bench_netsim(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache,
+    bench_random_measurement,
     bench_bandwidth,
     bench_drive,
     bench_bandwidth_at,

@@ -26,11 +26,10 @@ impl Drop for SpecFile {
     }
 }
 
-#[test]
-fn an_associativity_beyond_u32_exits_1_with_ms1002() {
-    let mut spec = FleetSpec::paper_space();
-    spec.machines.associativity = vec![1 << 32];
-    let file = SpecFile::new("associativity", &spec);
+/// Run `fleet gen` and `fleet study` on `spec` and check that each exits 1
+/// with an MS1002 finding on `field`, printing no result.
+fn assert_refused(name: &str, spec: &FleetSpec, field: &str) {
+    let file = SpecFile::new(name, spec);
     for sub in ["gen", "study"] {
         let out = Command::new(env!("CARGO_BIN_EXE_metasim"))
             .args(["fleet", sub, "--size", "2", "--seed", "1", "--spec"])
@@ -40,7 +39,25 @@ fn an_associativity_beyond_u32_exits_1_with_ms1002() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "fleet {sub}: {stderr}");
         assert!(stderr.contains("MS1002"), "fleet {sub}: {stderr}");
-        assert!(stderr.contains("associativity"), "fleet {sub}: {stderr}");
+        assert!(stderr.contains(field), "fleet {sub}: {stderr}");
         assert!(out.stdout.is_empty(), "fleet {sub} printed a result");
+    }
+}
+
+#[test]
+fn an_associativity_beyond_u32_exits_1_with_ms1002() {
+    let mut spec = FleetSpec::paper_space();
+    spec.machines.associativity = vec![1 << 32];
+    assert_refused("associativity", &spec, "associativity");
+}
+
+#[test]
+fn tlb_entries_beyond_the_cap_exit_1_with_ms1002() {
+    let mut spec = FleetSpec::paper_space();
+    // One past `metasim_memsim::spec::MAX_TLB_ENTRIES`, and a count the
+    // simulator's `u32` slot indices cannot hold.
+    for entries in [(1 << 16) + 1, 1 << 32] {
+        spec.machines.tlb_entries = vec![entries];
+        assert_refused("tlb-entries", &spec, "tlb_entries");
     }
 }

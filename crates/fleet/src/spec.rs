@@ -17,6 +17,7 @@
 
 use metasim_audit::registry::MS1002;
 use metasim_audit::Auditor;
+use metasim_memsim::spec::MAX_TLB_ENTRIES;
 use metasim_stats::rng::SeededRng;
 use serde::{Deserialize, Serialize};
 
@@ -461,6 +462,13 @@ pub fn audit_spec(spec: &FleetSpec, a: &mut Auditor) {
             m.memory_bandwidth_ratio.audit("memory_bandwidth_ratio", a);
             m.memory_latency_ratio.audit("memory_latency_ratio", a);
             audit_choice_u64(&m.tlb_entries, "tlb_entries", false, a);
+            if m.tlb_entries.iter().any(|&e| e > MAX_TLB_ENTRIES as u64) {
+                a.finding_at(
+                    &MS1002,
+                    "tlb_entries",
+                    format!("TLB entries must be at most {MAX_TLB_ENTRIES}, the model's cap"),
+                );
+            }
             audit_choice_u64(&m.page_bytes, "page_bytes", true, a);
             m.tlb_miss_penalty_ns.audit("tlb_miss_penalty_ns", a);
             m.mlp.audit("mlp", a);
@@ -543,6 +551,25 @@ mod tests {
         );
 
         spec.machines.associativity = vec![4, 1 << 31];
+        assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
+    }
+
+    #[test]
+    fn tlb_entries_beyond_the_cap_are_an_ms1002_finding_on_their_field() {
+        let mut spec = FleetSpec::paper_space();
+        for entries in [MAX_TLB_ENTRIES as u64 + 1, 1 << 32, u64::MAX] {
+            spec.machines.tlb_entries = vec![64, entries];
+            let report = audit_value(|a| audit_spec(&spec, a));
+            assert_eq!(report.diagnostics.len(), 1, "{}", report.summary_line());
+            let finding = &report.diagnostics[0];
+            assert_eq!(finding.rule.code, "MS1002");
+            assert!(
+                finding.subject.ends_with("tlb_entries"),
+                "the finding names its field: {}",
+                finding.subject
+            );
+        }
+        spec.machines.tlb_entries = vec![64, MAX_TLB_ENTRIES as u64];
         assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
     }
 

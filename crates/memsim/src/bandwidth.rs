@@ -7,7 +7,7 @@
 //! ENHANCED MAPS the same sweep under chained/branchy dependency modes.
 //!
 //! Measurements follow benchmarking discipline: a warm-up pass populates the
-//! caches and TLB, the profile is cleared, and only then is the measured
+//! caches and TLB, its profile is discarded, and only then is the measured
 //! pass accumulated.
 //!
 //! A measurement is two steps. The first drives the address stream through
@@ -33,6 +33,15 @@
 //! evicts, so it keeps a bitmap of the lines seen (an access hits exactly
 //! when its line was touched before) in place of an LRU tag array. The
 //! profile is the all-LRU simulator's, bit for bit.
+//!
+//! A driven measurement's warm-up is generated into one buffer and
+//! *settled*, not simulated: the simulator is built in the state the
+//! warm-up leaves ([`HierarchySim`]'s settled constructor), reading the
+//! warm-up backwards until each level and the TLB is full, and only the
+//! measured pass is driven forward. Starting empty, true LRU keeps each
+//! set's most recently used distinct lines (and the TLB's last distinct
+//! pages) in recency order, so this state is the forward warm-up's, way
+//! for way.
 
 use serde::{Deserialize, Serialize};
 
@@ -228,15 +237,13 @@ fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile
                 return fresh_sweep_profile(hierarchy, stride, warmup, measured);
             }
             let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-            let sim = HierarchySim::spanning(hierarchy, working_set);
-            driven_profile(sim, stream, warmup, measured)
+            driven_profile(hierarchy, working_set, stream, warmup, measured)
         }
         AccessKind::Random => {
             let working_set = workload.working_set.max(ELEMENT_BYTES);
             let rng = SeededRng::new(workload.seed ^ workload.working_set);
             let stream = RandomStream::new(0, working_set, ELEMENT_BYTES, rng);
-            let sim = HierarchySim::spanning(hierarchy, working_set);
-            driven_profile(sim, stream, warmup, measured)
+            driven_profile(hierarchy, working_set, stream, warmup, measured)
         }
     }
 }
@@ -252,19 +259,25 @@ fn pass_lengths(workload: &Workload) -> (u64, u64) {
     (warmup, measured)
 }
 
-/// Drive `warmup` accesses of `stream` through `sim`, fresh, clear the
-/// profile, drive `measured` more and return their profile. Both streams
-/// start at address 0 and stay inside the working set, so the simulator is
-/// built for that span ([`HierarchySim::spanning`]): a level that holds the
-/// whole working set is first-touch.
+/// The profile of accesses `warmup..warmup + measured` of `stream` in a
+/// fresh simulator of `hierarchy`. Both streams start at address 0 and
+/// stay below `span`, so the simulator is built for that span: a level that
+/// holds it is first-touch. The first `warmup` addresses go into one buffer
+/// (at most [`MAX_MEASURED_ACCESSES`] of them) and the simulator is built
+/// in the state they leave ([`HierarchySim::settled`]); only the measured
+/// accesses are driven.
 fn driven_profile<S: AddressStream>(
-    mut sim: HierarchySim,
+    hierarchy: &Hierarchy,
+    span: u64,
     mut stream: S,
     warmup: u64,
     measured: u64,
 ) -> AccessProfile {
-    drive(&mut sim, &mut stream, warmup);
-    sim.clear_profile();
+    debug_assert!(warmup <= MAX_MEASURED_ACCESSES);
+    let mut addrs = vec![0; warmup as usize];
+    stream.fill(&mut addrs);
+    let mut sim = HierarchySim::settled(hierarchy, span, &addrs);
+    drop(addrs);
     drive(&mut sim, &mut stream, measured);
     sim.profile().clone()
 }
@@ -329,7 +342,7 @@ fn fresh_sweep_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CacheGeometry, MemorySpec, TlbGeometry};
+    use crate::spec::MemorySpec;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -477,6 +490,21 @@ mod tests {
         }
     }
 
+    /// Drive `warmup` accesses of `stream` through `sim`, fresh, clear the
+    /// profile, drive `measured` more and return their profile: the
+    /// forward warm-up that [`driven_profile`] settles instead.
+    fn forward_profile<S: AddressStream>(
+        mut sim: HierarchySim,
+        mut stream: S,
+        warmup: u64,
+        measured: u64,
+    ) -> AccessProfile {
+        drive(&mut sim, &mut stream, warmup);
+        sim.clear_profile();
+        drive(&mut sim, &mut stream, measured);
+        sim.profile().clone()
+    }
+
     /// The profile of `warmup` then `measured` accesses of a `stride`-byte
     /// sweep over `working_set` bytes, driven through a fresh all-LRU
     /// simulator.
@@ -488,7 +516,7 @@ mod tests {
         measured: u64,
     ) -> AccessProfile {
         let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-        driven_profile(HierarchySim::new(h), stream, warmup, measured)
+        forward_profile(HierarchySim::new(h), stream, warmup, measured)
     }
 
     /// `workload`'s measurement driven through a fresh all-LRU simulator,
@@ -500,36 +528,12 @@ mod tests {
             AccessKind::Random => {
                 let rng = SeededRng::new(w.seed ^ w.working_set);
                 let stream = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng);
-                driven_profile(sim, stream, warmup, measured)
+                forward_profile(sim, stream, warmup, measured)
             }
             _ => {
                 let stream = StridedStream::new(0, w.working_set, w.stride_bytes(), ELEMENT_BYTES);
-                driven_profile(sim, stream, warmup, measured)
+                forward_profile(sim, stream, warmup, measured)
             }
-        }
-    }
-
-    /// A hierarchy of `(log2 line bytes, associativity index, log2 sets)`
-    /// levels, associativities drawn from 1-16, and a `(entries, log2 page
-    /// bytes)` TLB.
-    fn hierarchy_of(levels: &[(u32, usize, u32)], tlb: (usize, u32)) -> Hierarchy {
-        Hierarchy {
-            levels: levels
-                .iter()
-                .map(|&(line_log2, assoc_idx, sets_log2)| {
-                    let associativity = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
-                    let line_bytes = 1u64 << line_log2;
-                    CacheGeometry {
-                        capacity_bytes: (line_bytes * u64::from(associativity)) << sets_log2,
-                        line_bytes,
-                        associativity,
-                    }
-                })
-                .collect(),
-            tlb: TlbGeometry {
-                entries: tlb.0,
-                page_bytes: 1 << tlb.1,
-            },
         }
     }
 
@@ -548,7 +552,7 @@ mod tests {
             warmup in 0u64..5000,
             measured in 1u64..5000,
         ) {
-            let h = hierarchy_of(&levels, tlb);
+            let h = Hierarchy::of(&levels, tlb);
             let stride = stride_elems * ELEMENT_BYTES;
             let working_set = (warmup + measured - 1) * stride + ELEMENT_BYTES;
             prop_assert!(sweep_stays_fresh(working_set, stride, warmup + measured));
@@ -579,7 +583,7 @@ mod tests {
             warmup in 0u64..3000,
             measured in 1u64..3000,
         ) {
-            let h = hierarchy_of(&levels, tlb);
+            let h = Hierarchy::of(&levels, tlb);
             let level = h.levels[held % h.levels.len()];
             let capacity = level.capacity_bytes / level.line_bytes;
             let lines = match edge {
@@ -597,15 +601,15 @@ mod tests {
             let (a, b) = if random == 1 {
                 let stream = RandomStream::new(0, span, ELEMENT_BYTES, SeededRng::new(seed));
                 (
-                    driven_profile(spanning, stream.clone(), warmup, measured),
-                    driven_profile(lru, stream, warmup, measured),
+                    forward_profile(spanning, stream.clone(), warmup, measured),
+                    forward_profile(lru, stream, warmup, measured),
                 )
             } else {
                 let stride = stride_elems * ELEMENT_BYTES;
                 let stream = StridedStream::new(0, span, stride, ELEMENT_BYTES);
                 (
-                    driven_profile(spanning, stream.clone(), warmup, measured),
-                    driven_profile(lru, stream, warmup, measured),
+                    forward_profile(spanning, stream.clone(), warmup, measured),
+                    forward_profile(lru, stream, warmup, measured),
                 )
             };
             prop_assert_eq!(a, b);

@@ -23,6 +23,19 @@
 //! when its line was touched before. Such a *first-touch* cache keeps one
 //! bit per line of the span and takes nothing from the tag pool; its hits
 //! and misses are the LRU cache's, access for access.
+//!
+//! A fresh cache can also be *settled* (`Cache::settle`): put directly in
+//! the state a run of addresses would leave, without simulating the run.
+//! Starting empty, true LRU leaves each set holding the `assoc` most
+//! recently used distinct lines that map to it, in recency order, with
+//! empty ways after them. So the run is read backwards and each set keeps
+//! the first `assoc` distinct lines it meets, in the order met; the scan
+//! stops once every set is full, which for a small L1 is a few thousand
+//! addresses into a run of tens of thousands. Nothing is shifted, and a
+//! chunk is marked touched when its first way fills, as a forward miss
+//! would have marked it. A first-touch cache marks every line of the run.
+//! Either way the most recently used line is the run's last, and only the
+//! hit and miss counts differ from the forward run's: they start at zero.
 
 use crate::hierarchy::SERVED_MEMORY;
 use crate::spec::CacheGeometry;
@@ -159,6 +172,30 @@ impl Cache {
         }
     }
 
+    /// Put this fresh cache in the state accessing every address of
+    /// `addrs` in order would leave, without simulating the accesses. The
+    /// hit and miss counts stay zero. See the module doc for why the
+    /// state is the forward run's, way for way.
+    pub(crate) fn settle(&mut self, addrs: &[u64]) {
+        debug_assert!(
+            self.mru.last_line == EMPTY && self.hits() + self.misses() == 0,
+            "only a fresh cache can be settled"
+        );
+        let Some(&last) = addrs.last() else {
+            return;
+        };
+        let shift = self.line_shift;
+        match &mut self.tags {
+            Tags::Lru(sets) => sets.settle(addrs.iter().rev().map(|&a| a >> shift)),
+            Tags::FirstTouch(seen) => {
+                for &a in addrs {
+                    seen.touch(a >> shift);
+                }
+            }
+        }
+        self.mru.last_line = last >> shift;
+    }
+
     /// Access every address of `addrs` in order, as
     /// [`access`](Self::access) would, and mark in `served` (one entry per
     /// address) each access that hits here and is not yet marked, with
@@ -194,6 +231,23 @@ impl Cache {
     #[cfg(test)]
     pub(crate) fn is_first_touch(&self) -> bool {
         matches!(self.tags, Tags::FirstTouch(_))
+    }
+
+    /// Everything that decides this cache's future hits: its ways and
+    /// touched chunks (or its seen lines) and its most recently used line.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> CacheState {
+        match &self.tags {
+            Tags::Lru(sets) => CacheState::Lru {
+                ways: sets.ways.clone(),
+                touched: sets.touched.clone(),
+                last_line: self.mru.last_line,
+            },
+            Tags::FirstTouch(seen) => CacheState::FirstTouch {
+                bits: seen.bits.clone(),
+                last_line: self.mru.last_line,
+            },
+        }
     }
 
     /// Probe without updating state (no fill, no LRU touch).
@@ -247,6 +301,21 @@ impl Cache {
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
     }
+}
+
+/// A snapshot of [`Cache::state`].
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum CacheState {
+    Lru {
+        ways: Vec<u64>,
+        touched: Vec<u64>,
+        last_line: u64,
+    },
+    FirstTouch {
+        bits: Vec<u64>,
+        last_line: u64,
+    },
 }
 
 impl Mru {
@@ -327,6 +396,41 @@ impl Sets {
     fn contains(&self, line: u64) -> bool {
         let base = (line & self.set_mask) as usize * self.assoc;
         self.ways[base..base + self.assoc].contains(&line)
+    }
+
+    /// Fill these empty sets from `lines`, most recently used first: each
+    /// set keeps the first `assoc` distinct lines it meets, in that order,
+    /// and the scan stops once every set is full.
+    fn settle(&mut self, lines: impl Iterator<Item = u64>) {
+        let assoc = self.assoc;
+        let mut open = self.set_mask + 1;
+        for line in lines {
+            let set_index = (line & self.set_mask) as usize;
+            let set = &mut self.ways[set_index * assoc..][..assoc];
+            if set[assoc - 1] != EMPTY {
+                // Full: `line` is older than every way it holds.
+                continue;
+            }
+            for (way, held) in set.iter_mut().enumerate() {
+                if *held == line {
+                    break;
+                }
+                if *held == EMPTY {
+                    *held = line;
+                    if way == 0 {
+                        let chunk = set_index >> CHUNK_SHIFT;
+                        self.touched[chunk / 64] |= 1 << (chunk % 64);
+                    }
+                    if way == assoc - 1 {
+                        open -= 1;
+                    }
+                    break;
+                }
+            }
+            if open == 0 {
+                return;
+            }
+        }
     }
 
     /// Re-empty every chunk a miss filled and unmark it: afterwards every

@@ -10,6 +10,13 @@
 //! hierarchy share their profiles
 //! ([`measure_bandwidth_memo`](crate::bandwidth::measure_bandwidth_memo)).
 //!
+//! A measurement's warm-up is not simulated: its simulator is built
+//! *settled* (`HierarchySim::settled`), in the state the warm-up leaves,
+//! from the warm-up's addresses read backwards. Every cache level and the
+//! TLB is an independent state machine keyed on the address sequence, so
+//! each is settled on its own ([`Cache`]'s and [`Tlb`]'s module docs give
+//! the rule); the measured pass is then driven forward as before.
+//!
 //! [`TimingModel`]: crate::timing::TimingModel
 
 use serde::{Deserialize, Serialize};
@@ -30,6 +37,33 @@ pub struct Hierarchy {
     pub levels: Vec<CacheGeometry>,
     /// The TLB.
     pub tlb: TlbGeometry,
+}
+
+#[cfg(test)]
+impl Hierarchy {
+    /// A hierarchy of `(log2 line bytes, associativity index, log2 sets)`
+    /// levels, associativities drawn from 1-16, and a `(entries, log2 page
+    /// bytes)` TLB.
+    pub(crate) fn of(levels: &[(u32, usize, u32)], tlb: (usize, u32)) -> Self {
+        Self {
+            levels: levels
+                .iter()
+                .map(|&(line_log2, assoc_idx, sets_log2)| {
+                    let associativity = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
+                    let line_bytes = 1u64 << line_log2;
+                    CacheGeometry {
+                        capacity_bytes: (line_bytes * u64::from(associativity)) << sets_log2,
+                        line_bytes,
+                        associativity,
+                    }
+                })
+                .collect(),
+            tlb: TlbGeometry {
+                entries: tlb.0,
+                page_bytes: 1 << tlb.1,
+            },
+        }
+    }
 }
 
 /// Which level served an access.
@@ -147,6 +181,32 @@ impl HierarchySim {
     pub(crate) fn spanning(hierarchy: &Hierarchy, span: u64) -> Self {
         let caches = hierarchy.levels.iter().map(|g| Cache::spanning(g, span));
         Self::with_caches(hierarchy, caches, Some(span))
+    }
+
+    /// A [`spanning`](Self::spanning) simulator in the state accessing
+    /// every address of `warmup` in order leaves, with an empty profile:
+    /// a measurement's warm-up, built from its addresses instead of
+    /// simulated (counter `memsim.warmup.settled`). The addresses still
+    /// count towards `memsim.addresses`.
+    ///
+    /// # Panics
+    /// As [`spanning`](Self::spanning), and if a warm-up address lies at or
+    /// above `span`.
+    pub(crate) fn settled(hierarchy: &Hierarchy, span: u64, warmup: &[u64]) -> Self {
+        let mut sim = Self::spanning(hierarchy, span);
+        sim.settle(warmup);
+        sim
+    }
+
+    /// Settle this fresh simulator's levels and TLB from `warmup`.
+    fn settle(&mut self, warmup: &[u64]) {
+        self.check_span(warmup);
+        for c in &mut self.caches {
+            c.settle(warmup);
+        }
+        self.tlb.settle(warmup);
+        metasim_obs::counter_add("memsim.addresses", warmup.len() as u64);
+        metasim_obs::counter_add("memsim.warmup.settled", 1);
     }
 
     fn with_caches(
@@ -319,6 +379,16 @@ impl HierarchySim {
         self.caches.iter().filter(|c| c.is_first_touch()).count()
     }
 
+    /// Each level's [`Cache::state`] and the TLB's resident pages, most
+    /// recently used first: everything that decides future hits.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> (Vec<crate::cache::CacheState>, Vec<u64>) {
+        (
+            self.caches.iter().map(Cache::state).collect(),
+            self.tlb.recency(),
+        )
+    }
+
     /// Number of cache levels simulated.
     #[must_use]
     pub fn levels(&self) -> usize {
@@ -330,6 +400,93 @@ impl HierarchySim {
 mod tests {
     use super::*;
     use crate::spec::MemorySpec;
+    use crate::streams::{AddressStream, RandomStream, StridedStream};
+    use metasim_stats::rng::SeededRng;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // A simulator settled from a warm-up holds, way for way and page
+        // for page, what driving the warm-up forward through a fresh one
+        // leaves, and then profiles a probe stream as that one does. Both
+        // for a simulator built for the span (first-touch where a level
+        // holds it) against a forward one of the same kind, and for an
+        // all-LRU one against a fresh `new` one: 1-4 levels, associativity
+        // 1-16, TLBs of 1-64 entries, random and wrapping strided streams,
+        // spans that fit a chosen level or exceed it by a line, and
+        // warm-ups from empty through shorter than a level up to 3,000.
+        #[test]
+        fn a_settled_warm_up_equals_the_forward_one(
+            levels in prop::collection::vec((4u32..10, 0usize..7, 0u32..8), 1..5),
+            tlb in (1usize..65, 9u32..15),
+            (held, edge, fill) in (0usize..4, 0u8..4, 0u64..1 << 20),
+            random in 0u8..2,
+            stride_elems in 1u64..17,
+            seed in 0u64..=u64::MAX,
+            (empty, warmup) in (0u8..8, 0usize..3000),
+            probes in 1usize..2000,
+        ) {
+            let h = Hierarchy::of(&levels, tlb);
+            let level = h.levels[held % h.levels.len()];
+            let capacity = level.capacity_bytes / level.line_bytes;
+            let lines = match edge {
+                0 => capacity,
+                1 => capacity + 1,
+                _ => 1 + fill % capacity,
+            };
+            let span = lines * level.line_bytes;
+            let warmup = if empty == 0 { 0 } else { warmup };
+            let mut addrs = vec![0; warmup + probes];
+            if random == 1 {
+                RandomStream::new(0, span, 8, SeededRng::new(seed)).fill(&mut addrs);
+            } else {
+                StridedStream::new(0, span, stride_elems * 8, 8).fill(&mut addrs);
+            }
+            let (warm, probe) = addrs.split_at(warmup);
+            let mut lru = HierarchySim::new(&h);
+            lru.settle(warm);
+            for (mut settled, mut forward) in [
+                (HierarchySim::settled(&h, span, warm), HierarchySim::spanning(&h, span)),
+                (lru, HierarchySim::new(&h)),
+            ] {
+                forward.access_batch(warm, 8);
+                forward.clear_profile();
+                prop_assert_eq!(settled.state(), forward.state());
+                prop_assert_eq!(settled.profile(), forward.profile());
+                settled.access_batch(probe, 8);
+                forward.access_batch(probe, 8);
+                prop_assert_eq!(settled.profile(), forward.profile());
+                prop_assert_eq!(settled.state(), forward.state());
+            }
+        }
+    }
+
+    #[test]
+    fn a_settled_warm_up_counts_its_addresses_once() {
+        let h = MemorySpec::example_two_level().hierarchy();
+        let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
+        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
+        let warm: Vec<u64> = (0..1000).map(|k| k * 4096 % (1 << 20)).collect();
+        let sim =
+            metasim_obs::with_recorder(recorder, || HierarchySim::settled(&h, 1 << 20, &warm));
+        assert_eq!(
+            sim.profile().total_accesses(),
+            0,
+            "the warm-up is not profiled"
+        );
+        let snap = rec.metrics_snapshot();
+        assert_eq!(snap.counter("memsim.warmup.settled"), 1);
+        assert_eq!(snap.counter("memsim.addresses"), 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above the simulator's span")]
+    fn a_warm_up_address_at_the_span_panics() {
+        let h = MemorySpec::example_two_level().hierarchy();
+        let _ = HierarchySim::settled(&h, 4096, &[0, 4096]);
+    }
 
     #[test]
     fn l1_resident_sweep_hits_l1_after_warmup() {

@@ -171,6 +171,11 @@ impl MainMemorySpec {
     }
 }
 
+/// Most entries a TLB may have ([`MS005`] on `tlb.entries`, and MS1002
+/// on a fleet spec's `tlb_entries`). Shipped TLBs hold 64–1,024; the
+/// simulator reserves a slot per entry up front.
+pub const MAX_TLB_ENTRIES: usize = 1 << 16;
+
 /// TLB parameters (see [`crate::tlb`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TlbSpec {
@@ -335,6 +340,15 @@ impl MemorySpec {
         }
         if self.tlb.entries == 0 {
             a.finding_at(&MS005, "tlb.entries", "TLB must have at least one entry");
+        } else if self.tlb.entries > MAX_TLB_ENTRIES {
+            a.finding_at(
+                &MS005,
+                "tlb.entries",
+                format!(
+                    "{} TLB entries exceed the model's {MAX_TLB_ENTRIES}",
+                    self.tlb.entries
+                ),
+            );
         }
         if !self.tlb.page_bytes.is_power_of_two() {
             a.finding_at(
@@ -528,6 +542,17 @@ mod tests {
         let mut s = MemorySpec::example_two_level();
         s.tlb.page_bytes = 3000;
         assert!(s.validate().unwrap_err().has_code("MS005"));
+
+        let mut s = MemorySpec::example_two_level();
+        s.tlb.entries = MAX_TLB_ENTRIES;
+        assert!(s.validate().is_ok());
+        for entries in [MAX_TLB_ENTRIES + 1, 1 << 32, usize::MAX] {
+            s.tlb.entries = entries;
+            let report = s.validate().unwrap_err();
+            assert_eq!(report.diagnostics.len(), 1, "{}", report.summary_line());
+            assert_eq!(report.diagnostics[0].rule.code, "MS005");
+            assert!(report.diagnostics[0].subject.ends_with("tlb.entries"));
+        }
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! Above it the page's higher bits are xor-folded into the index, and
 //! resident pages that share a bucket chain through their slots, so a TLB's
 //! memory is bounded by a constant, never by the working set it translates.
+//!
+//! A fresh TLB can be *settled* (`Tlb::settle`): put directly in the state
+//! a run of addresses would leave. Starting empty, true LRU leaves the last
+//! `entries` distinct pages of the run resident, most recently used first,
+//! so the run is read backwards, each page not yet resident is linked in at
+//! the tail, and the scan stops once every slot is filled: about `entries`
+//! addresses of a random run. Membership is the buckets' own lookup.
 
 use crate::spec::TlbGeometry;
 
@@ -116,19 +123,12 @@ impl Tlb {
             self.grow(page);
         }
         let bucket = self.bucket(page);
-        let mut slot = self.buckets[bucket];
-        let mut walked = 0;
-        while slot != NIL {
-            debug_assert!(walked < self.slots.len(), "bucket chain cycles");
-            walked += 1;
-            let s = self.slots[slot as usize];
-            if s.page == page {
-                self.hits += 1;
-                self.unlink(slot);
-                self.push_front(slot);
-                return true;
-            }
-            slot = s.chain;
+        let slot = self.find(bucket, page);
+        if slot != NIL {
+            self.hits += 1;
+            self.unlink(slot);
+            self.push_front(slot);
+            return true;
         }
         self.misses += 1;
         let slot = if self.slots.len() < self.capacity {
@@ -151,6 +151,62 @@ impl Tlb {
         self.buckets[bucket] = slot;
         self.push_front(slot);
         false
+    }
+
+    /// Put this fresh TLB in the state translating every address of
+    /// `addrs` in order would leave, without simulating the translations:
+    /// the run's last `entries` distinct pages, most recently used at the
+    /// head. The hit and miss counts stay zero.
+    pub(crate) fn settle(&mut self, addrs: &[u64]) {
+        debug_assert!(
+            self.slots.is_empty() && self.hits + self.misses == 0,
+            "only a fresh TLB can be settled"
+        );
+        for &addr in addrs.iter().rev() {
+            if self.slots.len() == self.capacity {
+                return;
+            }
+            let page = addr >> self.page_shift;
+            if page >= self.grow_at {
+                self.grow(page);
+            }
+            let bucket = self.bucket(page);
+            if self.find(bucket, page) != NIL {
+                continue;
+            }
+            // The least recently used so far: link it in at the tail.
+            let slot = self.slots.len() as u32;
+            self.slots.push(Slot {
+                page,
+                prev: self.tail,
+                next: NIL,
+                chain: self.buckets[bucket],
+            });
+            self.buckets[bucket] = slot;
+            if self.tail == NIL {
+                self.head = slot;
+            } else {
+                self.slots[self.tail as usize].next = slot;
+            }
+            self.tail = slot;
+        }
+    }
+
+    /// The slot holding `page` in the chain of `bucket`, or `NIL`.
+    #[inline]
+    fn find(&self, bucket: usize, page: u64) -> u32 {
+        let mut slot = self.buckets[bucket];
+        let mut walked = 0;
+        while slot != NIL {
+            debug_assert!(walked < self.slots.len(), "bucket chain cycles");
+            walked += 1;
+            let s = self.slots[slot as usize];
+            if s.page == page {
+                return slot;
+            }
+            slot = s.chain;
+        }
+        NIL
     }
 
     /// Account `reps` further translations of the most recently touched
@@ -242,6 +298,18 @@ impl Tlb {
     /// Log2 of the page size, for callers that pre-decompose addresses.
     pub(crate) fn page_shift(&self) -> u32 {
         self.page_shift
+    }
+
+    /// The resident pages, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn recency(&self) -> Vec<u64> {
+        let mut pages = Vec::with_capacity(self.slots.len());
+        let mut slot = self.head;
+        while slot != NIL {
+            pages.push(self.slots[slot as usize].page);
+            slot = self.slots[slot as usize].next;
+        }
+        pages
     }
 
     /// Reset contents and statistics. The bucket array keeps its length.
