@@ -13,7 +13,9 @@ use metasim_bench::{shared_fleet, shared_probes, shared_study};
 use metasim_core::formula::{cost_expr, eval_cost};
 use metasim_core::metric::MetricId;
 use metasim_machines::MachineId;
-use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload, ELEMENT_BYTES};
+use metasim_memsim::bandwidth::{
+    drive, measure_bandwidth, measure_bandwidth_memo, ProfileMemo, Workload, ELEMENT_BYTES,
+};
 use metasim_memsim::cache::Cache;
 use metasim_memsim::hierarchy::HierarchySim;
 use metasim_memsim::spec::MemorySpec;
@@ -93,17 +95,22 @@ fn bench_bandwidth(c: &mut Criterion) {
     group.finish();
 }
 
-/// The MS204 memory-resident sample (a 64 MiB random stream: 32 Ki
-/// warm-up and 32 Ki measured accesses) on each distinct hierarchy of the
-/// paper fleet, one fresh measurement per hierarchy per iteration.
-fn bench_random_measurement(c: &mut Criterion) {
-    let fleet = shared_fleet();
+/// One memory spec per distinct cache hierarchy of the paper fleet.
+fn distinct_hierarchies() -> Vec<MemorySpec> {
     let mut specs: Vec<MemorySpec> = Vec::new();
-    for m in fleet.all() {
+    for m in shared_fleet().all() {
         if !specs.iter().any(|s| s.hierarchy() == m.memory.hierarchy()) {
             specs.push(m.memory.clone());
         }
     }
+    specs
+}
+
+/// The MS204 memory-resident sample (a 64 MiB random stream: 32 Ki
+/// warm-up and 32 Ki measured accesses) on each distinct hierarchy of the
+/// paper fleet, one fresh measurement per hierarchy per iteration.
+fn bench_random_measurement(c: &mut Criterion) {
+    let specs = distinct_hierarchies();
     let (_, sample) = hit_fraction_samples()[1];
     let mut group = c.benchmark_group("memsim");
     group.sample_size(20);
@@ -112,6 +119,32 @@ fn bench_random_measurement(c: &mut Criterion) {
         b.iter(|| {
             for spec in &specs {
                 black_box(measure_bandwidth(spec, &sample));
+            }
+        });
+    });
+    group.finish();
+}
+
+/// The `Sequential` and `Strided(4)` MAPS sweeps over every size of
+/// `sweep_sizes()` on each distinct hierarchy of the paper fleet, each
+/// hierarchy with a fresh memo, so every point is measured, not recalled.
+fn bench_sweep_profiles(c: &mut Criterion) {
+    let specs = distinct_hierarchies();
+    let mut group = c.benchmark_group("memsim");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(
+        (2 * specs.len() * sweep_sizes().len()) as u64,
+    ));
+    group.bench_function("sweep_profiles", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                let memo = ProfileMemo::new();
+                for kind in [AccessKind::Sequential, AccessKind::Strided(4)] {
+                    for &ws in sweep_sizes() {
+                        let w = Workload::new(ws, kind, DependencyMode::Independent);
+                        black_box(measure_bandwidth_memo(spec, &w, &memo));
+                    }
+                }
             }
         });
     });
@@ -232,6 +265,7 @@ criterion_group!(
     benches,
     bench_cache,
     bench_random_measurement,
+    bench_sweep_profiles,
     bench_bandwidth,
     bench_drive,
     bench_bandwidth_at,

@@ -230,11 +230,14 @@ impl ArtifactStore {
         validate: impl Fn(&T) -> Result<(), String>,
     ) -> Option<T> {
         let path = self.entry_path(kind, key);
-        let Ok(text) = fs::read_to_string(&path) else {
+        let Ok(bytes) = fs::read(&path) else {
             self.traffic.misses.fetch_add(1, Ordering::Relaxed);
             obs_bump("miss", kind);
             return None;
         };
+        // The store writes JSON text only: bytes that are not UTF-8 are as
+        // corrupt as bad JSON, and the empty text fails to decode.
+        let text = String::from_utf8(bytes).unwrap_or_default();
         let policy = metasim_chaos::RetryPolicy::default();
         let max_attempts = if metasim_chaos::active() {
             policy.max_attempts.max(1)
@@ -249,8 +252,9 @@ impl ArtifactStore {
                 &[kind, &key_str, &attempt.to_string()],
             );
             let view = if injected {
-                // A torn read: the first half of the entry, mid-token.
-                &text[..text.len() / 2]
+                // A torn read: the first half of the entry, mid-token, cut
+                // at a character boundary.
+                &text[..text.floor_char_boundary(text.len() / 2)]
             } else {
                 text.as_str()
             };
@@ -597,6 +601,20 @@ mod tests {
             let snap = rec.metrics_snapshot();
             assert_eq!(snap.counter("chaos.retry.attempts"), 2);
             assert_eq!(snap.counter("chaos.retry.exhausted"), 1);
+            store.clear().unwrap();
+        }
+
+        #[test]
+        fn a_torn_read_cuts_at_a_character_boundary() {
+            // The midpoint of "ééééé" as JSON splits a two-byte character.
+            let store = temp_store("chaos-torn-utf8");
+            let value = vec!["ééééé".to_string()];
+            let key = content_key(&["v"], &value);
+            store.store("words", key, &value).unwrap();
+            let back: Option<Vec<String>> =
+                with_plan(plan(1, "cache-corrupt:1.0"), || store.load("words", key));
+            assert_eq!(back, None, "every attempt corrupted → miss");
+            assert!(!store.contains("words", key), "exhaustion evicts the entry");
             store.clear().unwrap();
         }
 

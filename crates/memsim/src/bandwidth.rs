@@ -20,21 +20,22 @@
 //! (hierarchy, address stream) once per [`ProfileMemo`] while timing every
 //! call with its own spec.
 //!
-//! A sequential or strided measurement whose warm-up and measured passes
-//! never wrap round the working set is counted rather than simulated
-//! (`fresh_sweep_profile`): in a simulator that starts empty, a sweep of
-//! increasing addresses hits a cache level exactly when it stays on the
-//! previous access's line, and the TLB exactly when it stays on the
-//! previous access's page. Every other measurement drives the simulator.
+//! A sequential or strided measurement is counted, not simulated
+//! (`sweep_profile`): a sweep's profile in a simulator that starts empty is
+//! arithmetic in its period, its stride and each level's geometry. In the
+//! first period a step hits a level exactly when it stays on the previous
+//! step's line; in later periods also when the line's set receives at most
+//! as many distinct lines per period as it has ways. No sweep builds a
+//! simulator, a tag array or a warm-up.
 //!
-//! A driven stream starts at address 0 and stays inside its working set, so
-//! its simulator is built for that span ([`HierarchySim`]'s span
-//! constructor): a cache level that can hold the whole working set never
-//! evicts, so it keeps a bitmap of the lines seen (an access hits exactly
-//! when its line was touched before) in place of an LRU tag array. The
-//! profile is the all-LRU simulator's, bit for bit.
+//! A random stream drives the simulator. It starts at address 0 and stays
+//! inside its working set, so its simulator is built for that span
+//! ([`HierarchySim`]'s span constructor): a cache level that can hold the
+//! whole working set never evicts, so it keeps a bitmap of the lines seen
+//! (an access hits exactly when its line was touched before) in place of an
+//! LRU tag array. The profile is the all-LRU simulator's, bit for bit.
 //!
-//! A driven measurement's warm-up is generated into one buffer and
+//! A random measurement's warm-up is generated into one buffer and
 //! *settled*, not simulated: the simulator is built in the state the
 //! warm-up leaves ([`HierarchySim`]'s settled constructor), reading the
 //! warm-up backwards until each level and the TLB is full, and only the
@@ -51,7 +52,7 @@ use metasim_units::{Bytes, BytesPerSec, Seconds};
 
 use crate::hierarchy::{AccessProfile, Hierarchy, HierarchySim};
 use crate::spec::MemorySpec;
-use crate::streams::{AddressStream, RandomStream, StridedStream};
+use crate::streams::{AddressStream, RandomStream};
 use crate::timing::{AccessKind, DependencyMode, TimingModel};
 
 /// Bytes requested per access throughout the study (double precision).
@@ -216,29 +217,26 @@ pub fn measure_bandwidth_memo(
     }
 }
 
-/// Drive `workload`'s address stream through a fresh simulator of
+/// The profile of `workload`'s measurement in a fresh simulator of
 /// `hierarchy`: a warm-up pass, then the measured pass whose profile is
 /// returned. Reads the working set, access kind and seed; not `deps`. A
-/// sweep that never wraps is counted instead ([`fresh_sweep_profile`]).
+/// sweep is counted ([`sweep_profile`]); a random stream is driven
+/// ([`driven_profile`]).
 ///
 /// # Panics
-/// Panics if the hierarchy's geometry is invalid and the stream is driven;
-/// the counting path builds no simulator, so callers validate the spec
-/// first, as [`measure_bandwidth_memo`] does.
+/// Panics if the hierarchy's geometry is invalid; a sweep builds no
+/// simulator to check it, so callers validate the spec first, as
+/// [`measure_bandwidth_memo`] does.
 fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile {
     let (warmup, measured) = pass_lengths(workload);
     match workload.kind {
-        AccessKind::Sequential | AccessKind::Strided(_) => {
-            let (working_set, stride) = (
-                workload.working_set.max(ELEMENT_BYTES),
-                workload.stride_bytes(),
-            );
-            if sweep_stays_fresh(working_set, stride, warmup + measured) {
-                return fresh_sweep_profile(hierarchy, stride, warmup, measured);
-            }
-            let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-            driven_profile(hierarchy, working_set, stream, warmup, measured)
-        }
+        AccessKind::Sequential | AccessKind::Strided(_) => sweep_profile(
+            hierarchy,
+            workload.working_set,
+            workload.stride_bytes(),
+            warmup,
+            measured,
+        ),
         AccessKind::Random => {
             let working_set = workload.working_set.max(ELEMENT_BYTES);
             let rng = SeededRng::new(workload.seed ^ workload.working_set);
@@ -259,17 +257,17 @@ fn pass_lengths(workload: &Workload) -> (u64, u64) {
     (warmup, measured)
 }
 
-/// The profile of accesses `warmup..warmup + measured` of `stream` in a
-/// fresh simulator of `hierarchy`. Both streams start at address 0 and
-/// stay below `span`, so the simulator is built for that span: a level that
-/// holds it is first-touch. The first `warmup` addresses go into one buffer
-/// (at most [`MAX_MEASURED_ACCESSES`] of them) and the simulator is built
-/// in the state they leave ([`HierarchySim::settled`]); only the measured
+/// The profile of accesses `warmup..warmup + measured` of `stream`, a
+/// random stream over `[0, span)`, in a fresh simulator of `hierarchy`.
+/// The simulator is built for that span, so a level that holds it is
+/// first-touch. The first `warmup` addresses go into one buffer (at most
+/// [`MAX_MEASURED_ACCESSES`] of them) and the simulator is built in the
+/// state they leave ([`HierarchySim::settled`]); only the measured
 /// accesses are driven.
-fn driven_profile<S: AddressStream>(
+fn driven_profile(
     hierarchy: &Hierarchy,
     span: u64,
-    mut stream: S,
+    mut stream: RandomStream,
     warmup: u64,
     measured: u64,
 ) -> AccessProfile {
@@ -282,67 +280,166 @@ fn driven_profile<S: AddressStream>(
     sim.profile().clone()
 }
 
-/// Whether `accesses` steps of a [`StridedStream`] from address 0 over
-/// `working_set` bytes all come before its first wrap: the last one,
-/// `(accesses - 1) · stride`, still has a whole element inside the set.
-fn sweep_stays_fresh(working_set: u64, stride: u64, accesses: u64) -> bool {
-    (accesses - 1)
-        .checked_mul(stride)
-        .and_then(|last| last.checked_add(ELEMENT_BYTES))
-        .is_some_and(|end| end <= working_set)
-}
-
-/// The profile of accesses `warmup..warmup + measured` of a sweep that
-/// reads address `k · stride` at step `k`, in a fresh simulator of
-/// `hierarchy`, counted instead of simulated.
+/// The profile of steps `warmup..warmup + measured` of a `stride`-byte
+/// sweep over `working_set` bytes from address 0 (a
+/// [`StridedStream`](crate::streams::StridedStream)), in a fresh all-LRU
+/// simulator of `hierarchy`, counted instead of simulated.
 ///
-/// Exact, not a model: the simulator starts empty and the addresses only
-/// increase, so no line or page is ever seen again once the sweep has
-/// left it. A cache level therefore hits access `k` exactly when `k`
-/// shares that level's line with access `k - 1` (the line is then the
-/// level's most recently used), and misses it otherwise, compulsorily;
-/// the TLB likewise hits exactly when `k` shares the page of `k - 1`. The
-/// access is served by the first level that hits, as in [`HierarchySim`].
-/// The warm-up steps still count towards `memsim.addresses`, as when they
-/// are driven.
-fn fresh_sweep_profile(
+/// Step `k` reads `(k mod P) · stride`, where the period `P` is the number
+/// of whole elements the sweep reaches before it wraps. A cache level with
+/// `A` ways and the TLB (one set of `entries` ways over pages) each hit
+/// step `k` exactly when
+/// - `k mod P ≥ 1` and the step stays on the previous step's line, or
+/// - `k ≥ P` and the line's set receives at most `A` distinct lines in one
+///   period.
+///
+/// Exact, not a model. In period 0 the addresses only increase, so a line
+/// was seen before only if the previous step was on it. From period 1 on,
+/// between two visits of a line its set receives each of its other lines
+/// of the period exactly once, in the same cyclic order, so true LRU keeps
+/// the line exactly when fewer than `A` others share its set. An access is
+/// served by the first level that hits, as in [`HierarchySim`]. Period 0
+/// is counted in `O(levels)`; later periods take one pass over at most
+/// `P < 2 · MAX_MEASURED_ACCESSES` positions. The warm-up steps still count
+/// towards `memsim.addresses`, as when they are driven.
+fn sweep_profile(
     hierarchy: &Hierarchy,
+    working_set: u64,
     stride: u64,
     warmup: u64,
     measured: u64,
 ) -> AccessProfile {
-    let shifts: Vec<u32> = hierarchy
+    let sweep = Sweep {
+        stride,
+        period: (working_set.max(ELEMENT_BYTES) - ELEMENT_BYTES) / stride + 1,
+    };
+    let levels: Vec<SweepLevel> = hierarchy
         .levels
         .iter()
-        .map(|l| l.line_bytes.trailing_zeros())
+        .map(|g| SweepLevel {
+            shift: g.line_bytes.trailing_zeros(),
+            sets: g.sets(),
+            ways: u64::from(g.associativity),
+        })
         .collect();
-    let page_shift = hierarchy.tlb.page_bytes.trailing_zeros();
+    let tlb = SweepLevel {
+        shift: hierarchy.tlb.page_bytes.trailing_zeros(),
+        sets: 1,
+        ways: hierarchy.tlb.entries as u64,
+    };
     let mut profile = AccessProfile {
-        level_hits: vec![0; shifts.len()],
+        level_hits: vec![0; levels.len()],
         requested_bytes: measured * ELEMENT_BYTES,
         ..AccessProfile::default()
     };
-    for k in warmup..warmup + measured {
-        let addr = k * stride;
-        // Access 0 has no predecessor: it misses everywhere.
-        let stays = |shift: u32| k > 0 && addr >> shift == (addr - stride) >> shift;
-        match shifts.iter().position(|&shift| stays(shift)) {
-            Some(level) => profile.level_hits[level] += 1,
-            None => profile.memory_hits += 1,
+    let end = warmup + measured;
+
+    // Period 0: every hit stays on the previous step's line. Staying on a
+    // line implies staying on every longer one, so a step is first served
+    // by a level exactly when it stays on that level's line but not on the
+    // longest line among the levels before it.
+    let (lo, hi) = (warmup, end.min(sweep.period));
+    if lo < hi {
+        let mut longest: Option<u32> = None;
+        let mut served = 0;
+        for (hits, level) in profile.level_hits.iter_mut().zip(&levels) {
+            let inner = longest.map_or(0, |s| sweep.stays(s.min(level.shift), lo, hi));
+            *hits = sweep.stays(level.shift, lo, hi) - inner;
+            served += *hits;
+            longest = Some(longest.map_or(level.shift, |s| s.max(level.shift)));
         }
-        if !stays(page_shift) {
-            profile.tlb_misses += 1;
+        profile.memory_hits = hi - lo - served;
+        profile.tlb_misses = hi - lo - sweep.stays(tlb.shift, lo, hi);
+    }
+
+    // Later periods: one pass over the positions the measured steps visit,
+    // each weighted by how many times they visit it.
+    let lo = warmup.max(sweep.period);
+    if lo < end {
+        let per_set: Vec<_> = levels.iter().map(|l| l.lines_per_set(&sweep)).collect();
+        let tlb_per_set = tlb.lines_per_set(&sweep);
+        for k in lo..end.min(lo + sweep.period) {
+            let p = k % sweep.period;
+            let weight = (end - 1 - k) / sweep.period + 1;
+            let hit = |level: &SweepLevel, per_set: &Option<Vec<u32>>| {
+                let line = (p * stride) >> level.shift;
+                (p >= 1 && line == ((p - 1) * stride) >> level.shift)
+                    || per_set
+                        .as_ref()
+                        .is_none_or(|m| u64::from(m[(line % level.sets) as usize]) <= level.ways)
+            };
+            match levels.iter().zip(&per_set).position(|(l, m)| hit(l, m)) {
+                Some(level) => profile.level_hits[level] += weight,
+                None => profile.memory_hits += weight,
+            }
+            if !hit(&tlb, &tlb_per_set) {
+                profile.tlb_misses += weight;
+            }
         }
     }
-    metasim_obs::counter_add("memsim.addresses", warmup + measured);
+    metasim_obs::counter_add("memsim.addresses", end);
     metasim_obs::counter_add("memsim.sweep.closed_form", 1);
     profile
+}
+
+/// A sweep's stride and period, both as [`sweep_profile`] defines them.
+struct Sweep {
+    stride: u64,
+    period: u64,
+}
+
+impl Sweep {
+    /// How many of the period-0 steps `lo..hi` (`hi ≤ P`) stay on the
+    /// previous step's line of `2^shift` bytes. Step 0 has no predecessor.
+    fn stays(&self, shift: u32, lo: u64, hi: u64) -> u64 {
+        let leaves = if self.stride >> shift != 0 {
+            // A stride of a line or more leaves the line at every step.
+            hi - lo
+        } else {
+            // A shorter one moves on at most one line per step: count the
+            // line crossings, and step 0 as leaving.
+            let line = |k: u64| (k * self.stride) >> shift;
+            line(hi - 1) + 1 - lo.checked_sub(1).map_or(0, |k| line(k) + 1)
+        };
+        hi - lo - leaves
+    }
+}
+
+/// One cache level, or the TLB, as [`sweep_profile`] counts it.
+struct SweepLevel {
+    /// Log2 of the line (or page) size.
+    shift: u32,
+    sets: u64,
+    ways: u64,
+}
+
+impl SweepLevel {
+    /// How many distinct lines of one period of `sweep` each set receives,
+    /// or `None` when no set can receive more than `ways` of them. The
+    /// table is built only when it is shorter than the period's line span.
+    fn lines_per_set(&self, sweep: &Sweep) -> Option<Vec<u32>> {
+        let last = ((sweep.period - 1) * sweep.stride) >> self.shift;
+        if (last + 1).div_ceil(self.sets) <= self.ways {
+            return None;
+        }
+        let mut lines = vec![0u32; self.sets as usize];
+        let mut previous = None;
+        for p in 0..sweep.period {
+            let line = (p * sweep.stride) >> self.shift;
+            if previous != Some(line) {
+                lines[(line % self.sets) as usize] += 1;
+                previous = Some(line);
+            }
+        }
+        Some(lines)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::MemorySpec;
+    use crate::streams::StridedStream;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -538,27 +635,35 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        // The counted profile of a sweep that never wraps equals driving
-        // it through the simulator, whatever the hierarchy: 1-4 levels in
-        // any order of line sizes, TLBs from one entry up, and strides
-        // above and below the line and page sizes.
+        // The counted profile of every sweep equals driving it through the
+        // all-LRU simulator: 1-4 levels in any order of line sizes with
+        // associativity 1-16 (3 and 12 included), TLBs of 1-64 entries,
+        // strides of 1-40 elements, warm-ups shorter and longer than one
+        // period, and working sets from one element (and below) to past
+        // the point where the sweep never wraps. Small working sets are
+        // drawn more often, so that sets holding exactly as many lines of
+        // a period as they have ways come up.
         #[test]
-        fn fresh_sweeps_count_what_the_simulator_drives(
+        fn every_sweep_profile_equals_the_driven_one(
             levels in prop::collection::vec((4u32..10, 0usize..7, 0u32..8), 1..5),
             tlb in (1usize..65, 9u32..15),
-            stride_elems in 1u64..17,
-            warmup in 0u64..5000,
-            measured in 1u64..5000,
+            stride_elems in 1u64..41,
+            warmup in 0u64..3000,
+            measured in 1u64..3000,
+            (scale, raw) in (0u32..4, 0u64..=u64::MAX),
         ) {
             let h = Hierarchy::of(&levels, tlb);
             let stride = stride_elems * ELEMENT_BYTES;
-            let working_set = (warmup + measured - 1) * stride + ELEMENT_BYTES;
-            prop_assert!(sweep_stays_fresh(working_set, stride, warmup + measured));
+            let fresh = (warmup + measured - 1) * stride + ELEMENT_BYTES;
+            // Up to 64 elements, 64 strides, a quarter of the fresh bound,
+            // or twice it.
+            let bound = [64 * ELEMENT_BYTES, 64 * stride, fresh / 4, 2 * fresh][scale as usize];
+            let working_set = 1 + raw % bound.max(1);
             prop_assert_eq!(
-                fresh_sweep_profile(&h, stride, warmup, measured),
-                driven_sweep(&h, working_set, stride, warmup, measured)
+                sweep_profile(&h, working_set, stride, warmup, measured),
+                driven_sweep(&h, working_set.max(ELEMENT_BYTES), stride, warmup, measured)
             );
         }
     }
@@ -623,11 +728,14 @@ mod tests {
         assert!(h.levels[0].capacity_bytes < l2.capacity_bytes);
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
         let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
-        // Random, and a strided sweep that wraps (so is driven, not
-        // counted), each at exactly the L2's capacity and one line more.
-        for kind in [AccessKind::Random, AccessKind::Strided(16)] {
+        // Random and a wrapping strided sweep, each at exactly the L2's
+        // capacity and one line more. The sweep is counted, so it builds
+        // no simulator and no first-touch level.
+        for (kind, held) in [(AccessKind::Random, 1), (AccessKind::Strided(16), 0)] {
             let at_capacity = l2.capacity_bytes;
-            for (working_set, first_touch) in [(at_capacity, 1), (at_capacity + l2.line_bytes, 0)] {
+            for (working_set, first_touch) in
+                [(at_capacity, held), (at_capacity + l2.line_bytes, 0)]
+            {
                 let w = Workload::new(working_set, kind, DependencyMode::Independent);
                 let before = rec.metrics_snapshot().counter("memsim.level.first_touch");
                 let profile =
@@ -639,12 +747,12 @@ mod tests {
         }
         assert_eq!(
             rec.metrics_snapshot().counter("memsim.sweep.closed_form"),
-            0
+            2
         );
     }
 
     #[test]
-    fn the_largest_wrapping_sweep_is_driven_and_one_element_more_is_counted() {
+    fn the_largest_wrapping_sweep_and_one_element_more_are_both_counted() {
         let spec = spec();
         let h = spec.hierarchy();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
@@ -652,27 +760,29 @@ mod tests {
         for kind in [AccessKind::Sequential, AccessKind::Strided(3)] {
             let stride = Workload::new(0, kind, DependencyMode::Independent).stride_bytes();
             // A working set past the measured-access cap, so warm-up plus
-            // measured is a fixed 2 * MAX_MEASURED_ACCESSES steps.
+            // measured is a fixed 2 * MAX_MEASURED_ACCESSES steps: the
+            // smaller set wraps on the last step, the larger never wraps.
             let steps = 2 * MAX_MEASURED_ACCESSES;
             let fresh = (steps - 1) * stride + ELEMENT_BYTES;
-            for (working_set, counted) in [(fresh - ELEMENT_BYTES, false), (fresh, true)] {
+            for working_set in [fresh - ELEMENT_BYTES, fresh] {
                 let w = Workload::new(working_set, kind, DependencyMode::Independent);
                 assert_eq!(w.accesses_per_pass().min(MAX_MEASURED_ACCESSES), steps / 2);
                 let before = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
                 let profile =
                     metasim_obs::with_recorder(Arc::clone(&recorder), || simulate_profile(&h, &w));
                 let after = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
-                assert_eq!(after - before, u64::from(counted), "{kind:?} {working_set}");
+                assert_eq!(after - before, 1, "{kind:?} {working_set}");
                 let driven = driven_sweep(&h, working_set, stride, steps / 2, steps / 2);
                 assert_eq!(profile, driven, "{kind:?} {working_set}");
             }
         }
-        // Either path adds every simulated access to `memsim.addresses`.
+        // Every counted step, warm-up included, adds to `memsim.addresses`.
         let snap = rec.metrics_snapshot();
         assert_eq!(
             snap.counter("memsim.addresses"),
             4 * 2 * MAX_MEASURED_ACCESSES
         );
+        assert_eq!(snap.counter("memsim.warmup.settled"), 0);
     }
 
     /// `spec` with a second hierarchy-sharing twin whose every timing

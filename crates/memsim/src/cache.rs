@@ -22,7 +22,9 @@
 //! no set overflows and no line is ever evicted: an access hits exactly
 //! when its line was touched before. Such a *first-touch* cache keeps one
 //! bit per line of the span and takes nothing from the tag pool; its hits
-//! and misses are the LRU cache's, access for access.
+//! and misses are the LRU cache's, access for access. Only random
+//! measurements build caches for a span, and only they settle one (below):
+//! sweeps are counted without a cache.
 //!
 //! A fresh cache can also be *settled* (`Cache::settle`): put directly in
 //! the state a run of addresses would leave, without simulating the run.

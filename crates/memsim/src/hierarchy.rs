@@ -10,12 +10,15 @@
 //! hierarchy share their profiles
 //! ([`measure_bandwidth_memo`](crate::bandwidth::measure_bandwidth_memo)).
 //!
-//! A measurement's warm-up is not simulated: its simulator is built
+//! A random measurement's warm-up is not simulated: its simulator is built
 //! *settled* (`HierarchySim::settled`), in the state the warm-up leaves,
 //! from the warm-up's addresses read backwards. Every cache level and the
 //! TLB is an independent state machine keyed on the address sequence, so
 //! each is settled on its own ([`Cache`]'s and [`Tlb`]'s module docs give
-//! the rule); the measured pass is then driven forward as before.
+//! the rule); the measured pass is then driven forward as before. Settled
+//! and span-built simulators serve random streams only: sequential and
+//! strided measurements are counted without a simulator
+//! ([`measure_bandwidth_memo`](crate::bandwidth::measure_bandwidth_memo)).
 //!
 //! [`TimingModel`]: crate::timing::TimingModel
 
