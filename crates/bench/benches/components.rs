@@ -1,6 +1,6 @@
 //! Component micro-benchmarks: the simulator and methodology hot paths
-//! (cache access, stride detection, bandwidth measurement, probes,
-//! convolution, prediction, network replay).
+//! (bandwidth measurement, stride detection, probes, convolution,
+//! prediction, network replay).
 
 #![allow(missing_docs)] // criterion_group!/criterion_main! emit undocumented fns
 
@@ -13,15 +13,9 @@ use metasim_bench::{shared_fleet, shared_probes, shared_study};
 use metasim_core::formula::{cost_expr, eval_cost};
 use metasim_core::metric::MetricId;
 use metasim_machines::MachineId;
-use metasim_memsim::bandwidth::{
-    drive, measure_bandwidth, measure_bandwidth_memo, ProfileMemo, Workload, ELEMENT_BYTES,
-};
-use metasim_memsim::cache::Cache;
-use metasim_memsim::hierarchy::HierarchySim;
+use metasim_memsim::bandwidth::{measure_bandwidth, measure_bandwidth_memo, ProfileMemo, Workload};
 use metasim_memsim::spec::MemorySpec;
-use metasim_memsim::streams::{AddressStream, RandomStream, StridedStream};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
-use metasim_memsim::tlb::Tlb;
 use metasim_netsim::collectives::allreduce_time;
 use metasim_netsim::replay::replay;
 use metasim_probes::audit::hit_fraction_samples;
@@ -29,53 +23,6 @@ use metasim_probes::maps::{sweep_sizes, DependencyFlavor, MapsCurve};
 use metasim_stats::rng::SeededRng;
 use metasim_tracer::analysis::analyze_dependencies;
 use metasim_tracer::stride::StrideDetector;
-
-fn bench_cache(c: &mut Criterion) {
-    let fleet = shared_fleet();
-    let spec = &fleet.get(MachineId::Navo655).memory.levels[0];
-    let mut rng = SeededRng::new(42);
-    let addrs: Vec<u64> = (0..65_536).map(|_| rng.next_below(1 << 22)).collect();
-
-    let mut group = c.benchmark_group("memsim");
-    group.throughput(Throughput::Elements(addrs.len() as u64));
-    group.bench_function("l1_cache_random_access", |b| {
-        let mut cache = Cache::new(&spec.geometry());
-        b.iter(|| {
-            for &a in &addrs {
-                black_box(cache.access(a));
-            }
-        });
-    });
-    // The MS204 memory-resident sample's stream (its warm-up and measured
-    // passes) through ArlOpteron's TLB: nearly every translation misses.
-    let arl = &fleet.get(MachineId::ArlOpteron).memory;
-    let ms204 = Workload::new(64 << 20, AccessKind::Random, DependencyMode::Independent);
-    let mut stream = RandomStream::new(
-        0,
-        ms204.working_set,
-        ELEMENT_BYTES,
-        SeededRng::new(ms204.seed ^ ms204.working_set),
-    );
-    let mut ms204_addrs = vec![0; 65_536];
-    stream.fill(&mut ms204_addrs);
-    group.bench_function("tlb_random_translation", |b| {
-        let mut tlb = Tlb::new(&arl.tlb.geometry());
-        b.iter(|| {
-            for &a in &ms204_addrs {
-                black_box(tlb.access(a));
-            }
-        });
-    });
-    group.bench_function("hierarchy_random_access", |b| {
-        let mut sim = HierarchySim::new(&fleet.get(MachineId::Navo655).memory.hierarchy());
-        b.iter(|| {
-            for &a in &addrs {
-                black_box(sim.access(a, 8));
-            }
-        });
-    });
-    group.finish();
-}
 
 fn bench_bandwidth(c: &mut Criterion) {
     let fleet = shared_fleet();
@@ -146,26 +93,6 @@ fn bench_sweep_profiles(c: &mut Criterion) {
                     }
                 }
             }
-        });
-    });
-    group.finish();
-}
-
-/// The batched stream driver: fills a `DRIVE_BATCH`-sized address buffer
-/// per iteration instead of interleaving one virtual call per access.
-fn bench_drive(c: &mut Criterion) {
-    let fleet = shared_fleet();
-    let hierarchy = fleet.get(MachineId::ArlOpteron).memory.hierarchy();
-    let n: u64 = 1 << 15;
-
-    let mut group = c.benchmark_group("drive");
-    group.throughput(Throughput::Elements(n));
-    group.bench_function("sequential_64MiB_batched", |b| {
-        b.iter(|| {
-            let mut sim = HierarchySim::new(&hierarchy);
-            let mut stream = StridedStream::new(0, 64 << 20, 8, 8);
-            drive(&mut sim, &mut stream, n);
-            black_box(sim.profile().total_accesses())
         });
     });
     group.finish();
@@ -263,11 +190,9 @@ fn bench_netsim(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_cache,
     bench_random_measurement,
     bench_sweep_profiles,
     bench_bandwidth,
-    bench_drive,
     bench_bandwidth_at,
     bench_table4,
     bench_tracer,

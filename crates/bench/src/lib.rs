@@ -37,7 +37,9 @@ pub fn shared_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| {
         let (f, suite, gt) = (shared_fleet(), shared_probes(), shared_ground_truth());
-        Study::run_with_store_jobs(f, suite, gt, None, 1).0
+        Study::try_run_with_store_jobs(f, suite, gt, None, 1)
+            .expect("the paper fleet passes the study preflight")
+            .0
     })
 }
 

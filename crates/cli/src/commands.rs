@@ -82,7 +82,6 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "superlatives" => superlatives(&Session::reports().study()?.0),
         "verify" => verify(&Session::reports().study()?.0),
         "predict" => predict(rest),
-        "export" => export(rest),
         "export-workload" => export_workload(rest),
         "predict-custom" => predict_custom(rest),
         "all" => {
@@ -161,7 +160,8 @@ commands:
                      writes a run manifest, the run's timing record
                      (`obs summarize` prints its phase wall times; per-shard
                      spans under --jobs; `obs export-trace` turns it into a
-                     Chrome trace)
+                     Chrome trace); --export writes all 150 observations x 9
+                     predictions as CSV
   chaos run --seed N [--faults SPEC] [--export FILE.csv] [--obs-out FILE.json]
                      run the study under deterministic fault injection and
                      render partial-but-honest Tables 4/5 with coverage
@@ -232,7 +232,6 @@ what the first run computes, later runs load.
   predict CASE CPUS MACHINE
                      one prediction (CASE like avus-standard; MACHINE like
                      ARL_Opteron)
-  export FILE.csv    all 150 observations x 9 predictions as CSV
   export-workload CASE CPUS FILE.json
                      dump a workload as an editable JSON template
   predict-custom FILE.json MACHINE
@@ -1400,11 +1399,6 @@ fn superlatives(study: &Study) -> Result<(), String> {
     Ok(())
 }
 
-fn export(rest: &[String]) -> Result<(), String> {
-    let path = rest.first().ok_or("export needs an output path")?;
-    export_study(&Session::reports().study()?.0, path)
-}
-
 fn export_study(study: &Study, path: &str) -> Result<(), String> {
     let mut w = metasim_report::csv::CsvWriter::new();
     let mut header = vec![
@@ -2320,6 +2314,7 @@ mod tests {
     fn export_workload_rejects_bad_args() {
         assert!(export_workload(&["rfcth-standard".into()]).is_err());
         assert!(predict_custom(&["/nonexistent/file.json".into(), "ARL_Xeon".into()]).is_err());
-        assert!(export(&[]).is_err());
+        // `export FILE.csv` is retired: `study --export FILE.csv` writes it.
+        assert!(dispatch("export", &["grid.csv".into()]).is_err());
     }
 }

@@ -3,14 +3,14 @@
 
 use metasim_apps::groundtruth::GroundTruth;
 use metasim_core::balanced::{fit_weights, idc_equal_weights};
-use metasim_core::study::Study;
+use metasim_core::study::{Study, StudyError};
 use metasim_machines::fleet;
 use metasim_probes::suite::ProbeSuite;
 
-fn main() {
+fn main() -> Result<(), StudyError> {
     let f = fleet();
     let suite = ProbeSuite::new();
-    let (study, _) = Study::run_with_store_jobs(&f, &suite, &GroundTruth::new(), None, 1);
+    let (study, _) = Study::try_run_with_store_jobs(&f, &suite, &GroundTruth::new(), None, 1)?;
     println!("Table 4:");
     for row in study.table4() {
         println!(
@@ -40,4 +40,5 @@ fn main() {
         "fitted: weights {:?} err {:.1} sd {:.1}",
         fit.weights, fit.mean_absolute_error, fit.stddev
     );
+    Ok(())
 }

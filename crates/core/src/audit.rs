@@ -3,7 +3,7 @@
 //! [`preflight`] statically verifies every input artifact — the fleet
 //! configuration, each machine's probe curves and the traces the study will
 //! convolve — before the 150-observation grid runs;
-//! [`Study::run_with_store_jobs`] refuses to start when it reports errors.
+//! [`Study::try_run_with_store_jobs`] refuses to start when it reports errors.
 //! [`audit_study`] then checks the *outputs*: error accounting per
 //! Equation 2, strong-scaling sanity of the measured runtimes, the
 //! benchmark-dominance paradox of Tables 2/3, and the Metric #1 = #4

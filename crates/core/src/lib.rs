@@ -35,14 +35,18 @@
 //!
 //! ```no_run
 //! use metasim_apps::groundtruth::GroundTruth;
-//! use metasim_core::study::Study;
+//! use metasim_core::study::{Study, StudyError};
 //! use metasim_probes::suite::ProbeSuite;
 //!
-//! let f = metasim_machines::fleet();
-//! let (study, _) = Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1);
-//! let table4 = study.table4();
-//! // Metric #9 (HPL+MAPS+NET+DEP) is the most accurate predictor.
-//! assert!(table4[8].mean_absolute <= table4[0].mean_absolute);
+//! fn main() -> Result<(), StudyError> {
+//!     let f = metasim_machines::fleet();
+//!     let (study, _) =
+//!         Study::try_run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1)?;
+//!     let table4 = study.table4();
+//!     // Metric #9 (HPL+MAPS+NET+DEP) is the most accurate predictor.
+//!     assert!(table4[8].mean_absolute <= table4[0].mean_absolute);
+//!     Ok(())
+//! }
 //! ```
 
 pub mod audit;

@@ -1,8 +1,9 @@
 //! A closed-form analytic cache/TLB model, tiered against the exact
 //! simulator.
 //!
-//! The exact path ([`measure_bandwidth`]) drives tens of thousands of
-//! simulated addresses per MAPS point. This module predicts the same
+//! The exact path ([`measure_bandwidth`]) counts each sweep period by
+//! period and drives tens of thousands of simulated addresses per random
+//! MAPS point. This module predicts the same
 //! [`AccessProfile`] without touching a single address, from the geometry of
 //! the sweep alone — the paper's own question (how well does a cheap proxy
 //! track a faithful model?) applied to our own internals.

@@ -1,4 +1,4 @@
-//! Bandwidth measurement: drive an address stream through a fresh hierarchy
+//! Bandwidth measurement: profile an address stream in a fresh hierarchy
 //! and time it.
 //!
 //! This is the primitive every memory probe is built on: STREAM is a single
@@ -10,9 +10,9 @@
 //! caches and TLB, its profile is discarded, and only then is the measured
 //! pass accumulated.
 //!
-//! A measurement is two steps. The first drives the address stream through
-//! the cache and TLB simulator, so the [`AccessProfile`] is a function of
-//! the spec's [`Hierarchy`] and the [`Workload`] alone. The
+//! A measurement is two steps. The first profiles the address stream in a
+//! fresh cache hierarchy and TLB, so the [`AccessProfile`] is a function
+//! of the spec's [`Hierarchy`] and the [`Workload`] alone. The
 //! [`TimingModel`] then turns that profile into seconds from the machine's
 //! full [`MemorySpec`]: bandwidths, latencies, memory-level parallelism,
 //! prefetch and penalties. Machines that share a hierarchy therefore share
@@ -29,17 +29,16 @@
 //! simulator, a tag array or a warm-up.
 //!
 //! A random stream drives the simulator. It starts at address 0 and stays
-//! inside its working set, so its simulator is built for that span
-//! ([`HierarchySim`]'s span constructor): a cache level that can hold the
-//! whole working set never evicts, so it keeps a bitmap of the lines seen
-//! (an access hits exactly when its line was touched before) in place of an
-//! LRU tag array. The profile is the all-LRU simulator's, bit for bit.
+//! inside its working set, so its simulator is built for that span: a
+//! cache level that can hold the whole working set never evicts, so it
+//! keeps a bitmap of the lines seen (an access hits exactly when its line
+//! was touched before) in place of an LRU tag array. The profile is the
+//! all-LRU simulator's, bit for bit.
 //!
 //! A random measurement's warm-up is generated into one buffer and
 //! *settled*, not simulated: the simulator is built in the state the
-//! warm-up leaves ([`HierarchySim`]'s settled constructor), reading the
-//! warm-up backwards until each level and the TLB is full, and only the
-//! measured pass is driven forward. Starting empty, true LRU keeps each
+//! warm-up leaves, reading the warm-up backwards until each level and the
+//! TLB is full, and only the measured pass is driven forward. Starting empty, true LRU keeps each
 //! set's most recently used distinct lines (and the TLB's last distinct
 //! pages) in recency order, so this state is the forward warm-up's, way
 //! for way.
@@ -52,7 +51,7 @@ use metasim_units::{Bytes, BytesPerSec, Seconds};
 
 use crate::hierarchy::{AccessProfile, Hierarchy, HierarchySim};
 use crate::spec::MemorySpec;
-use crate::streams::{AddressStream, RandomStream};
+use crate::streams::RandomStream;
 use crate::timing::{AccessKind, DependencyMode, TimingModel};
 
 /// Bytes requested per access throughout the study (double precision).
@@ -141,25 +140,19 @@ impl BandwidthSample {
 }
 
 /// Addresses generated per batch in [`drive`]: 8 KiB of address buffer —
-/// resident in L1 of the *host* machine — amortizing stream dispatch and
-/// profile-commit overhead over the hierarchy simulation.
-pub const DRIVE_BATCH: usize = 1024;
+/// resident in L1 of the *host* machine — amortizing profile-commit
+/// overhead over the hierarchy simulation.
+pub(crate) const DRIVE_BATCH: usize = 1024;
 
-/// Drive `n` accesses of `stream` through `sim`, in batches.
-///
-/// Equivalent to the scalar `for _ in 0..n { sim.access(stream.next_addr()) }`
-/// loop — same state transitions, same profile — but addresses are generated
-/// a block at a time and simulated via [`HierarchySim::access_batch`], so the
-/// hot loop alternates between two tight kernels instead of interleaving
-/// stream generation, cache simulation, and counter updates per access.
-pub fn drive<S: AddressStream>(sim: &mut HierarchySim, stream: &mut S, n: u64) {
-    let bytes = stream.element_bytes();
+/// Drive `n` accesses of `stream` through `sim`, a batch of addresses at a
+/// time ([`HierarchySim::access_batch`]).
+pub(crate) fn drive(sim: &mut HierarchySim, stream: &mut RandomStream, n: u64) {
     let mut buf = [0u64; DRIVE_BATCH];
     let mut remaining = n;
     while remaining > 0 {
         let len = remaining.min(DRIVE_BATCH as u64) as usize;
         stream.fill(&mut buf[..len]);
-        sim.access_batch(&buf[..len], bytes);
+        sim.access_batch(&buf[..len], ELEMENT_BYTES);
         remaining -= len as u64;
     }
 }
@@ -240,7 +233,7 @@ fn simulate_profile(hierarchy: &Hierarchy, workload: &Workload) -> AccessProfile
         AccessKind::Random => {
             let working_set = workload.working_set.max(ELEMENT_BYTES);
             let rng = SeededRng::new(workload.seed ^ workload.working_set);
-            let stream = RandomStream::new(0, working_set, ELEMENT_BYTES, rng);
+            let stream = RandomStream::new(working_set, ELEMENT_BYTES, rng);
             driven_profile(hierarchy, working_set, stream, warmup, measured)
         }
     }
@@ -281,8 +274,7 @@ fn driven_profile(
 }
 
 /// The profile of steps `warmup..warmup + measured` of a `stride`-byte
-/// sweep over `working_set` bytes from address 0 (a
-/// [`StridedStream`](crate::streams::StridedStream)), in a fresh all-LRU
+/// sweep over `working_set` bytes from address 0, in a fresh all-LRU
 /// simulator of `hierarchy`, counted instead of simulated.
 ///
 /// Step `k` reads `(k mod P) · stride`, where the period `P` is the number
@@ -298,7 +290,7 @@ fn driven_profile(
 /// between two visits of a line its set receives each of its other lines
 /// of the period exactly once, in the same cyclic order, so true LRU keeps
 /// the line exactly when fewer than `A` others share its set. An access is
-/// served by the first level that hits, as in [`HierarchySim`]. Period 0
+/// served by the first level that hits, as in the simulator. Period 0
 /// is counted in `O(levels)`; later periods take one pass over at most
 /// `P < 2 · MAX_MEASURED_ACCESSES` positions. The warm-up steps still count
 /// towards `memsim.addresses`, as when they are driven.
@@ -550,56 +542,53 @@ mod tests {
 
     #[test]
     fn batched_drive_matches_scalar_access_loop() {
-        // The batch kernel must be bit-equivalent to the scalar loop it
-        // replaced: identical profile, including a partial final batch.
+        // The batch kernel must be bit-equivalent to the scalar loop:
+        // identical profile, including a partial final batch.
         let s = spec();
         let n = (DRIVE_BATCH as u64) * 3 + 17;
-        for kind in [AccessKind::Sequential, AccessKind::Random] {
-            let w = Workload::new(1 << 20, kind, DependencyMode::Independent);
-            let (mut batched, mut scalar) = (
-                HierarchySim::new(&s.hierarchy()),
-                HierarchySim::new(&s.hierarchy()),
-            );
-            match kind {
-                AccessKind::Random => {
-                    let rng = SeededRng::new(w.seed ^ w.working_set);
-                    let mut a = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng.clone());
-                    let mut b = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng);
-                    drive(&mut batched, &mut a, n);
-                    for _ in 0..n {
-                        let addr = b.next_addr();
-                        scalar.access(addr, ELEMENT_BYTES);
-                    }
-                }
-                _ => {
-                    let mut a =
-                        StridedStream::new(0, w.working_set, w.stride_bytes(), ELEMENT_BYTES);
-                    let mut b =
-                        StridedStream::new(0, w.working_set, w.stride_bytes(), ELEMENT_BYTES);
-                    drive(&mut batched, &mut a, n);
-                    for _ in 0..n {
-                        let addr = b.next_addr();
-                        scalar.access(addr, ELEMENT_BYTES);
-                    }
-                }
-            }
-            assert_eq!(batched.profile(), scalar.profile(), "{kind:?}");
+        let w = Workload::new(1 << 20, AccessKind::Random, DependencyMode::Independent);
+        let rng = SeededRng::new(w.seed ^ w.working_set);
+        let mut batched = HierarchySim::new(&s.hierarchy());
+        let mut stream = RandomStream::new(w.working_set, ELEMENT_BYTES, rng);
+        let mut addrs = vec![0; n as usize];
+        stream.clone().fill(&mut addrs);
+        drive(&mut batched, &mut stream, n);
+        let mut scalar = HierarchySim::new(&s.hierarchy());
+        for addr in addrs {
+            scalar.access(addr, ELEMENT_BYTES);
         }
+        assert_eq!(batched.profile(), scalar.profile());
     }
 
-    /// Drive `warmup` accesses of `stream` through `sim`, fresh, clear the
-    /// profile, drive `measured` more and return their profile: the
-    /// forward warm-up that [`driven_profile`] settles instead.
-    fn forward_profile<S: AddressStream>(
-        mut sim: HierarchySim,
-        mut stream: S,
-        warmup: u64,
-        measured: u64,
-    ) -> AccessProfile {
-        drive(&mut sim, &mut stream, warmup);
+    /// Drive the first `warmup` of `addrs` through `sim`, fresh, a batch
+    /// at a time, clear the profile, drive the rest and return their
+    /// profile: the forward warm-up that [`driven_profile`] settles
+    /// instead.
+    fn forward_profile(mut sim: HierarchySim, addrs: &[u64], warmup: u64) -> AccessProfile {
+        let (warm, measured) = addrs.split_at(warmup as usize);
+        for chunk in warm.chunks(DRIVE_BATCH) {
+            sim.access_batch(chunk, ELEMENT_BYTES);
+        }
         sim.clear_profile();
-        drive(&mut sim, &mut stream, measured);
+        for chunk in measured.chunks(DRIVE_BATCH) {
+            sim.access_batch(chunk, ELEMENT_BYTES);
+        }
         sim.profile().clone()
+    }
+
+    /// The first `n` addresses of a random stream over `span` bytes.
+    fn random_addrs(span: u64, rng: SeededRng, n: u64) -> Vec<u64> {
+        let mut addrs = vec![0; n as usize];
+        RandomStream::new(span, ELEMENT_BYTES, rng).fill(&mut addrs);
+        addrs
+    }
+
+    /// The first `n` addresses of a `stride`-byte sweep over `working_set`
+    /// bytes.
+    fn strided_addrs(working_set: u64, stride: u64, n: u64) -> Vec<u64> {
+        let mut addrs = vec![0; n as usize];
+        StridedStream::new(0, working_set, stride, ELEMENT_BYTES).fill(&mut addrs);
+        addrs
     }
 
     /// The profile of `warmup` then `measured` accesses of a `stride`-byte
@@ -612,26 +601,22 @@ mod tests {
         warmup: u64,
         measured: u64,
     ) -> AccessProfile {
-        let stream = StridedStream::new(0, working_set, stride, ELEMENT_BYTES);
-        forward_profile(HierarchySim::new(h), stream, warmup, measured)
+        let addrs = strided_addrs(working_set, stride, warmup + measured);
+        forward_profile(HierarchySim::new(h), &addrs, warmup)
     }
 
     /// `workload`'s measurement driven through a fresh all-LRU simulator,
     /// whatever path [`simulate_profile`] takes.
     fn all_lru_profile(h: &Hierarchy, w: &Workload) -> AccessProfile {
         let (warmup, measured) = pass_lengths(w);
-        let sim = HierarchySim::new(h);
-        match w.kind {
+        let n = warmup + measured;
+        let addrs = match w.kind {
             AccessKind::Random => {
-                let rng = SeededRng::new(w.seed ^ w.working_set);
-                let stream = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng);
-                forward_profile(sim, stream, warmup, measured)
+                random_addrs(w.working_set, SeededRng::new(w.seed ^ w.working_set), n)
             }
-            _ => {
-                let stream = StridedStream::new(0, w.working_set, w.stride_bytes(), ELEMENT_BYTES);
-                forward_profile(sim, stream, warmup, measured)
-            }
-        }
+            _ => strided_addrs(w.working_set, w.stride_bytes(), n),
+        };
+        forward_profile(HierarchySim::new(h), &addrs, warmup)
     }
 
     proptest! {
@@ -702,22 +687,16 @@ mod tests {
             if lines <= capacity {
                 prop_assert!(spanning.first_touch_levels() > 0);
             }
-            let lru = HierarchySim::new(&h);
-            let (a, b) = if random == 1 {
-                let stream = RandomStream::new(0, span, ELEMENT_BYTES, SeededRng::new(seed));
-                (
-                    forward_profile(spanning, stream.clone(), warmup, measured),
-                    forward_profile(lru, stream, warmup, measured),
-                )
+            let n = warmup + measured;
+            let addrs = if random == 1 {
+                random_addrs(span, SeededRng::new(seed), n)
             } else {
-                let stride = stride_elems * ELEMENT_BYTES;
-                let stream = StridedStream::new(0, span, stride, ELEMENT_BYTES);
-                (
-                    forward_profile(spanning, stream.clone(), warmup, measured),
-                    forward_profile(lru, stream, warmup, measured),
-                )
+                strided_addrs(span, stride_elems * ELEMENT_BYTES, n)
             };
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(
+                forward_profile(spanning, &addrs, warmup),
+                forward_profile(HierarchySim::new(&h), &addrs, warmup)
+            );
         }
     }
 

@@ -1,5 +1,7 @@
-//! The multi-level hierarchy simulator: caches + TLB driven by address
-//! streams, producing per-level access profiles for the timing model.
+//! A memory system's cache hierarchy ([`Hierarchy`]), the per-level access
+//! profile ([`AccessProfile`]) the timing model prices, and the simulator
+//! that produces the profile of a random stream: caches + TLB driven by
+//! its addresses.
 //!
 //! The simulator reads only a memory system's [`Hierarchy`]: each cache
 //! level's capacity, line size and associativity, and the TLB's entry count
@@ -14,10 +16,10 @@
 //! *settled* (`HierarchySim::settled`), in the state the warm-up leaves,
 //! from the warm-up's addresses read backwards. Every cache level and the
 //! TLB is an independent state machine keyed on the address sequence, so
-//! each is settled on its own ([`Cache`]'s and [`Tlb`]'s module docs give
-//! the rule); the measured pass is then driven forward as before. Settled
-//! and span-built simulators serve random streams only: sequential and
-//! strided measurements are counted without a simulator
+//! each is settled on its own (the `cache` and `tlb` module docs give the
+//! rule); the measured pass is then driven forward. The simulator serves
+//! random streams only: sequential and strided measurements are counted
+//! without one
 //! ([`measure_bandwidth_memo`](crate::bandwidth::measure_bandwidth_memo)).
 //!
 //! [`TimingModel`]: crate::timing::TimingModel
@@ -67,15 +69,6 @@ impl Hierarchy {
             },
         }
     }
-}
-
-/// Which level served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LevelHit {
-    /// Served by cache level `0`-based index (0 = L1).
-    Cache(usize),
-    /// Missed all cache levels; served by main memory.
-    Memory,
 }
 
 /// Counters of where accesses were served, plus TLB misses.
@@ -136,54 +129,50 @@ impl AccessProfile {
     }
 }
 
-/// Sentinel in [`BatchScratch::served`] for "missed every cache level".
+/// Sentinel in [`HierarchySim::access_batch`]'s per-address record for
+/// "missed every cache level".
 pub(crate) const SERVED_MEMORY: u8 = u8::MAX;
 
-/// Reusable per-batch working memory for [`HierarchySim::access_batch`]:
-/// allocated once per simulator, not once per 1,024-address buffer on the
-/// measurement hot path.
-#[derive(Debug, Clone, Default)]
-struct BatchScratch {
-    /// Which level served each address of the current batch
-    /// (`SERVED_MEMORY` = none).
-    served: Vec<u8>,
-    /// Per-level hit counters for the current batch.
-    level_hits: Vec<u64>,
-}
-
-/// An inclusive multi-level cache hierarchy plus TLB.
-#[derive(Debug, Clone)]
-pub struct HierarchySim {
+/// An inclusive multi-level cache hierarchy plus TLB, for a run whose every
+/// address lies below its span.
+#[derive(Debug)]
+pub(crate) struct HierarchySim {
     caches: Vec<Cache>,
     tlb: Tlb,
     profile: AccessProfile,
-    scratch: BatchScratch,
+    /// Which level served each address of the current batch
+    /// (`SERVED_MEMORY` = none): reused, not reallocated per batch.
+    served: Vec<u8>,
     /// Every address must lie below this ([`spanning`](Self::spanning)).
-    span: Option<u64>,
+    span: u64,
 }
 
 impl HierarchySim {
-    /// Build a simulator for a hierarchy ([`MemorySpec::hierarchy`]).
+    /// A simulator for a run whose every address lies below `span` bytes:
+    /// each level whose capacity holds the span's lines is first-touch
+    /// ([`Cache::spanning`]), the others are LRU. Its profiles equal the
+    /// all-LRU simulator's for every such run.
     ///
     /// # Panics
     /// Panics if a cache level's geometry fails validation or the TLB has
-    /// no entries or a page size that is not a power of two.
-    #[must_use]
-    pub fn new(hierarchy: &Hierarchy) -> Self {
-        Self::with_caches(hierarchy, hierarchy.levels.iter().map(Cache::new), None)
-    }
-
-    /// A simulator for a run whose every address lies below `span` bytes:
-    /// each level whose capacity holds the span's lines is first-touch
-    /// ([`Cache::spanning`]), the others are LRU. Its profiles equal
-    /// [`new`](Self::new)'s for every such run.
-    ///
-    /// # Panics
-    /// As [`new`](Self::new); accessing an address at or above `span`
-    /// panics.
+    /// no entries or a page size that is not a power of two. Accessing an
+    /// address at or above `span` panics.
     pub(crate) fn spanning(hierarchy: &Hierarchy, span: u64) -> Self {
-        let caches = hierarchy.levels.iter().map(|g| Cache::spanning(g, span));
-        Self::with_caches(hierarchy, caches, Some(span))
+        let caches: Vec<Cache> = hierarchy
+            .levels
+            .iter()
+            .map(|g| Cache::spanning(g, span))
+            .collect();
+        Self {
+            profile: AccessProfile {
+                level_hits: vec![0; caches.len()],
+                ..AccessProfile::default()
+            },
+            caches,
+            tlb: Tlb::new(&hierarchy.tlb),
+            served: Vec::new(),
+            span,
+        }
     }
 
     /// A [`spanning`](Self::spanning) simulator in the state accessing
@@ -212,198 +201,127 @@ impl HierarchySim {
         metasim_obs::counter_add("memsim.warmup.settled", 1);
     }
 
-    fn with_caches(
-        hierarchy: &Hierarchy,
-        caches: impl Iterator<Item = Cache>,
-        span: Option<u64>,
-    ) -> Self {
-        let caches = caches.collect::<Vec<_>>();
-        let profile = AccessProfile {
-            level_hits: vec![0; caches.len()],
-            ..AccessProfile::default()
-        };
-        let scratch = BatchScratch {
-            served: Vec::new(),
-            level_hits: vec![0; caches.len()],
-        };
-        Self {
-            caches,
-            tlb: Tlb::new(&hierarchy.tlb),
-            profile,
-            scratch,
-            span,
-        }
-    }
-
     /// Panic on an address at or above the span, where first-touch levels
     /// would no longer match LRU ones.
     fn check_span(&self, addrs: &[u64]) {
-        if let (Some(span), Some(&addr)) = (self.span, addrs.iter().max()) {
+        if let Some(&addr) = addrs.iter().max() {
             assert!(
-                addr < span,
-                "address {addr:#x} lies at or above the simulator's span {span:#x}"
+                addr < self.span,
+                "address {addr:#x} lies at or above the simulator's span {:#x}",
+                self.span
             );
         }
     }
 
-    /// Simulate one access of `bytes` requested at byte address `addr`.
+    /// Simulate a batch of accesses, `bytes` requested at each address.
     ///
-    /// The line is filled into every inner level on a miss (inclusive
-    /// hierarchy). Returns where the access was served.
-    pub fn access(&mut self, addr: u64, bytes: u64) -> LevelHit {
+    /// Each cache (and the TLB) is an independent state machine keyed only
+    /// on the address sequence, so the batch is replayed level by level:
+    /// one pass over the TLB, then one per cache level over its
+    /// recency-ordered sets (or first-touch bitmap). Every level sees every
+    /// address (inclusive hierarchy: outer levels stay LRU-warm), and an
+    /// access is served by the first level that hits. Feeding a level the
+    /// whole batch before the next level sees any of it leaves each level
+    /// in the state an address-by-address replay leaves, bit for bit. This
+    /// is the measured pass of every random measurement.
+    pub(crate) fn access_batch(&mut self, addrs: &[u64], bytes: u64) {
+        debug_assert!(self.caches.len() < SERVED_MEMORY as usize);
+        self.check_span(addrs);
+        let page_shift = self.tlb.page_shift();
+        let mut tlb_misses = 0;
+        for &addr in addrs {
+            if !self.tlb.access_page(addr >> page_shift) {
+                tlb_misses += 1;
+            }
+        }
+        self.served.clear();
+        self.served.resize(addrs.len(), SERVED_MEMORY);
+        for (level, c) in self.caches.iter_mut().enumerate() {
+            c.serve_batch(addrs, level as u8, &mut self.served);
+        }
+        for &s in &self.served {
+            if s == SERVED_MEMORY {
+                self.profile.memory_hits += 1;
+            } else {
+                self.profile.level_hits[s as usize] += 1;
+            }
+        }
+        self.profile.tlb_misses += tlb_misses;
+        self.profile.requested_bytes += bytes * addrs.len() as u64;
+        metasim_obs::counter_add("memsim.addresses", addrs.len() as u64);
+    }
+
+    /// The profile accumulated so far.
+    pub(crate) fn profile(&self) -> &AccessProfile {
+        &self.profile
+    }
+}
+
+/// The all-LRU simulator, the scalar access path and the forward warm-up:
+/// the references the settled, span-built and batched paths are tested
+/// against.
+#[cfg(test)]
+impl HierarchySim {
+    /// An all-LRU simulator for a hierarchy ([`MemorySpec::hierarchy`]).
+    pub(crate) fn new(hierarchy: &Hierarchy) -> Self {
+        Self::spanning(hierarchy, u64::MAX)
+    }
+
+    /// Simulate one access of `bytes` requested at byte address `addr`:
+    /// [`access_batch`](Self::access_batch) of one address, level by level
+    /// in the interleaved order. Returns the level that served it, `None`
+    /// for main memory.
+    pub(crate) fn access(&mut self, addr: u64, bytes: u64) -> Option<usize> {
         self.check_span(&[addr]);
         if !self.tlb.access(addr) {
             self.profile.tlb_misses += 1;
         }
         self.profile.requested_bytes += bytes;
         metasim_obs::counter_add("memsim.addresses", 1);
-
-        let mut served = LevelHit::Memory;
-        let mut found = false;
+        let mut served = None;
         for (i, c) in self.caches.iter_mut().enumerate() {
-            let hit = c.access(addr);
-            if hit && !found {
-                served = LevelHit::Cache(i);
-                found = true;
-                // Inner levels already updated; outer levels must still be
-                // touched to keep their LRU state warm for inclusivity.
+            // Every level is touched, to keep outer levels LRU-warm.
+            if c.access(addr) && served.is_none() {
+                served = Some(i);
             }
         }
         match served {
-            LevelHit::Cache(i) => self.profile.level_hits[i] += 1,
-            LevelHit::Memory => self.profile.memory_hits += 1,
+            Some(i) => self.profile.level_hits[i] += 1,
+            None => self.profile.memory_hits += 1,
         }
         served
     }
 
-    /// Simulate a batch of accesses, `bytes` requested at each address.
-    ///
-    /// Exactly equivalent to calling [`access`](Self::access) per address —
-    /// identical cache/TLB state transitions and an identical profile — but
-    /// restructured for throughput. Each cache (and the TLB) is an
-    /// independent state machine keyed only on the address sequence, so the
-    /// batch is replayed level by level instead of interleaving levels per
-    /// address: one tight pass over each level's recency-ordered sets (or
-    /// first-touch bitmap).
-    /// Within a pass, runs of consecutive accesses to the same line — every
-    /// monotone-stride MAPS sweep with stride below the line size — collapse
-    /// into one set scan plus a hit-count update. Per-batch counters live in
-    /// reusable scratch, not a fresh allocation per 1,024-address buffer.
-    /// This is the measurement hot path: MAPS sweeps drive tens of thousands
-    /// of accesses per point across 55 curves per machine.
-    pub fn access_batch(&mut self, addrs: &[u64], bytes: u64) {
-        let n = addrs.len();
-        if n == 0 {
-            return;
-        }
-        debug_assert!(self.caches.len() < SERVED_MEMORY as usize);
-        self.check_span(addrs);
-        let scratch = &mut self.scratch;
-        scratch.served.clear();
-        scratch.served.resize(n, SERVED_MEMORY);
-        scratch.level_hits.fill(0);
-
-        // TLB pass. Same-page runs (page_bytes / stride consecutive
-        // accesses on a sweep) need one lookup; the repeats are hits by
-        // construction and collapse into a hit-count update.
-        let mut tlb_misses = 0u64;
-        let page_shift = self.tlb.page_shift();
-        let mut i = 0;
-        while i < n {
-            let page = addrs[i] >> page_shift;
-            let mut j = i + 1;
-            while j < n && addrs[j] >> page_shift == page {
-                j += 1;
-            }
-            if !self.tlb.access_page(page) {
-                tlb_misses += 1;
-            }
-            if j - i > 1 {
-                self.tlb.touch_repeat((j - i - 1) as u64);
-            }
-            i = j;
-        }
-
-        // Per-level passes. Every level sees every address (inclusive
-        // hierarchy: outer levels stay LRU-warm), exactly as in the scalar
-        // path — feeding a level the whole batch before the next level sees
-        // any of it reproduces the interleaved order's state bit for bit.
-        for (level, c) in self.caches.iter_mut().enumerate() {
-            c.serve_batch(addrs, level as u8, &mut scratch.served);
-        }
-
-        let mut memory_hits = 0u64;
-        for &s in &scratch.served {
-            if s == SERVED_MEMORY {
-                memory_hits += 1;
-            } else {
-                scratch.level_hits[s as usize] += 1;
-            }
-        }
-        self.profile.tlb_misses += tlb_misses;
-        self.profile.memory_hits += memory_hits;
-        self.profile.requested_bytes += bytes * n as u64;
-        metasim_obs::counter_add("memsim.addresses", n as u64);
-        for (total, batch) in self.profile.level_hits.iter_mut().zip(&scratch.level_hits) {
-            *total += batch;
-        }
-    }
-
-    /// Reset all cache/TLB state and the collected profile.
-    pub fn reset(&mut self) {
-        for c in &mut self.caches {
-            c.reset();
-        }
-        self.tlb.reset();
-        self.profile = AccessProfile {
-            level_hits: vec![0; self.caches.len()],
-            ..AccessProfile::default()
-        };
-    }
-
     /// Clear the collected profile but keep cache/TLB contents (used to
     /// discard warm-up traffic before a measurement pass).
-    pub fn clear_profile(&mut self) {
+    pub(crate) fn clear_profile(&mut self) {
         self.profile = AccessProfile {
             level_hits: vec![0; self.caches.len()],
             ..AccessProfile::default()
         };
-    }
-
-    /// The profile accumulated since the last reset/clear.
-    #[must_use]
-    pub fn profile(&self) -> &AccessProfile {
-        &self.profile
     }
 
     /// Number of cache levels built first-touch.
-    #[cfg(test)]
     pub(crate) fn first_touch_levels(&self) -> usize {
         self.caches.iter().filter(|c| c.is_first_touch()).count()
     }
 
     /// Each level's [`Cache::state`] and the TLB's resident pages, most
     /// recently used first: everything that decides future hits.
-    #[cfg(test)]
     pub(crate) fn state(&self) -> (Vec<crate::cache::CacheState>, Vec<u64>) {
         (
             self.caches.iter().map(Cache::state).collect(),
             self.tlb.recency(),
         )
     }
-
-    /// Number of cache levels simulated.
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        self.caches.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MemorySpec;
-    use crate::streams::{AddressStream, RandomStream, StridedStream};
+    use crate::bandwidth::DRIVE_BATCH;
+    use crate::spec::{LevelSpec, MemorySpec, TlbSpec};
+    use crate::streams::{RandomStream, StridedStream};
     use metasim_stats::rng::SeededRng;
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -443,7 +361,7 @@ mod tests {
             let warmup = if empty == 0 { 0 } else { warmup };
             let mut addrs = vec![0; warmup + probes];
             if random == 1 {
-                RandomStream::new(0, span, 8, SeededRng::new(seed)).fill(&mut addrs);
+                RandomStream::new(span, 8, SeededRng::new(seed)).fill(&mut addrs);
             } else {
                 StridedStream::new(0, span, stride_elems * 8, 8).fill(&mut addrs);
             }
@@ -503,7 +421,7 @@ mod tests {
         }
         sim.clear_profile();
         for i in 0..lines {
-            assert_eq!(sim.access(i * 64, 8), LevelHit::Cache(0));
+            assert_eq!(sim.access(i * 64, 8), Some(0));
         }
         let p = sim.profile();
         assert_eq!(p.level_hits[0], lines);
@@ -589,17 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_cold_state() {
-        let spec = MemorySpec::example_two_level();
-        let mut sim = HierarchySim::new(&spec.hierarchy());
-        sim.access(0, 8);
-        sim.access(0, 8);
-        sim.reset();
-        assert_eq!(sim.profile().total_accesses(), 0);
-        assert_eq!(sim.access(0, 8), LevelHit::Memory, "cold after reset");
-    }
-
-    #[test]
     fn a_spanning_simulator_is_first_touch_only_where_the_span_fits() {
         let h = MemorySpec::example_two_level().hierarchy();
         let l1 = h.levels[0].capacity_bytes;
@@ -642,5 +549,124 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.level_hits, vec![5, 6, 7]);
+    }
+
+    proptest! {
+        // Hits + misses always equals accesses.
+        #[test]
+        fn conservation_of_accesses(seed in 0u64..1000, n in 1u64..4000) {
+            let spec = MemorySpec::example_two_level();
+            let mut sim = HierarchySim::new(&spec.hierarchy());
+            let mut rng = SeededRng::new(seed);
+            for _ in 0..n {
+                sim.access(rng.next_below(1 << 22), 8);
+            }
+            prop_assert_eq!(sim.profile().total_accesses(), n);
+            prop_assert_eq!(sim.profile().requested_bytes, n * 8);
+        }
+    }
+
+    /// A randomized but always-valid memory spec: one or two cache levels
+    /// with power-of-two geometry and a deliberately tiny TLB so batches of
+    /// a few thousand addresses exercise TLB misses and evictions, not just
+    /// hits.
+    fn arb_spec() -> impl Strategy<Value = MemorySpec> {
+        (
+            1u32..=3,    // log2 L1 associativity
+            3u32..=6,    // log2 L1 sets
+            5u32..=7,    // log2 L1 line bytes
+            0u32..=2,    // log2 L2 capacity multiplier beyond 4x L1
+            0u8..=1,     // include an L2 at all?
+            1usize..=12, // TLB entries
+        )
+            .prop_map(|(assoc, sets, line, l2_mult, two_level, tlb_entries)| {
+                let two_level = two_level == 1;
+                let l1_line = 1u64 << line;
+                let l1 = LevelSpec {
+                    capacity_bytes: (1 << assoc) * (1 << sets) * l1_line,
+                    line_bytes: l1_line,
+                    associativity: 1 << assoc,
+                    load_bandwidth: 16e9,
+                    latency: 2e-9,
+                };
+                let l2 = LevelSpec {
+                    capacity_bytes: l1.capacity_bytes * 4 * (1 << l2_mult),
+                    line_bytes: l1_line,
+                    associativity: 8,
+                    load_bandwidth: 8e9,
+                    latency: 10e-9,
+                };
+                let mut spec = MemorySpec::example_two_level();
+                spec.levels = if two_level { vec![l1, l2] } else { vec![l1] };
+                spec.tlb = TlbSpec {
+                    entries: tlb_entries,
+                    page_bytes: 4096,
+                    miss_penalty: 60e-9,
+                };
+                spec.validate().expect("generated spec must be valid");
+                spec
+            })
+    }
+
+    /// A randomized address sequence long enough to span several drive
+    /// batches, mixing monotone strides with wrap, uniform random and
+    /// immediate repeats, including partial final batches.
+    fn arb_addresses() -> impl Strategy<Value = Vec<u64>> {
+        (
+            0u8..3,
+            0u64..1000,
+            8u64..512,
+            (DRIVE_BATCH * 2 + 1)..(DRIVE_BATCH * 3 + 57),
+        )
+            .prop_map(|(pattern, seed, stride, n)| {
+                let mut rng = SeededRng::new(seed);
+                let ws = 1u64 << (14 + (seed % 8)); // 16 KiB .. 2 MiB
+                (0..n)
+                    .map(|i| match pattern {
+                        0 => (i as u64 * stride) % ws,   // monotone stride, wraps
+                        1 => rng.next_below(ws / 8) * 8, // uniform random
+                        _ => rng.next_below(ws / 64) * 8 * (i as u64 % 3), // repeats
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The level-by-level `access_batch` is bit-identical to the scalar
+        // per-address `access` loop: same profile (level hits, memory hits,
+        // TLB misses, bytes) and same cache/TLB state afterwards, for
+        // arbitrary specs and streams.
+        #[test]
+        fn access_batch_is_bit_identical_to_scalar_access(
+            spec in arb_spec(),
+            addrs in arb_addresses(),
+        ) {
+            let mut batched = HierarchySim::new(&spec.hierarchy());
+            let mut scalar = HierarchySim::new(&spec.hierarchy());
+            for chunk in addrs.chunks(DRIVE_BATCH) {
+                batched.access_batch(chunk, 8);
+            }
+            for &a in &addrs {
+                scalar.access(a, 8);
+            }
+            prop_assert_eq!(batched.profile(), scalar.profile());
+
+            // State equivalence, not just profile equivalence: replaying a
+            // probe sequence after the divergence point must match too
+            // (this catches state drift the counters would hide).
+            batched.clear_profile();
+            scalar.clear_profile();
+            let probe: Vec<u64> = addrs.iter().rev().copied().collect();
+            for chunk in probe.chunks(DRIVE_BATCH) {
+                batched.access_batch(chunk, 8);
+            }
+            for &a in &probe {
+                scalar.access(a, 8);
+            }
+            prop_assert_eq!(batched.profile(), scalar.profile());
+            prop_assert_eq!(batched.state(), scalar.state());
+        }
     }
 }

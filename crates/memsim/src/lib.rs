@@ -3,12 +3,11 @@
 //! The SC'05 study measures memory behaviour on real machines with STREAM,
 //! GUPS, and the MAPS working-set sweeps, and its ground truth is real
 //! application execution. We have neither the 2001–2005 DoD fleet nor its
-//! applications, so this crate supplies the substitute: an execution-driven
-//! memory system simulator. Synthetic probes and application workloads
-//! generate *real address streams*; those streams run through set-associative
-//! LRU caches ([`cache::Cache`]) organised into a hierarchy
-//! ([`hierarchy::HierarchySim`]); and a timing model ([`timing`]) converts the
-//! per-level hit profile into seconds, accounting for:
+//! applications, so this crate supplies the substitute: an exact model of
+//! set-associative LRU caches and a fully associative LRU TLB, and a
+//! timing model ([`timing`]) that converts the per-level hit profile
+//! ([`AccessProfile`](hierarchy::AccessProfile)) into seconds, accounting
+//! for:
 //!
 //! * per-level sustainable load bandwidth (streaming accesses),
 //! * per-level latency with bounded memory-level parallelism (random
@@ -19,6 +18,22 @@
 //! * loop-carried-dependency serialization and in-loop branch penalties —
 //!   the effects the paper's ENHANCED MAPS probe was built to expose,
 //! * a small TLB model for large random working sets.
+//!
+//! A measurement ([`measure_bandwidth`]) profiles one [`Workload`] on one
+//! [`Hierarchy`], exactly, in one of two ways ([`bandwidth`] gives the
+//! rules):
+//!
+//! * a sequential or strided sweep is *counted*: its profile is arithmetic
+//!   in its period, its stride and each level's geometry, with no address
+//!   generated;
+//! * a random stream is *simulated*: its warm-up is settled (the caches and
+//!   TLB are built in the state the warm-up leaves, read backwards from its
+//!   addresses) and its measured pass is driven through them, every
+//!   address simulated.
+//!
+//! Machines that share a hierarchy share profiles ([`ProfileMemo`]), and an
+//! analytic tier ([`analytic`]) can stand in for the exact profile within a
+//! checked error budget.
 //!
 //! The same engine serves two roles: the *probes* crate measures machines
 //! through it (STREAM/GUPS/MAPS results are measured, not read from config),
@@ -48,13 +63,13 @@
 
 pub mod analytic;
 pub mod bandwidth;
-pub mod cache;
+mod cache;
 pub mod hierarchy;
 pub mod spec;
-pub mod streams;
+mod streams;
 mod tag_pool;
 pub mod timing;
-pub mod tlb;
+mod tlb;
 
 pub use analytic::{
     analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, ResolvedTier, Tier,
@@ -63,6 +78,6 @@ pub use analytic::{
 pub use bandwidth::{
     measure_bandwidth, measure_bandwidth_memo, BandwidthSample, ProfileMemo, Workload,
 };
-pub use hierarchy::{Hierarchy, HierarchySim, LevelHit};
+pub use hierarchy::Hierarchy;
 pub use spec::{CacheGeometry, LevelSpec, MainMemorySpec, MemorySpec, TlbGeometry};
 pub use timing::{AccessKind, DependencyMode, TimingModel};

@@ -176,7 +176,7 @@ impl MainMemorySpec {
 /// simulator reserves a slot per entry up front.
 pub const MAX_TLB_ENTRIES: usize = 1 << 16;
 
-/// TLB parameters (see [`crate::tlb`]).
+/// TLB parameters: a fully associative, true-LRU TLB over pages.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TlbSpec {
     /// Number of TLB entries (fully associative model).

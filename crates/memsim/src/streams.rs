@@ -1,35 +1,49 @@
 //! Synthetic address-stream generators.
 //!
-//! Probes and application workloads need real address sequences to drive the
-//! hierarchy simulator. Two families cover the study's needs: unit/short
-//! stride sweeps (STREAM, MAPS unit-stride) and uniform random (GUPS, MAPS
-//! random-stride).
+//! Only random streams (GUPS, MAPS random-stride, random application
+//! blocks) drive the hierarchy simulator: sequential and strided sweeps are
+//! counted without one. The strided stream survives as the tests' reference
+//! for that count.
 
 use metasim_stats::rng::{SeededRng, UniformBelow};
 
-/// Anything that can produce an unbounded sequence of byte addresses.
-pub trait AddressStream {
-    /// Produce the next address.
-    fn next_addr(&mut self) -> u64;
-    /// Bytes requested per access.
-    fn element_bytes(&self) -> u64;
+/// Uniform random element-aligned addresses within `[0, working_set)`.
+#[derive(Debug, Clone)]
+pub(crate) struct RandomStream {
+    /// Draws the element index, its Lemire threshold computed once.
+    slot: UniformBelow,
+    element_bytes: u64,
+    rng: SeededRng,
+}
 
-    /// Fill `buf` with the next `buf.len()` addresses. Semantically exactly
-    /// `buf.len()` calls to [`next_addr`](Self::next_addr); the batch form
-    /// lets hot drivers generate addresses in one tight loop per block
-    /// instead of interleaving stream dispatch with hierarchy simulation.
-    /// Implementors may override with a fused loop; the stream must end in
-    /// the same state either way.
-    fn fill(&mut self, buf: &mut [u64]) {
-        for slot in buf.iter_mut() {
-            *slot = self.next_addr();
+impl RandomStream {
+    /// Random accesses over `[0, working_set)`, element-aligned.
+    ///
+    /// # Panics
+    /// Panics if the working set holds no elements.
+    pub(crate) fn new(working_set: u64, element_bytes: u64, rng: SeededRng) -> Self {
+        assert!(element_bytes > 0, "element size must be nonzero");
+        let slots = working_set / element_bytes;
+        assert!(slots > 0, "working set must hold at least one element");
+        Self {
+            slot: UniformBelow::new(slots),
+            element_bytes,
+            rng,
+        }
+    }
+
+    /// Fill `buf` with the next `buf.len()` addresses.
+    pub(crate) fn fill(&mut self, buf: &mut [u64]) {
+        for addr in buf {
+            *addr = self.slot.sample(&mut self.rng) * self.element_bytes;
         }
     }
 }
 
 /// Cyclic constant-stride sweep over a working set.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct StridedStream {
+pub(crate) struct StridedStream {
     base: u64,
     working_set: u64,
     stride_bytes: u64,
@@ -37,14 +51,14 @@ pub struct StridedStream {
     cursor: u64,
 }
 
+#[cfg(test)]
 impl StridedStream {
     /// Sweep `[base, base + working_set)` with the given stride.
     ///
     /// # Panics
     /// Panics if the stride is zero or the working set smaller than one
     /// element.
-    #[must_use]
-    pub fn new(base: u64, working_set: u64, stride_bytes: u64, element_bytes: u64) -> Self {
+    pub(crate) fn new(base: u64, working_set: u64, stride_bytes: u64, element_bytes: u64) -> Self {
         assert!(stride_bytes > 0, "stride must be nonzero");
         assert!(element_bytes > 0, "element size must be nonzero");
         assert!(
@@ -59,10 +73,8 @@ impl StridedStream {
             cursor: 0,
         }
     }
-}
 
-impl AddressStream for StridedStream {
-    fn next_addr(&mut self) -> u64 {
+    pub(crate) fn next_addr(&mut self) -> u64 {
         let addr = self.base + self.cursor;
         self.cursor += self.stride_bytes;
         if self.cursor + self.element_bytes > self.working_set {
@@ -71,47 +83,11 @@ impl AddressStream for StridedStream {
         addr
     }
 
-    fn element_bytes(&self) -> u64 {
-        self.element_bytes
-    }
-}
-
-/// Uniform random element-aligned addresses within a working set.
-#[derive(Debug, Clone)]
-pub struct RandomStream {
-    base: u64,
-    /// Draws the element index, its Lemire threshold computed once.
-    slot: UniformBelow,
-    element_bytes: u64,
-    rng: SeededRng,
-}
-
-impl RandomStream {
-    /// Random accesses over `[base, base + working_set)`, element-aligned.
-    ///
-    /// # Panics
-    /// Panics if the working set holds no elements.
-    #[must_use]
-    pub fn new(base: u64, working_set: u64, element_bytes: u64, rng: SeededRng) -> Self {
-        assert!(element_bytes > 0, "element size must be nonzero");
-        let slots = working_set / element_bytes;
-        assert!(slots > 0, "working set must hold at least one element");
-        Self {
-            base,
-            slot: UniformBelow::new(slots),
-            element_bytes,
-            rng,
+    /// Fill `buf` with the next `buf.len()` addresses.
+    pub(crate) fn fill(&mut self, buf: &mut [u64]) {
+        for addr in buf {
+            *addr = self.next_addr();
         }
-    }
-}
-
-impl AddressStream for RandomStream {
-    fn next_addr(&mut self) -> u64 {
-        self.base + self.slot.sample(&mut self.rng) * self.element_bytes
-    }
-
-    fn element_bytes(&self) -> u64 {
-        self.element_bytes
     }
 }
 
@@ -119,8 +95,8 @@ impl AddressStream for RandomStream {
 mod tests {
     use super::*;
 
-    /// The next `n` addresses of `stream`, through [`AddressStream::fill`].
-    fn take<S: AddressStream>(stream: &mut S, n: usize) -> Vec<u64> {
+    /// The next `n` addresses of a random stream.
+    fn take(stream: &mut RandomStream, n: usize) -> Vec<u64> {
         let mut addrs = vec![0; n];
         stream.fill(&mut addrs);
         addrs
@@ -129,14 +105,16 @@ mod tests {
     #[test]
     fn unit_stride_walks_and_wraps() {
         let mut s = StridedStream::new(1000, 32, 8, 8);
-        let addrs = take(&mut s, 6);
+        let mut addrs = vec![0; 6];
+        s.fill(&mut addrs);
         assert_eq!(addrs, vec![1000, 1008, 1016, 1024, 1000, 1008]);
     }
 
     #[test]
     fn strided_respects_stride() {
         let mut s = StridedStream::new(0, 1024, 64, 8);
-        let addrs = take(&mut s, 3);
+        let mut addrs = vec![0; 3];
+        s.fill(&mut addrs);
         assert_eq!(addrs, vec![0, 64, 128]);
     }
 
@@ -158,46 +136,40 @@ mod tests {
     #[test]
     fn random_stays_in_bounds_and_aligned() {
         let rng = SeededRng::new(5);
-        let mut s = RandomStream::new(4096, 1 << 16, 8, rng);
-        for _ in 0..10_000 {
-            let a = s.next_addr();
-            assert!(a >= 4096 && a + 8 <= 4096 + (1 << 16));
-            assert_eq!((a - 4096) % 8, 0);
+        let mut s = RandomStream::new(1 << 16, 8, rng);
+        for a in take(&mut s, 10_000) {
+            assert!(a + 8 <= 1 << 16);
+            assert_eq!(a % 8, 0);
         }
     }
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let mut a = RandomStream::new(0, 1 << 20, 8, SeededRng::new(7));
-        let mut b = RandomStream::new(0, 1 << 20, 8, SeededRng::new(7));
-        for _ in 0..100 {
-            assert_eq!(a.next_addr(), b.next_addr());
-        }
+        let mut a = RandomStream::new(1 << 20, 8, SeededRng::new(7));
+        let mut b = RandomStream::new(1 << 20, 8, SeededRng::new(7));
+        assert_eq!(take(&mut a, 100), take(&mut b, 100));
     }
 
     #[test]
     fn random_covers_many_distinct_lines() {
-        let mut s = RandomStream::new(0, 1 << 20, 8, SeededRng::new(9));
-        let mut lines = std::collections::HashSet::new();
-        for _ in 0..4096 {
-            lines.insert(s.next_addr() >> 6);
-        }
+        let mut s = RandomStream::new(1 << 20, 8, SeededRng::new(9));
+        let lines: std::collections::HashSet<u64> =
+            take(&mut s, 4096).iter().map(|a| a >> 6).collect();
         assert!(lines.len() > 3000, "only {} distinct lines", lines.len());
     }
 
     #[test]
     fn random_fill_matches_next_addr() {
-        // Slot counts 1, 3, 2^20 and 2^63 + 1; the last rejects almost half
-        // of the generator's outputs. Batch lengths include partial ones.
+        // Filling a batch equals drawing its addresses one at a time. Slot
+        // counts 1, 3, 2^20 and 2^63 + 1; the last rejects almost half of
+        // the generator's outputs. Batch lengths include partial ones.
         let cases = [(8, 8), (24, 8), (8 << 20, 8), ((1 << 63) + 1, 1)];
         for (working_set, element_bytes) in cases {
-            let base = 4096;
-            let mut batched =
-                RandomStream::new(base, working_set, element_bytes, SeededRng::new(17));
+            let mut batched = RandomStream::new(working_set, element_bytes, SeededRng::new(17));
             let mut single = batched.clone();
             for len in [1, 7, 1024, 1000, 0, 33] {
                 let got = take(&mut batched, len);
-                let want: Vec<u64> = (0..len).map(|_| single.next_addr()).collect();
+                let want: Vec<u64> = (0..len).map(|_| take(&mut single, 1)[0]).collect();
                 assert_eq!(got, want, "working set {working_set}, batch {len}");
             }
             assert_eq!(
@@ -211,6 +183,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one element")]
     fn random_empty_working_set_panics() {
-        let _ = RandomStream::new(0, 4, 8, SeededRng::new(1));
+        let _ = RandomStream::new(4, 8, SeededRng::new(1));
     }
 }

@@ -1,9 +1,10 @@
 //! Recycling of large cache tag arrays.
 //!
-//! Every bandwidth sample builds a fresh [`HierarchySim`](crate::HierarchySim),
-//! and the largest fleet cache has a 16 MiB tag array. That array is built
-//! only when a sample's working set exceeds the cache: a level that holds
-//! the whole working set is first-touch and keeps a bitmap of its lines
+//! Every random bandwidth measurement builds a fresh hierarchy simulator
+//! (sequential and strided ones are counted without one), and the largest
+//! fleet cache has a 16 MiB tag array. That array is built only when a
+//! measurement's working set exceeds the cache: a level that holds the
+//! whole working set is first-touch and keeps a bitmap of its lines
 //! instead, taking nothing from the pool. The sharded executor
 //! runs each study phase on new worker threads, so the same machine's
 //! samples are built and dropped on different threads. A freed array stays

@@ -52,14 +52,14 @@ struct Slot {
 
 /// Fully-associative, true-LRU translation lookaside buffer.
 ///
-/// Slots fill in order up to `capacity` and are then recycled, never freed
-/// until [`reset`](Self::reset). Invariants: the chains hanging off
+/// Slots fill in order up to `capacity` and are then recycled, never
+/// freed. Invariants: the chains hanging off
 /// `buckets` hold exactly the slots in `slots`, each in the bucket
 /// `bucket(page)` names; every resident page is below `grow_at`; and the
 /// list from `head` (most recently used) to `tail` (least recently used)
 /// visits every slot once.
-#[derive(Debug, Clone)]
-pub struct Tlb {
+#[derive(Debug)]
+pub(crate) struct Tlb {
     /// First slot of each bucket's chain; the length is a power of two.
     buckets: Vec<u32>,
     /// Lowest page the buckets do not yet cover: the bucket count below the
@@ -70,8 +70,6 @@ pub struct Tlb {
     tail: u32,
     capacity: usize,
     page_shift: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -81,8 +79,7 @@ impl Tlb {
     /// # Panics
     /// Panics if `entries` is zero or does not fit a `u32` slot index, or
     /// if `page_bytes` is not a power of two.
-    #[must_use]
-    pub fn new(spec: &TlbGeometry) -> Self {
+    pub(crate) fn new(spec: &TlbGeometry) -> Self {
         assert!(spec.entries > 0, "TLB needs at least one entry");
         assert!(
             spec.entries < NIL as usize,
@@ -100,23 +97,21 @@ impl Tlb {
             tail: NIL,
             capacity: spec.entries,
             page_shift: spec.page_bytes.trailing_zeros(),
-            hits: 0,
-            misses: 0,
         }
     }
 
     /// Translate the page containing `addr`; returns `true` on TLB hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.access_page(addr >> self.page_shift)
     }
 
-    /// Translate a pre-decomposed page number. Bit-identical to
-    /// [`access`](Self::access) on any containing address.
+    /// Translate a page number (an address shifted by
+    /// [`page_shift`](Self::page_shift)); returns `true` on TLB hit.
     pub(crate) fn access_page(&mut self, page: u64) -> bool {
         // MRU fast path: a repeat of the head page needs no lookup and
         // leaves the recency order as it is.
         if self.head != NIL && self.slots[self.head as usize].page == page {
-            self.hits += 1;
             return true;
         }
         if page >= self.grow_at {
@@ -125,12 +120,10 @@ impl Tlb {
         let bucket = self.bucket(page);
         let slot = self.find(bucket, page);
         if slot != NIL {
-            self.hits += 1;
             self.unlink(slot);
             self.push_front(slot);
             return true;
         }
-        self.misses += 1;
         let slot = if self.slots.len() < self.capacity {
             self.slots.push(Slot {
                 page,
@@ -156,12 +149,9 @@ impl Tlb {
     /// Put this fresh TLB in the state translating every address of
     /// `addrs` in order would leave, without simulating the translations:
     /// the run's last `entries` distinct pages, most recently used at the
-    /// head. The hit and miss counts stay zero.
+    /// head.
     pub(crate) fn settle(&mut self, addrs: &[u64]) {
-        debug_assert!(
-            self.slots.is_empty() && self.hits + self.misses == 0,
-            "only a fresh TLB can be settled"
-        );
+        debug_assert!(self.slots.is_empty(), "only a fresh TLB can be settled");
         for &addr in addrs.iter().rev() {
             if self.slots.len() == self.capacity {
                 return;
@@ -207,15 +197,6 @@ impl Tlb {
             slot = s.chain;
         }
         NIL
-    }
-
-    /// Account `reps` further translations of the most recently touched
-    /// page — bit-identical to `reps` calls of
-    /// [`access_page`](Self::access_page) with that page, which would each
-    /// hit the MRU fast path without changing the recency order.
-    pub(crate) fn touch_repeat(&mut self, reps: u64) {
-        debug_assert!(self.head != NIL, "no page translated yet");
-        self.hits += reps;
     }
 
     /// The bucket of `page`: its low bits, with every higher chunk of
@@ -295,7 +276,7 @@ impl Tlb {
         self.head = slot;
     }
 
-    /// Log2 of the page size, for callers that pre-decompose addresses.
+    /// Log2 of the page size.
     pub(crate) fn page_shift(&self) -> u32 {
         self.page_shift
     }
@@ -310,28 +291,6 @@ impl Tlb {
             slot = self.slots[slot as usize].next;
         }
         pages
-    }
-
-    /// Reset contents and statistics. The bucket array keeps its length.
-    pub fn reset(&mut self) {
-        self.buckets.fill(NIL);
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Misses since construction/reset.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hits since construction/reset.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -354,8 +313,6 @@ mod tests {
         assert!(t.access(100));
         assert!(t.access(4095));
         assert!(!t.access(4096));
-        assert_eq!(t.hits(), 2);
-        assert_eq!(t.misses(), 2);
     }
 
     #[test]
@@ -377,11 +334,9 @@ mod tests {
                 t.access(p * 4096);
             }
         }
-        let misses = t.misses();
         for p in 0..8u64 {
             assert!(t.access(p * 4096));
         }
-        assert_eq!(t.misses(), misses);
     }
 
     #[test]
@@ -394,33 +349,12 @@ mod tests {
                 assert_eq!(t.access(p * 4096), pass == 1);
             }
         }
-        t.reset();
-        assert_eq!(t.hits() + t.misses(), 0);
-        assert!(!t.access(0));
     }
 
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_panics() {
         let _ = Tlb::new(&spec(0));
-    }
-
-    #[test]
-    fn touch_repeat_matches_repeated_access() {
-        let (mut fast, mut slow) = (Tlb::new(&spec(2)), Tlb::new(&spec(2)));
-        fast.access(0);
-        slow.access(0);
-        fast.touch_repeat(4);
-        for _ in 0..4 {
-            assert!(slow.access(0));
-        }
-        assert_eq!(fast.hits(), slow.hits());
-        // Divergent traffic afterwards stays in lockstep, including the
-        // LRU eviction order the stamps encode.
-        for addr in [4096u64, 8192, 0, 4096, 0] {
-            assert_eq!(fast.access(addr), slow.access(addr), "addr {addr}");
-        }
-        assert_eq!(fast.misses(), slow.misses());
     }
 
     #[test]
@@ -440,8 +374,6 @@ mod tests {
         entries: Vec<(u64, u64)>, // (page, stamp)
         capacity: usize,
         clock: u64,
-        hits: u64,
-        misses: u64,
         /// Page most recently touched, valid when `last_idx != usize::MAX`.
         /// Invariant: `entries[last_idx].0 == last_page`.
         last_page: u64,
@@ -454,8 +386,6 @@ mod tests {
                 entries: Vec::with_capacity(capacity),
                 capacity,
                 clock: 0,
-                hits: 0,
-                misses: 0,
                 last_page: 0,
                 last_idx: usize::MAX,
             }
@@ -465,17 +395,14 @@ mod tests {
             self.clock += 1;
             if page == self.last_page && self.last_idx != usize::MAX {
                 self.entries[self.last_idx].1 = self.clock;
-                self.hits += 1;
                 return true;
             }
             if let Some(i) = self.entries.iter().position(|&(p, _)| p == page) {
                 self.entries[i].1 = self.clock;
-                self.hits += 1;
                 self.last_page = page;
                 self.last_idx = i;
                 return true;
             }
-            self.misses += 1;
             if self.entries.len() < self.capacity {
                 self.entries.push((page, self.clock));
                 self.last_idx = self.entries.len() - 1;
@@ -494,26 +421,20 @@ mod tests {
             self.last_page = page;
             false
         }
-
-        fn touch_repeat(&mut self, reps: u64) {
-            self.clock += reps;
-            self.entries[self.last_idx].1 = self.clock;
-            self.hits += reps;
-        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Hit for hit, the O(1) model replays the linear-scan reference
-        // over random streams: same-page runs, `touch_repeat` collapses
-        // and both address and page entry points, with page universes
-        // from half to eight times the capacity.
+        // over random streams: same-page runs and both address and page
+        // entry points, with page universes from half to eight times the
+        // capacity.
         #[test]
         fn matches_the_linear_scan_reference(
             cap_idx in 0usize..5,
             universe_idx in 0usize..5,
-            ops in prop::collection::vec((0u64..1 << 40, 1u64..5, 0u64..4, 0u64..4096), 1..3000),
+            ops in prop::collection::vec((0u64..1 << 40, 1u64..5, 0u64..4096), 1..3000),
         ) {
             let capacity = [1usize, 2, 3, 64, 1024][cap_idx];
             let universe = match universe_idx {
@@ -525,7 +446,7 @@ mod tests {
             } as u64;
             let mut fast = Tlb::new(&spec(capacity));
             let mut reference = ReferenceTlb::new(capacity);
-            for (step, &(raw, run, repeat, offset)) in ops.iter().enumerate() {
+            for (step, &(raw, run, offset)) in ops.iter().enumerate() {
                 let page = raw % universe;
                 for r in 0..run {
                     let hit = if r % 2 == 0 {
@@ -535,14 +456,7 @@ mod tests {
                     };
                     prop_assert_eq!(hit, reference.access_page(page), "step {} page {}", step, page);
                 }
-                // A quarter of the steps end with a collapsed repeat run.
-                if repeat == 0 {
-                    fast.touch_repeat(run);
-                    reference.touch_repeat(run);
-                }
             }
-            prop_assert_eq!(fast.hits(), reference.hits);
-            prop_assert_eq!(fast.misses(), reference.misses);
         }
     }
 
@@ -577,13 +491,13 @@ mod tests {
             family in 0usize..4,
             cap_idx in 0usize..4,
             universe_idx in 0usize..3,
-            ops in prop::collection::vec((0u64..1 << 40, 1u64..4, 0u64..4), 1..3000),
+            ops in prop::collection::vec((0u64..1 << 40, 1u64..4), 1..3000),
         ) {
             let capacity = [1usize, 3, 64, 1024][cap_idx];
             let universe = [capacity as u64, 2 * capacity as u64 + 1, 8 * capacity as u64][universe_idx];
             let mut fast = Tlb::new(&spec(capacity));
             let mut reference = ReferenceTlb::new(capacity);
-            for (step, &(raw, run, repeat)) in ops.iter().enumerate() {
+            for (step, &(raw, run)) in ops.iter().enumerate() {
                 let page = sparse_page(family, raw % universe, step, ops.len());
                 for _ in 0..run {
                     prop_assert_eq!(
@@ -592,14 +506,8 @@ mod tests {
                         "step {} page {:#x}", step, page
                     );
                 }
-                if repeat == 0 {
-                    fast.touch_repeat(run);
-                    reference.touch_repeat(run);
-                }
                 prop_assert!(fast.buckets.len() <= MAX_BUCKETS);
             }
-            prop_assert_eq!(fast.hits(), reference.hits);
-            prop_assert_eq!(fast.misses(), reference.misses);
         }
     }
 
@@ -610,23 +518,13 @@ mod tests {
             t.access_page(page);
         }
         assert_eq!(t.buckets.len(), 128, "grows only to cover the pages seen");
-        let mut pages = Vec::new();
         for bit in 0..=50u32 {
             for delta in [0u64, 1, 3 << 20] {
                 let page = (1u64 << bit) + delta;
-                pages.push(page);
                 t.access_page(page);
                 assert!(t.buckets.len() <= MAX_BUCKETS, "page {page:#x}");
             }
         }
         assert_eq!(t.buckets.len(), MAX_BUCKETS);
-        t.reset();
-        assert_eq!(t.buckets.len(), MAX_BUCKETS, "reset keeps the array");
-        pages.extend(0..100);
-        pages.sort_unstable();
-        pages.dedup();
-        for page in pages {
-            assert!(!t.access_page(page), "page {page:#x} survived reset");
-        }
     }
 }

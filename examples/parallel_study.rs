@@ -11,13 +11,13 @@
 use std::sync::Arc;
 
 use metasim::apps::groundtruth::GroundTruth;
-use metasim::core::study::Study;
+use metasim::core::study::{Study, StudyError};
 use metasim::machines::fleet;
 use metasim::obs::manifest::{ManifestMeta, RunManifest};
 use metasim::obs::{with_recorder, InMemoryRecorder};
 use metasim::probes::suite::ProbeSuite;
 
-fn main() {
+fn main() -> Result<(), StudyError> {
     // 1. The sharded run, with a recorder attached so we can see the
     //    shard spans afterwards.
     let f = fleet();
@@ -25,8 +25,8 @@ fn main() {
     let gt = GroundTruth::new();
     let rec = Arc::new(InMemoryRecorder::new());
     let (parallel, _) = with_recorder(rec.clone(), || {
-        Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
-    });
+        Study::try_run_with_store_jobs(&f, &suite, &gt, None, 4)
+    })?;
     println!(
         "sharded run (--jobs 4): {} observations in {:.1} s",
         parallel.observations.len(),
@@ -36,7 +36,7 @@ fn main() {
     // 2. The serial reference, on fresh memos so nothing is shared with the
     //    sharded run — byte-identical, not just approximately equal.
     let (serial, _) =
-        Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1);
+        Study::try_run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1)?;
     assert_eq!(
         serde_json::to_string(&parallel).expect("serialize"),
         serde_json::to_string(&serial).expect("serialize"),
@@ -53,4 +53,5 @@ fn main() {
             .count();
         println!("  {}: {} shard spans", phase.name, shards);
     }
+    Ok(())
 }
