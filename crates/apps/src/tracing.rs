@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn dropped_traces_fail_typed_and_recover_with_better_seeds() {
-        use metasim_chaos::{site, with_plan, FaultPlan, FaultPoint};
+        use metasim_chaos::{site, with_plan, FaultPlan};
         let w = avus::standard(32);
         let procs = w.processes.to_string();
         // Certain drop: every attempt fails, the cache memoizes the failure.

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use metasim_obs::{InMemoryRecorder, Recorder};
+use metasim_obs::InMemoryRecorder;
 
 const SPANS_PER_ITER: u64 = 1_000;
 
@@ -41,7 +41,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     // `study --obs-out` configuration.
     group.bench_function("in_memory", |b| {
         let rec = Arc::new(InMemoryRecorder::new());
-        metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
+        metasim_obs::with_recorder(Arc::clone(&rec), || {
             b.iter(instrumented_loop);
         });
     });

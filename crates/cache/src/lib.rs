@@ -562,7 +562,7 @@ mod tests {
             let key_str = key.to_string();
             let seed = (0..10_000u64)
                 .find(|&s| {
-                    use metasim_chaos::{site, FaultPoint};
+                    use metasim_chaos::site;
                     let p = FaultPlan::parse_spec(s, "cache-corrupt:0.5").unwrap();
                     p.fires(site::CACHE, &["curves", &key_str, "1"])
                         && !p.fires(site::CACHE, &["curves", &key_str, "2"])

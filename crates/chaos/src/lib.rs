@@ -13,12 +13,12 @@
 //!   function of `(seed, site, labels)`, so the same plan replays the same
 //!   faults in any execution order — two runs of `metasim chaos run
 //!   --seed 42` are byte-identical.
-//! * **Fault points** — instrumented crates ask the free functions
+//! * **Fault sites** — instrumented crates ask the free functions
 //!   [`fires`] and [`factor`] whether the calling thread's plan injects a
 //!   fault at a named site. A plan is scoped to one thread by [`with_plan`]
 //!   (the study's sharded executor hands it on to each worker it spawns).
 //!   With no plan on any thread both collapse to one relaxed atomic load
-//!   (the same zero-cost pattern as `metasim_obs::Recorder`), and an
+//!   (the same zero-cost pattern as `metasim_obs::with_recorder`), and an
 //!   *empty* plan answers exactly like no plan at all — study outputs stay
 //!   bit-for-bit identical.
 //! * **Retries** — [`RetryPolicy`] wraps probe measurement and cache loads
@@ -60,32 +60,20 @@ pub mod site {
     pub const PROBE_NOISE: &str = "probe-noise";
 }
 
-/// A source of fault-injection decisions. [`FaultPlan`] is the only
-/// implementation shipped; the trait exists so tests can inject bespoke
-/// behavior and so instrumented crates depend on an interface, not a plan
-/// format.
-pub trait FaultPoint: Send + Sync {
-    /// Does a fault fire at this `(site, labels)` coordinate?
-    fn fires(&self, site: &str, labels: &[&str]) -> bool;
-
-    /// Multiplicative perturbation factor at this coordinate (1.0 = none).
-    fn factor(&self, site: &str, labels: &[&str]) -> f64;
-}
-
 /// Number of [`with_plan`] scopes open on any thread. The instrumentation
 /// fast path is one relaxed load of this counter: zero means [`fires`] and
 /// [`factor`] are no-ops.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's fault point ([`with_plan`]).
-    static LOCAL: RefCell<Option<Arc<dyn FaultPoint>>> = const { RefCell::new(None) };
+    /// This thread's fault plan ([`with_plan`]).
+    static LOCAL: RefCell<Option<Arc<FaultPlan>>> = const { RefCell::new(None) };
 }
 
-/// Decrements [`ACTIVE`] and clears the thread-local fault point even when
+/// Decrements [`ACTIVE`] and clears the thread-local fault plan even when
 /// the wrapped closure unwinds.
 struct LocalGuard {
-    prev: Option<Arc<dyn FaultPoint>>,
+    prev: Option<Arc<FaultPlan>>,
 }
 
 impl Drop for LocalGuard {
@@ -95,28 +83,30 @@ impl Drop for LocalGuard {
     }
 }
 
-/// Run `f` with `point` installed for *this thread only*, so parallel tests
+/// Run `f` with `plan` installed for *this thread only*, so parallel tests
 /// never share a fault plan. Threads `f` spawns see no plan unless they are
-/// handed one. The previous thread-local point (if any) is restored
-/// afterwards, panics included.
-pub fn with_plan<R>(point: Arc<dyn FaultPoint>, f: impl FnOnce() -> R) -> R {
-    let prev = LOCAL.with(|l| l.borrow_mut().replace(point));
+/// handed one. The previous thread-local plan (if any) is restored
+/// afterwards, panics included. `None` runs `f` as it is.
+pub fn with_plan<R>(plan: impl Into<Option<Arc<FaultPlan>>>, f: impl FnOnce() -> R) -> R {
+    let Some(plan) = plan.into() else {
+        return f();
+    };
+    let prev = LOCAL.with(|l| l.borrow_mut().replace(plan));
     ACTIVE.fetch_add(1, Ordering::SeqCst);
     let _guard = LocalGuard { prev };
     f()
 }
 
-/// The fault point this thread's injection sites consult right now, if
-/// any.
+/// The fault plan this thread's injection sites consult right now, if any.
 #[must_use]
-pub fn point() -> Option<Arc<dyn FaultPoint>> {
+pub fn point() -> Option<Arc<FaultPlan>> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
     LOCAL.with(|l| l.borrow().clone())
 }
 
-/// Whether any thread has a fault point (cheap: one relaxed atomic load).
+/// Whether any thread has a fault plan (cheap: one relaxed atomic load).
 /// Consumers use this to skip perturbation code entirely, keeping the
 /// fault-free path byte-identical to a build without this crate.
 #[must_use]
@@ -160,14 +150,11 @@ mod tests {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    struct Always;
-    impl FaultPoint for Always {
-        fn fires(&self, _site: &str, _labels: &[&str]) -> bool {
-            true
-        }
-        fn factor(&self, _site: &str, _labels: &[&str]) -> f64 {
-            2.0
-        }
+    /// A plan that fires at every measure, cache and trace coordinate and
+    /// perturbs every probe.
+    fn always() -> Arc<FaultPlan> {
+        let spec = "measure-fail:1.0,cache-corrupt:1.0,trace-drop:1.0,probe-noise:0.5";
+        Arc::new(FaultPlan::parse_spec(1, spec).unwrap())
     }
 
     #[test]
@@ -182,10 +169,13 @@ mod tests {
     fn with_plan_scopes_to_the_thread_and_restores() {
         let _serial = serial();
         let before = active();
-        with_plan(Arc::new(Always), || {
+        let plan = always();
+        let own = plan.factor(site::PROBE_NOISE, &["hpl", "x"]);
+        assert_ne!(own, 1.0, "the plan perturbs this coordinate");
+        with_plan(plan, || {
             assert!(active());
             assert!(fires(site::MEASURE, &["x", "1"]));
-            assert_eq!(factor(site::PROBE_NOISE, &["hpl", "x"]), 2.0);
+            assert_eq!(factor(site::PROBE_NOISE, &["hpl", "x"]), own);
         });
         assert_eq!(active(), before, "ACTIVE must be restored");
     }
@@ -194,10 +184,10 @@ mod tests {
     fn with_plan_restores_after_panic() {
         let _serial = serial();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_plan(Arc::new(Always), || panic!("boom"));
+            with_plan(always(), || panic!("boom"));
         }));
         assert!(result.is_err());
-        assert!(point().is_none(), "local fault point must be cleared");
+        assert!(point().is_none(), "local fault plan must be cleared");
         assert!(!fires(site::CACHE, &["probes", "k", "1"]));
     }
 
@@ -206,7 +196,7 @@ mod tests {
         let _serial = serial();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
         metasim_obs::with_recorder(rec.clone(), || {
-            with_plan(Arc::new(Always), || {
+            with_plan(always(), || {
                 assert!(fires(site::TRACE, &["sweep3d", "mk25", "64", "1"]));
                 assert!(fires(site::TRACE, &["sweep3d", "mk25", "64", "2"]));
             });

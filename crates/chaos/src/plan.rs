@@ -14,7 +14,7 @@ use metasim_audit::registry::MS602;
 use metasim_audit::{audit_value, AuditReport, Auditor};
 use metasim_stats::rng::{fnv1a, fnv1a_labels};
 
-use crate::{site, FaultPoint};
+use crate::site;
 
 /// Largest probe-noise sigma the MS602 audit accepts without warning.
 /// Beyond ±25%, perturbed probes stop resembling run-to-run variability
@@ -195,10 +195,10 @@ impl FaultPlan {
             })
             .unwrap_or(0.0)
     }
-}
 
-impl FaultPoint for FaultPlan {
-    fn fires(&self, site: &str, labels: &[&str]) -> bool {
+    /// Does a fault fire at this `(site, labels)` coordinate?
+    #[must_use]
+    pub fn fires(&self, site: &str, labels: &[&str]) -> bool {
         if site == site::OUTAGE {
             return self.faults.iter().any(|f| {
                 matches!(f, FaultSpec::MachineOutage { machine }
@@ -209,7 +209,9 @@ impl FaultPoint for FaultPlan {
         p > 0.0 && self.draw(site, labels) < p
     }
 
-    fn factor(&self, site: &str, labels: &[&str]) -> f64 {
+    /// Multiplicative perturbation factor at this coordinate (1.0 = none).
+    #[must_use]
+    pub fn factor(&self, site: &str, labels: &[&str]) -> f64 {
         if site != site::PROBE_NOISE {
             return 1.0;
         }

@@ -156,7 +156,6 @@ mod tests {
             max_attempts in 1u32..5,
         ) {
             use metasim_obs::manifest::{ManifestMeta, RunManifest};
-            use metasim_obs::Recorder;
 
             let policy = RetryPolicy {
                 max_attempts,

@@ -9,7 +9,7 @@ use metasim_apps::registry::TestCase;
 use metasim_apps::tracing::{trace_workload, TraceCache};
 use metasim_audit::{AllowRule, AuditPolicy};
 use metasim_cache::ArtifactStore;
-use metasim_chaos::{FaultPlan, FaultPoint, FaultSpec};
+use metasim_chaos::{FaultPlan, FaultSpec};
 use metasim_core::balanced::{fit_weights, fit_weights_mae, idc_equal_weights, CATEGORY_NAMES};
 use metasim_core::lint::LintModel;
 use metasim_core::metric::MetricId;
@@ -20,7 +20,7 @@ use metasim_core::study::{Study, StudyError};
 use metasim_machines::{fleet, Fleet, MachineId};
 use metasim_obs::diff::{diff_and_audit, DiffBudget};
 use metasim_obs::manifest::{CacheSummary, ManifestMeta, RunManifest};
-use metasim_obs::{InMemoryRecorder, Recorder};
+use metasim_obs::InMemoryRecorder;
 use metasim_probes::suite::ProbeSuite;
 use metasim_probes::Tier;
 use metasim_report::chart::{ascii_bar_chart, ascii_line_chart, BarGroup, Series};
@@ -596,16 +596,9 @@ impl Session {
         plan: Option<Arc<FaultPlan>>,
         rec: Option<&Arc<InMemoryRecorder>>,
     ) -> Result<(Study, bool), String> {
-        let planned = || match &plan {
-            Some(p) => {
-                metasim_chaos::with_plan(Arc::clone(p) as Arc<dyn FaultPoint>, || self.study())
-            }
-            None => self.study(),
-        };
-        match rec {
-            Some(rec) => metasim_obs::with_recorder(Arc::clone(rec) as Arc<dyn Recorder>, planned),
-            None => planned(),
-        }
+        metasim_obs::with_recorder(rec.cloned(), || {
+            metasim_chaos::with_plan(plan, || self.study())
+        })
     }
 
     /// The nine predictions of `trace` on `machine`, scaled from the base
@@ -2128,7 +2121,7 @@ mod tests {
     /// per-process temp dir. Returns the file path.
     fn write_test_manifest(name: &str) -> PathBuf {
         let rec = Arc::new(InMemoryRecorder::new());
-        metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
+        metasim_obs::with_recorder(Arc::clone(&rec), || {
             let study = metasim_obs::span("study");
             {
                 let _pre = study.ctx().span("phase:preflight");
@@ -2233,7 +2226,7 @@ mod tests {
     #[test]
     fn obs_summarize_renders_a_written_manifest() {
         let rec = Arc::new(InMemoryRecorder::new());
-        metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, || {
+        metasim_obs::with_recorder(Arc::clone(&rec), || {
             let study = metasim_obs::span("study");
             let _pre = study.ctx().span("phase:preflight");
         });

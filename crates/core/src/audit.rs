@@ -314,13 +314,13 @@ mod tests {
         use metasim_cache::ArtifactStore;
         use metasim_memsim::analytic::ResolvedTier;
         use metasim_memsim::bandwidth::ProfileMemo;
-        use metasim_obs::{InMemoryRecorder, Recorder};
+        use metasim_obs::InMemoryRecorder;
         use metasim_probes::suite::PROBES_KIND;
 
         // Exact-simulator addresses `f` issues, counted by the obs layer.
         fn simulated(f: impl FnOnce()) -> u64 {
             let rec = Arc::new(InMemoryRecorder::new());
-            metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, f);
+            metasim_obs::with_recorder(Arc::clone(&rec), f);
             rec.metrics_snapshot().counter("memsim.addresses")
         }
 

@@ -30,29 +30,17 @@
 //!
 //! Each worker opens a `shard:K` span under the caller's span context, and
 //! the spans of the items it ran nest under it, so the run manifest records
-//! which worker ran which item in that run. The outputs are canonical; the
-//! span log is a record of the schedule.
+//! which worker ran which item in that run. A worker installs the caller's
+//! recorder with [`with_worker_recorder`](metasim_obs::with_worker_recorder):
+//! its metrics go straight to the shared registry, and its spans stay on
+//! the worker until all have joined, when they are merged into the log in
+//! worker order. The outputs are canonical; the span log is a record of
+//! the schedule.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use metasim_chaos::FaultPoint;
 use metasim_obs::hdr::LAT_SHARD;
-use metasim_obs::{Recorder, SpanCtx, WorkerSpanBuffer};
-
-/// Re-install the spawning thread's ambient contexts (observability
-/// recorder, chaos plan) on the current worker thread, then run `f`.
-fn with_contexts<R>(
-    recorder: Option<Arc<dyn Recorder>>,
-    plan: Option<Arc<dyn FaultPoint>>,
-    f: impl FnOnce() -> R,
-) -> R {
-    match (recorder, plan) {
-        (Some(rec), Some(p)) => metasim_obs::with_recorder(rec, || metasim_chaos::with_plan(p, f)),
-        (Some(rec), None) => metasim_obs::with_recorder(rec, f),
-        (None, Some(p)) => metasim_chaos::with_plan(p, f),
-        (None, None) => f(),
-    }
-}
+use metasim_obs::SpanCtx;
 
 /// Run `f` over `items` across up to `jobs` worker threads, returning the
 /// results in input order.
@@ -80,39 +68,35 @@ where
     let recorder = metasim_obs::recorder();
     let plan = metasim_chaos::point();
 
-    // One private span buffer per worker: workers record spans without
-    // ever taking the shared recorder's log lock (metrics pass straight
-    // through as lock-free atomics), and the buffers flush in worker order
-    // after the join.
-    let buffers: Vec<Option<Arc<WorkerSpanBuffer>>> = (0..workers)
-        .map(|_| recorder.clone().map(|r| Arc::new(WorkerSpanBuffer::new(r))))
-        .collect();
-
     // The shared queue: claiming an item is one `next()` under the lock,
     // so claim order is input order. `f` never runs under the lock.
     let queue = Mutex::new(items.into_iter().enumerate());
     let (f, queue) = (&f, &queue);
-    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+    let claimed: Vec<_> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        for (k, buffer) in buffers.iter().enumerate() {
-            let worker_rec = buffer.as_ref().map(|b| Arc::clone(b) as Arc<dyn Recorder>);
-            let plan = plan.clone();
+        for k in 0..workers {
+            let (recorder, plan) = (recorder.clone(), plan.clone());
+            // Each worker keeps its spans in a buffer of its own, so no
+            // worker takes the shared span log's lock; its metrics go
+            // straight to the registry's lock-free atomics.
             handles.push(scope.spawn(move || {
-                with_contexts(worker_rec, plan, || {
-                    // The guard must be created on this thread (it is not
-                    // Send); the Copy context crosses instead.
-                    let span = parent.span(format!("shard:{k}"));
-                    let mut out = Vec::new();
-                    loop {
-                        let next = queue
-                            .lock()
-                            .expect("a worker panicked while claiming")
-                            .next();
-                        let Some((index, item)) = next else { break };
-                        out.push((index, f(item)));
-                    }
-                    metasim_obs::observe_hdr(LAT_SHARD, span.finish());
-                    out
+                metasim_obs::with_worker_recorder(recorder, || {
+                    metasim_chaos::with_plan(plan, || {
+                        // The guard must be created on this thread (it is
+                        // not Send); the Copy context crosses instead.
+                        let span = parent.span(format!("shard:{k}"));
+                        let mut out = Vec::new();
+                        loop {
+                            let next = queue
+                                .lock()
+                                .expect("a worker panicked while claiming")
+                                .next();
+                            let Some((index, item)) = next else { break };
+                            out.push((index, f(item)));
+                        }
+                        metasim_obs::observe_hdr(LAT_SHARD, span.finish());
+                        out
+                    })
                 })
             }));
         }
@@ -122,17 +106,17 @@ where
             .collect()
     });
 
-    // Workers have joined; hand each buffer's spans to the shared recorder
-    // in worker order.
-    for buffer in buffers.iter().flatten() {
-        buffer.flush();
-    }
-
-    // Place every result at its item's index: the output order is the
-    // input order whoever ran the item.
+    // Workers have joined. Hand each worker's spans to the shared recorder
+    // in worker order, and place every result at its item's index: the
+    // output order is the input order whoever ran the item.
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
-    for (index, result) in claimed.into_iter().flatten() {
-        slots[index] = Some(result);
+    for (results, spans) in claimed {
+        if let Some(rec) = &recorder {
+            rec.merge_spans(spans);
+        }
+        for (index, result) in results {
+            slots[index] = Some(result);
+        }
     }
     slots
         .into_iter()
@@ -144,7 +128,7 @@ where
 mod tests {
     use super::*;
     use metasim_obs::InMemoryRecorder;
-    use std::sync::Condvar;
+    use std::sync::{Arc, Condvar};
     use std::time::Duration;
 
     #[test]

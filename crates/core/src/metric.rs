@@ -124,13 +124,6 @@ impl MetricId {
         };
         format!("{}-{}", self.number(), k)
     }
-
-    /// Whether this metric's collection needs full MetaSim memory tracing
-    /// (stride discrimination), as opposed to performance counters.
-    #[must_use]
-    pub fn needs_memory_tracing(self) -> bool {
-        self.number() >= 6
-    }
 }
 
 impl std::fmt::Display for MetricId {
@@ -158,23 +151,6 @@ mod tests {
             .filter(|m| m.kind() == MetricKind::Simple)
             .count();
         assert_eq!(simple, 3);
-    }
-
-    #[test]
-    fn tracing_requirement_matches_paper() {
-        // §3: counters suffice for #4–#5; MetaSim Tracer is needed for
-        // #6–#9. Simple metrics need no application data at all, but we
-        // flag them as not-needing-tracing too.
-        assert!(!MetricId::P4Hpl.needs_memory_tracing());
-        assert!(!MetricId::P5HplStream.needs_memory_tracing());
-        for m in [
-            MetricId::P6HplStreamGups,
-            MetricId::P7HplMaps,
-            MetricId::P8HplMapsNet,
-            MetricId::P9HplMapsNetDep,
-        ] {
-            assert!(m.needs_memory_tracing(), "{m}");
-        }
     }
 
     #[test]

@@ -781,7 +781,7 @@ mod tests {
     use super::*;
     use crate::formula::{calibrated, eq1_multiply, CountSource, RateSource};
     use metasim_audit::{AuditPolicy, AuditReport};
-    use metasim_chaos::{site, FaultPoint, NOISE_TOLERANCE};
+    use metasim_chaos::{site, NOISE_TOLERANCE};
 
     /// One suite and trace cache for every test in this binary: the
     /// analyses differ only in their models.

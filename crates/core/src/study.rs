@@ -801,10 +801,9 @@ mod tests {
         // span tree covers every phase and all nine metric spans.
         let f = fleet();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let a =
-            metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
-                Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
-            });
+        let a = metasim_obs::with_recorder(Arc::clone(&rec), || {
+            Study::run_with_store_jobs(&f, &ProbeSuite::new(), &GroundTruth::new(), None, 1).0
+        });
         assert_eq!(&a, shared_study());
 
         let names: Vec<String> = rec.span_records().into_iter().map(|s| s.name).collect();
@@ -894,18 +893,11 @@ mod tests {
         let bad = Fleet::from_value(&v).expect("doctored fleet still parses");
 
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let result =
-            metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Study::run_with_store_jobs(
-                        &bad,
-                        &ProbeSuite::new(),
-                        &GroundTruth::new(),
-                        None,
-                        1,
-                    )
-                }))
-            });
+        let result = metasim_obs::with_recorder(Arc::clone(&rec), || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Study::run_with_store_jobs(&bad, &ProbeSuite::new(), &GroundTruth::new(), None, 1)
+            }))
+        });
         assert!(result.is_err(), "doctored fleet must fail preflight");
         let err =
             Study::try_run_with_store_jobs(&bad, &ProbeSuite::new(), &GroundTruth::new(), None, 1)

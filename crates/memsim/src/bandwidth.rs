@@ -560,19 +560,36 @@ mod tests {
         assert_eq!(batched.profile(), scalar.profile());
     }
 
-    /// Drive the first `warmup` of `addrs` through `sim`, fresh, a batch
-    /// at a time, clear the profile, drive the rest and return their
+    /// Drive `addrs` through `sim` one scalar `access` at a time: the
+    /// reference path, independent of the batch loop.
+    fn scalar(sim: &mut HierarchySim, addrs: &[u64]) {
+        for &addr in addrs {
+            sim.access(addr, ELEMENT_BYTES);
+        }
+    }
+
+    /// Drive `addrs` through `sim` a batch at a time, as
+    /// [`driven_profile`] does.
+    fn batched(sim: &mut HierarchySim, addrs: &[u64]) {
+        for chunk in addrs.chunks(DRIVE_BATCH) {
+            sim.access_batch(chunk, ELEMENT_BYTES);
+        }
+    }
+
+    /// Drive the first `warmup` of `addrs` through `sim`, fresh, with
+    /// `drive`, clear the profile, drive the rest and return their
     /// profile: the forward warm-up that [`driven_profile`] settles
     /// instead.
-    fn forward_profile(mut sim: HierarchySim, addrs: &[u64], warmup: u64) -> AccessProfile {
+    fn forward_profile(
+        mut sim: HierarchySim,
+        addrs: &[u64],
+        warmup: u64,
+        drive: fn(&mut HierarchySim, &[u64]),
+    ) -> AccessProfile {
         let (warm, measured) = addrs.split_at(warmup as usize);
-        for chunk in warm.chunks(DRIVE_BATCH) {
-            sim.access_batch(chunk, ELEMENT_BYTES);
-        }
+        drive(&mut sim, warm);
         sim.clear_profile();
-        for chunk in measured.chunks(DRIVE_BATCH) {
-            sim.access_batch(chunk, ELEMENT_BYTES);
-        }
+        drive(&mut sim, measured);
         sim.profile().clone()
     }
 
@@ -593,7 +610,7 @@ mod tests {
 
     /// The profile of `warmup` then `measured` accesses of a `stride`-byte
     /// sweep over `working_set` bytes, driven through a fresh all-LRU
-    /// simulator.
+    /// simulator by scalar accesses.
     fn driven_sweep(
         h: &Hierarchy,
         working_set: u64,
@@ -602,11 +619,11 @@ mod tests {
         measured: u64,
     ) -> AccessProfile {
         let addrs = strided_addrs(working_set, stride, warmup + measured);
-        forward_profile(HierarchySim::new(h), &addrs, warmup)
+        forward_profile(HierarchySim::new(h), &addrs, warmup, scalar)
     }
 
-    /// `workload`'s measurement driven through a fresh all-LRU simulator,
-    /// whatever path [`simulate_profile`] takes.
+    /// `workload`'s measurement driven through a fresh all-LRU simulator by
+    /// scalar accesses, whatever path [`simulate_profile`] takes.
     fn all_lru_profile(h: &Hierarchy, w: &Workload) -> AccessProfile {
         let (warmup, measured) = pass_lengths(w);
         let n = warmup + measured;
@@ -616,7 +633,7 @@ mod tests {
             }
             _ => strided_addrs(w.working_set, w.stride_bytes(), n),
         };
-        forward_profile(HierarchySim::new(h), &addrs, warmup)
+        forward_profile(HierarchySim::new(h), &addrs, warmup, scalar)
     }
 
     proptest! {
@@ -657,8 +674,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // A simulator built for the stream's span, first-touch in every
-        // level that holds it, yields the all-LRU simulator's profile
-        // after a warm-up and `clear_profile`: 1-4 levels, 16-512 B lines,
+        // level that holds it and driven a batch at a time, yields the
+        // profile that scalar accesses give an all-LRU simulator after a
+        // warm-up and `clear_profile`: 1-4 levels, 16-512 B lines,
         // associativity 1-16, random and wrapping strided streams, and a
         // span from one line up to a chosen level's capacity, exactly at
         // it, or one line beyond it.
@@ -694,8 +712,8 @@ mod tests {
                 strided_addrs(span, stride_elems * ELEMENT_BYTES, n)
             };
             prop_assert_eq!(
-                forward_profile(spanning, &addrs, warmup),
-                forward_profile(HierarchySim::new(&h), &addrs, warmup)
+                forward_profile(spanning, &addrs, warmup, batched),
+                forward_profile(HierarchySim::new(&h), &addrs, warmup, scalar)
             );
         }
     }
@@ -706,7 +724,6 @@ mod tests {
         let l2 = h.levels[1];
         assert!(h.levels[0].capacity_bytes < l2.capacity_bytes);
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
         // Random and a wrapping strided sweep, each at exactly the L2's
         // capacity and one line more. The sweep is counted, so it builds
         // no simulator and no first-touch level.
@@ -718,7 +735,7 @@ mod tests {
                 let w = Workload::new(working_set, kind, DependencyMode::Independent);
                 let before = rec.metrics_snapshot().counter("memsim.level.first_touch");
                 let profile =
-                    metasim_obs::with_recorder(Arc::clone(&recorder), || simulate_profile(&h, &w));
+                    metasim_obs::with_recorder(Arc::clone(&rec), || simulate_profile(&h, &w));
                 let after = rec.metrics_snapshot().counter("memsim.level.first_touch");
                 assert_eq!(after - before, first_touch, "{kind:?} {working_set}");
                 assert_eq!(profile, all_lru_profile(&h, &w), "{kind:?} {working_set}");
@@ -735,7 +752,6 @@ mod tests {
         let spec = spec();
         let h = spec.hierarchy();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
         for kind in [AccessKind::Sequential, AccessKind::Strided(3)] {
             let stride = Workload::new(0, kind, DependencyMode::Independent).stride_bytes();
             // A working set past the measured-access cap, so warm-up plus
@@ -748,7 +764,7 @@ mod tests {
                 assert_eq!(w.accesses_per_pass().min(MAX_MEASURED_ACCESSES), steps / 2);
                 let before = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
                 let profile =
-                    metasim_obs::with_recorder(Arc::clone(&recorder), || simulate_profile(&h, &w));
+                    metasim_obs::with_recorder(Arc::clone(&rec), || simulate_profile(&h, &w));
                 let after = rec.metrics_snapshot().counter("memsim.sweep.closed_form");
                 assert_eq!(after - before, 1, "{kind:?} {working_set}");
                 let driven = driven_sweep(&h, working_set, stride, steps / 2, steps / 2);

@@ -372,12 +372,18 @@ mod tests {
                 (HierarchySim::settled(&h, span, warm), HierarchySim::spanning(&h, span)),
                 (lru, HierarchySim::new(&h)),
             ] {
-                forward.access_batch(warm, 8);
+                // The forward side is driven by scalar accesses, so a
+                // defect in the batch loop cannot hide on both sides.
+                for &addr in warm {
+                    forward.access(addr, 8);
+                }
                 forward.clear_profile();
                 prop_assert_eq!(settled.state(), forward.state());
                 prop_assert_eq!(settled.profile(), forward.profile());
                 settled.access_batch(probe, 8);
-                forward.access_batch(probe, 8);
+                for &addr in probe {
+                    forward.access(addr, 8);
+                }
                 prop_assert_eq!(settled.profile(), forward.profile());
                 prop_assert_eq!(settled.state(), forward.state());
             }
@@ -388,10 +394,9 @@ mod tests {
     fn a_settled_warm_up_counts_its_addresses_once() {
         let h = MemorySpec::example_two_level().hierarchy();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let recorder = Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>;
         let warm: Vec<u64> = (0..1000).map(|k| k * 4096 % (1 << 20)).collect();
         let sim =
-            metasim_obs::with_recorder(recorder, || HierarchySim::settled(&h, 1 << 20, &warm));
+            metasim_obs::with_recorder(rec.clone(), || HierarchySim::settled(&h, 1 << 20, &warm));
         assert_eq!(
             sim.profile().total_accesses(),
             0,

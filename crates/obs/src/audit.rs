@@ -149,7 +149,7 @@ impl RunManifest {
 mod tests {
     use super::*;
     use crate::manifest::{ManifestMeta, SlowSpan};
-    use crate::recorder::{InMemoryRecorder, Recorder};
+    use crate::recorder::InMemoryRecorder;
 
     fn valid_manifest() -> RunManifest {
         let rec = InMemoryRecorder::new();
@@ -157,7 +157,7 @@ mod tests {
         let pre = rec.span_enter(study, "phase:preflight".into());
         rec.span_exit(pre, 1_000);
         rec.span_exit(study, 2_000);
-        rec.observe("study.signed_error_pct", 5.0);
+        rec.metrics().observe("study.signed_error_pct", 5.0);
         RunManifest::build(&rec, ManifestMeta::default())
     }
 
@@ -205,9 +205,9 @@ mod tests {
         let rec = InMemoryRecorder::new();
         let study = rec.span_enter(0, "study".into());
         rec.span_exit(study, 2_000);
-        rec.counter_add("chaos.retry.attempts", 5);
-        rec.counter_add("chaos.retry.recovered", 3);
-        rec.counter_add("chaos.retry.exhausted", 2);
+        rec.metrics().counter_add("chaos.retry.attempts", 5);
+        rec.metrics().counter_add("chaos.retry.recovered", 3);
+        rec.metrics().counter_add("chaos.retry.exhausted", 2);
         let m = RunManifest::build(&rec, ManifestMeta::default());
         let report = m.audit();
         assert!(report.has_code("MS603"), "{report}");
@@ -217,8 +217,8 @@ mod tests {
         let rec = InMemoryRecorder::new();
         let study = rec.span_enter(0, "study".into());
         rec.span_exit(study, 2_000);
-        rec.counter_add("chaos.retry.attempts", 5);
-        rec.counter_add("chaos.retry.recovered", 5);
+        rec.metrics().counter_add("chaos.retry.attempts", 5);
+        rec.metrics().counter_add("chaos.retry.recovered", 5);
         let m = RunManifest::build(&rec, ManifestMeta::default());
         assert!(m.audit().is_clean());
     }
@@ -251,7 +251,7 @@ mod tests {
         let rec = InMemoryRecorder::new();
         let study = rec.span_enter(0, "study".into());
         rec.span_exit(study, 2_000);
-        rec.observe_hdr("lat.prediction", 0.003);
+        rec.metrics().hdr_observe("lat.prediction", 0.003);
         let mut m = RunManifest::build(&rec, ManifestMeta::default());
         assert!(m.audit().is_clean(), "coherent hdr passes");
         let (_, h) = &mut m.metrics.hdr_histograms[0];

@@ -402,7 +402,7 @@ pub fn diff_and_audit(
 mod tests {
     use super::*;
     use crate::manifest::{CacheSummary, ManifestMeta};
-    use crate::recorder::{InMemoryRecorder, Recorder};
+    use crate::recorder::InMemoryRecorder;
 
     /// A study-shaped manifest: two phases, shard spans, counters, cache
     /// traffic, and a latency histogram.
@@ -416,9 +416,9 @@ mod tests {
         rec.span_exit(shard, ground_truth_ns / 2);
         rec.span_exit(gt, ground_truth_ns);
         rec.span_exit(study, 100_000_000 + ground_truth_ns);
-        rec.counter_add("probe.sweeps", 1_000);
-        rec.observe_hdr("lat.prediction", 0.002);
-        rec.observe_hdr("lat.prediction", 0.004);
+        rec.metrics().counter_add("probe.sweeps", 1_000);
+        rec.metrics().hdr_observe("lat.prediction", 0.002);
+        rec.metrics().hdr_observe("lat.prediction", 0.004);
         RunManifest::build(
             &rec,
             ManifestMeta {

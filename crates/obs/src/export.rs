@@ -265,7 +265,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 mod tests {
     use super::*;
     use crate::manifest::{ManifestMeta, RunManifest};
-    use crate::recorder::{InMemoryRecorder, Recorder};
+    use crate::recorder::InMemoryRecorder;
 
     /// An `InMemoryRecorder` run shaped like a sharded study: a phase span
     /// with two shard subtrees plus serial work on the main lane.

@@ -6,8 +6,8 @@
 //! without changing a single computed value. Three layers:
 //!
 //! * **Spans** — hierarchical wall-time intervals
-//!   (study → phase → app → cpu-count → machine → metric), recorded through
-//!   the [`Recorder`] trait. When no thread has a recorder the
+//!   (study → phase → app → cpu-count → machine → metric), recorded into
+//!   an [`InMemoryRecorder`]. When no thread has a recorder the
 //!   instrumentation collapses to one relaxed atomic load per call site, so
 //!   library users who never ask for observability pay nothing and study
 //!   outputs are byte-identical either way.
@@ -24,8 +24,11 @@
 //! Instrumented crates call the free functions here ([`span`],
 //! [`counter_add`], [`observe`], [`gauge_set`]). A recorder is reachable
 //! from one thread only: the CLI and tests scope an [`InMemoryRecorder`]
-//! to the calling thread with [`with_recorder`], and the study's sharded
-//! executor hands the caller's recorder on to each worker it spawns.
+//! to the calling thread with [`with_recorder`]. The study's sharded
+//! executor hands the caller's recorder on to each worker it spawns with
+//! [`with_worker_recorder`]: a worker's metrics go straight to the shared
+//! registry, and its spans stay in a buffer on that worker until
+//! [`InMemoryRecorder::merge_spans`] appends them to the log.
 
 pub mod audit;
 pub mod diff;
@@ -44,9 +47,7 @@ use std::time::Instant;
 
 pub use hdr::HdrSnapshot;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
-pub use recorder::{
-    InMemoryRecorder, Recorder, SpanId, SpanRecord, WorkerSpanBuffer, WORKER_SPAN_ID_BASE,
-};
+pub use recorder::{InMemoryRecorder, SpanId, SpanRecord, WorkerSpans, WORKER_SPAN_ID_BASE};
 
 /// Number of [`with_recorder`] scopes open on any thread. The
 /// instrumentation fast path is a single relaxed load of this counter:
@@ -55,7 +56,9 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// This thread's recorder ([`with_recorder`]).
-    static LOCAL: RefCell<Option<Arc<dyn Recorder>>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Option<Arc<InMemoryRecorder>>> = const { RefCell::new(None) };
+    /// This worker thread's span buffer ([`with_worker_recorder`]).
+    static BUFFER: RefCell<Option<WorkerSpans>> = const { RefCell::new(None) };
     /// The innermost live span on this thread (0 = root).
     static CURRENT: Cell<SpanId> = const { Cell::new(0) };
 }
@@ -63,7 +66,7 @@ thread_local! {
 /// Decrements [`ACTIVE`] and clears the thread-local recorder even when the
 /// wrapped closure unwinds.
 struct LocalGuard {
-    prev: Option<Arc<dyn Recorder>>,
+    prev: Option<Arc<InMemoryRecorder>>,
 }
 
 impl Drop for LocalGuard {
@@ -73,20 +76,51 @@ impl Drop for LocalGuard {
     }
 }
 
+/// Puts back the span buffer a [`with_worker_recorder`] scope replaced,
+/// panics included.
+struct BufferGuard(Option<WorkerSpans>);
+
+impl Drop for BufferGuard {
+    fn drop(&mut self) {
+        BUFFER.with(|b| *b.borrow_mut() = self.0.take());
+    }
+}
+
 /// Run `f` with `recorder` installed for *this thread only*, so parallel
 /// tests never share a recorder. Threads `f` spawns see no recorder unless
 /// they are handed one. The previous thread-local recorder (if any) is
-/// restored afterwards, panics included.
-pub fn with_recorder<R>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
+/// restored afterwards, panics included. `None` runs `f` as it is.
+pub fn with_recorder<R>(
+    recorder: impl Into<Option<Arc<InMemoryRecorder>>>,
+    f: impl FnOnce() -> R,
+) -> R {
+    let Some(recorder) = recorder.into() else {
+        return f();
+    };
     let prev = LOCAL.with(|l| l.borrow_mut().replace(recorder));
     ACTIVE.fetch_add(1, Ordering::SeqCst);
     let _guard = LocalGuard { prev };
     f()
 }
 
+/// [`with_recorder`] for a worker thread: metrics go straight to
+/// `recorder`'s registry (lock-free atomics), while the spans `f` opens on
+/// this thread stay in a private buffer that is returned with `f`'s
+/// result. So workers never take the shared span log's lock; the caller
+/// hands each worker's spans to [`InMemoryRecorder::merge_spans`] once
+/// they have all joined.
+pub fn with_worker_recorder<R>(
+    recorder: Option<Arc<InMemoryRecorder>>,
+    f: impl FnOnce() -> R,
+) -> (R, WorkerSpans) {
+    let _restore = BufferGuard(BUFFER.with(|b| b.replace(Some(WorkerSpans::default()))));
+    let out = with_recorder(recorder, f);
+    (out, BUFFER.with(RefCell::take).unwrap_or_default())
+}
+
 /// The recorder this thread's instrumentation writes to right now, if any.
 #[must_use]
-pub fn recorder() -> Option<Arc<dyn Recorder>> {
+pub fn recorder() -> Option<Arc<InMemoryRecorder>> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
@@ -100,33 +134,36 @@ pub fn recording() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
+/// Run `f` on this thread's recorder's metrics, if it has a recorder.
+fn with_metrics(f: impl FnOnce(&metrics::MetricsRegistry)) {
+    if recording() {
+        LOCAL.with(|l| {
+            if let Some(r) = l.borrow().as_deref() {
+                f(r.metrics());
+            }
+        });
+    }
+}
+
 /// Add `delta` to the named counter. No-op without a recorder.
 pub fn counter_add(name: &str, delta: u64) {
-    if let Some(r) = recorder() {
-        r.counter_add(name, delta);
-    }
+    with_metrics(|m| m.counter_add(name, delta));
 }
 
 /// Set the named gauge. No-op without a recorder.
 pub fn gauge_set(name: &str, value: f64) {
-    if let Some(r) = recorder() {
-        r.gauge_set(name, value);
-    }
+    with_metrics(|m| m.gauge_set(name, value));
 }
 
 /// Record `value` into the named histogram. No-op without a recorder.
 pub fn observe(name: &str, value: f64) {
-    if let Some(r) = recorder() {
-        r.observe(name, value);
-    }
+    with_metrics(|m| m.observe(name, value));
 }
 
 /// Record `value` (typically a span duration in seconds) into the named
 /// log-scaled latency histogram ([`hdr`]). No-op without a recorder.
 pub fn observe_hdr(name: &str, value: f64) {
-    if let Some(r) = recorder() {
-        r.observe_hdr(name, value);
-    }
+    with_metrics(|m| m.hdr_observe(name, value));
 }
 
 /// A copyable handle naming a span, used to parent child spans explicitly —
@@ -169,7 +206,7 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
 /// Wall time is measured whether or not a recorder is installed; only the
 /// *recording* is conditional.
 pub struct SpanGuard {
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<InMemoryRecorder>>,
     id: SpanId,
     prev: SpanId,
     start: Instant,
@@ -183,7 +220,12 @@ impl SpanGuard {
         let recorder = recorder();
         let (id, prev) = match &recorder {
             Some(r) => {
-                let id = r.span_enter(parent, name);
+                // Inside a worker scope the span goes to the worker's
+                // buffer, otherwise to the shared log.
+                let id = BUFFER.with(|b| match b.borrow_mut().as_mut() {
+                    Some(spans) => spans.enter(parent, name, r.now_ns()),
+                    None => r.span_enter(parent, name),
+                });
                 let prev = CURRENT.with(|c| c.replace(id));
                 (id, prev)
             }
@@ -211,7 +253,16 @@ impl SpanGuard {
         if !self.closed {
             self.closed = true;
             if let Some(r) = self.recorder.take() {
-                r.span_exit(self.id, self.start.elapsed().as_nanos() as u64);
+                let dur_ns = self.start.elapsed().as_nanos() as u64;
+                if self.id < WORKER_SPAN_ID_BASE {
+                    r.span_exit(self.id, dur_ns);
+                } else {
+                    BUFFER.with(|b| {
+                        if let Some(spans) = b.borrow_mut().as_mut() {
+                            spans.exit(self.id, dur_ns);
+                        }
+                    });
+                }
                 CURRENT.with(|c| c.set(self.prev));
             }
         }
@@ -276,5 +327,22 @@ mod tests {
         assert!(result.is_err());
         assert!(recorder().is_none(), "local recorder must be cleared");
         counter_add("after.panic", 1); // must be a no-op, not a poisoned lock
+    }
+
+    #[test]
+    fn with_worker_recorder_restores_the_shared_log_after_panic() {
+        let rec = Arc::new(InMemoryRecorder::new());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_worker_recorder(Some(rec.clone()), || {
+                let _s = span("doomed");
+                panic!("boom");
+            })
+        }));
+        assert!(result.is_err());
+        with_recorder(rec.clone(), || {
+            let _s = span("after");
+        });
+        let names: Vec<String> = rec.span_records().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["after"], "spans reach the shared log again");
     }
 }

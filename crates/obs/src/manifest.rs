@@ -260,7 +260,6 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
 
     fn sample_recorder() -> InMemoryRecorder {
         let rec = InMemoryRecorder::new();
@@ -274,9 +273,9 @@ mod tests {
         rec.span_exit(app, 6_000_000);
         rec.span_exit(gt, 7_000_000);
         rec.span_exit(study, 10_000_000);
-        rec.counter_add("cache.hit.trace", 4);
-        rec.gauge_set("study.observations", 150.0);
-        rec.observe("study.signed_error_pct", 12.0);
+        rec.metrics().counter_add("cache.hit.trace", 4);
+        rec.metrics().gauge_set("study.observations", 150.0);
+        rec.metrics().observe("study.signed_error_pct", 12.0);
         rec
     }
 

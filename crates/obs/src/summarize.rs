@@ -216,7 +216,7 @@ pub fn render_top(m: &RunManifest, top: usize) -> String {
 mod tests {
     use super::*;
     use crate::manifest::{ManifestMeta, RunManifest};
-    use crate::recorder::{InMemoryRecorder, Recorder};
+    use crate::recorder::InMemoryRecorder;
 
     #[test]
     fn render_groups_siblings_and_lists_sections() {
@@ -229,9 +229,9 @@ mod tests {
         }
         rec.span_exit(gt, 4_000_000);
         rec.span_exit(study, 5_000_000);
-        rec.counter_add("cache.hit.trace", 7);
-        rec.gauge_set("study.observations", 150.0);
-        rec.observe("study.signed_error_pct", 10.0);
+        rec.metrics().counter_add("cache.hit.trace", 7);
+        rec.metrics().gauge_set("study.observations", 150.0);
+        rec.metrics().observe("study.signed_error_pct", 10.0);
         let m = RunManifest::build(
             &rec,
             ManifestMeta {
@@ -279,7 +279,8 @@ mod tests {
         let study = rec.span_enter(0, "study".into());
         rec.span_exit(study, 1_000_000);
         for i in 1..=100 {
-            rec.observe_hdr("lat.prediction", f64::from(i) * 1e-3);
+            rec.metrics()
+                .hdr_observe("lat.prediction", f64::from(i) * 1e-3);
         }
         let m = RunManifest::build(&rec, ManifestMeta::default());
         let text = render(&m);

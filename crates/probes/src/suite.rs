@@ -408,9 +408,9 @@ mod tests {
 
     /// The exact-simulator addresses `f` issues on this thread.
     fn simulated(f: impl FnOnce()) -> u64 {
-        use metasim_obs::{with_recorder, InMemoryRecorder, Recorder};
+        use metasim_obs::{with_recorder, InMemoryRecorder};
         let rec = Arc::new(InMemoryRecorder::new());
-        with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, f);
+        with_recorder(Arc::clone(&rec), f);
         rec.metrics_snapshot().counter("memsim.addresses")
     }
 
@@ -630,7 +630,7 @@ mod tests {
             let seed = (0..10_000u64)
                 .find(|&s| {
                     let p = FaultPlan::parse_spec(s, "measure-fail:0.5").unwrap();
-                    use metasim_chaos::{site, FaultPoint};
+                    use metasim_chaos::site;
                     let lbl = m.id.label();
                     p.fires(site::MEASURE, &[lbl, "1"]) && !p.fires(site::MEASURE, &[lbl, "2"])
                 })

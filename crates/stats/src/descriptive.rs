@@ -20,20 +20,10 @@ pub fn mean(xs: &[f64]) -> Result<f64, StatsError> {
 ///
 /// The paper aggregates over the full set of predictions it made — a
 /// population, not a sample — so population SD matches its Tables 4/5
-/// convention. See [`sample_stddev`] for the *n−1* variant.
+/// convention.
 pub fn stddev(xs: &[f64]) -> Result<f64, StatsError> {
     let m = mean(xs)?;
     let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64;
-    Ok(var.sqrt())
-}
-
-/// Sample standard deviation (divide by *n−1*); needs at least 2 points.
-pub fn sample_stddev(xs: &[f64]) -> Result<f64, StatsError> {
-    if xs.len() < 2 {
-        return Err(StatsError::EmptyInput);
-    }
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
     Ok(var.sqrt())
 }
 
@@ -235,16 +225,8 @@ mod tests {
     fn empty_inputs_error() {
         assert_eq!(mean(&[]), Err(StatsError::EmptyInput));
         assert_eq!(stddev(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(sample_stddev(&[1.0]), Err(StatsError::EmptyInput));
         assert_eq!(median(&[]), Err(StatsError::EmptyInput));
         assert_eq!(geometric_mean(&[]), Err(StatsError::EmptyInput));
-    }
-
-    #[test]
-    fn sample_stddev_uses_n_minus_one() {
-        let xs = [1.0, 2.0, 3.0];
-        assert!((sample_stddev(&xs).unwrap() - 1.0).abs() < EPS);
-        assert!((stddev(&xs).unwrap() - (2.0f64 / 3.0).sqrt()).abs() < EPS);
     }
 
     #[test]

@@ -21,29 +21,14 @@ use serde::{Deserialize, Serialize};
 use metasim_units::{Dimension, Percent, Quantity};
 
 use crate::descriptive::Welford;
-use crate::StatsError;
 
 /// Signed percent error of a prediction against a measurement (Equation 2).
 ///
-/// Panics in debug builds if `actual` is not strictly positive; use
-/// [`try_percent_error`] for fallible call sites.
+/// Panics in debug builds if `actual` is not strictly positive.
 #[must_use]
 pub fn percent_error<D: Dimension>(predicted: Quantity<D>, actual: Quantity<D>) -> Percent {
     debug_assert!(actual > 0.0, "percent_error: actual must be positive");
     ((predicted - actual) / actual).percent()
-}
-
-/// Fallible variant of [`percent_error`].
-pub fn try_percent_error<D: Dimension>(
-    predicted: Quantity<D>,
-    actual: Quantity<D>,
-) -> Result<Percent, StatsError> {
-    if actual <= 0.0 {
-        return Err(StatsError::NonPositive {
-            what: "actual runtime",
-        });
-    }
-    Ok(((predicted - actual) / actual).percent())
 }
 
 /// Absolute percent error (|Equation 2|).
@@ -132,19 +117,6 @@ mod tests {
         assert!((percent_error(s(150.0), s(100.0)).get() - 50.0).abs() < 1e-12);
         // Perfect prediction => zero.
         assert_eq!(percent_error(s(100.0), s(100.0)), 0.0);
-    }
-
-    #[test]
-    fn try_variant_rejects_nonpositive_actual() {
-        assert!(matches!(
-            try_percent_error(s(1.0), s(0.0)),
-            Err(StatsError::NonPositive { .. })
-        ));
-        assert!(matches!(
-            try_percent_error(s(1.0), s(-5.0)),
-            Err(StatsError::NonPositive { .. })
-        ));
-        assert!((try_percent_error(s(2.0), s(4.0)).unwrap().get() + 50.0).abs() < 1e-12);
     }
 
     #[test]

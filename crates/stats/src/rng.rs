@@ -149,17 +149,6 @@ impl SeededRng {
         (sigma * self.normal()).exp()
     }
 
-    /// Fisher–Yates shuffle (deterministic given the RNG state).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        if xs.len() < 2 {
-            return;
-        }
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Pick one element of a non-empty slice uniformly.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "choose on empty slice");
@@ -375,31 +364,6 @@ mod tests {
         let median = xs[5_000];
         assert!((median - 1.0).abs() < 0.02, "median {median}");
         assert!(xs.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SeededRng::new(8);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        // and with seed fixed, the permutation is stable
-        let mut r2 = SeededRng::new(8);
-        let mut ys: Vec<u32> = (0..50).collect();
-        r2.shuffle(&mut ys);
-        assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn shuffle_handles_tiny_slices() {
-        let mut r = SeededRng::new(1);
-        let mut empty: [u8; 0] = [];
-        r.shuffle(&mut empty);
-        let mut one = [42u8];
-        r.shuffle(&mut one);
-        assert_eq!(one, [42]);
     }
 
     #[test]

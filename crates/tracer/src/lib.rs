@@ -28,7 +28,6 @@ pub mod block;
 pub mod counters;
 pub mod dilation;
 pub mod mpi;
-pub mod stream_table;
 pub mod stride;
 pub mod trace;
 
@@ -37,6 +36,5 @@ pub use block::{DependencyClass, StrideBins, TracedBlock};
 pub use counters::HardwareCounters;
 pub use dilation::TracingCost;
 pub use mpi::MpiTrace;
-pub use stream_table::StreamTableDetector;
 pub use stride::StrideDetector;
 pub use trace::ApplicationTrace;
