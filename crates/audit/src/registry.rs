@@ -361,7 +361,7 @@ rules! {
         code: "MS1002",
         name: "fleet-unsatisfiable-spec",
         severity: Error,
-        summary: "A fleet spec is unsatisfiable: an inverted range, empty choice list, zero size, or weights that cannot be normalized",
+        summary: "A fleet spec is unsatisfiable: an inverted range, empty choice list, zero size, weights that cannot be normalized, or working sets too large for the cache simulator's 32-bit tags",
         paper: "Tables 4-5 generalized: a sampled design space must be well-posed before its error distribution means anything",
     };
     MS1003 = {

@@ -12,6 +12,7 @@ use metasim_apps::tracing::{sample_addresses, trace_workload};
 use metasim_bench::{shared_fleet, shared_probes, shared_study};
 use metasim_core::formula::{cost_expr, eval_cost};
 use metasim_core::metric::MetricId;
+use metasim_fleet::{FleetGenerator, FleetSpec, SampledGenerator};
 use metasim_machines::MachineId;
 use metasim_memsim::bandwidth::{measure_bandwidth, measure_bandwidth_memo, ProfileMemo, Workload};
 use metasim_memsim::spec::MemorySpec;
@@ -68,6 +69,39 @@ fn bench_random_measurement(c: &mut Criterion) {
                 black_box(measure_bandwidth(spec, &sample));
             }
         });
+    });
+    group.finish();
+}
+
+/// A random measurement through the fleet's largest LRU level: machine
+/// `m0000` of metabench's `fleet-sampled` fleet (the built-in space, 8
+/// machines, seed 42), whose 64 MiB, 8-way L3 of 32-byte lines is a 2 Mi-way
+/// tag array, at the fleet's largest block working set (87,893,982 bytes,
+/// past the L3). One fresh measurement per iteration.
+fn bench_largest_lru_level(c: &mut Criterion) {
+    let fleet = SampledGenerator {
+        spec: FleetSpec::paper_space(),
+        mutation: None,
+    }
+    .generate(8, 42);
+    let spec = &fleet.machines[0].config.memory;
+    let working_set = fleet
+        .apps
+        .iter()
+        .flat_map(|app| &app.workload.blocks)
+        .map(|block| block.working_set)
+        .max()
+        .expect("a sampled fleet has blocks");
+    let l3 = spec.levels.last().expect("m0000 has cache levels");
+    assert!(
+        working_set > l3.capacity_bytes,
+        "the stream must pass the L3"
+    );
+    let w = Workload::new(working_set, AccessKind::Random, DependencyMode::Independent);
+    let mut group = c.benchmark_group("memsim");
+    group.sample_size(20);
+    group.bench_function("random_measurement_largest_lru", |b| {
+        b.iter(|| black_box(measure_bandwidth(spec, &w)));
     });
     group.finish();
 }
@@ -191,6 +225,7 @@ fn bench_netsim(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_random_measurement,
+    bench_largest_lru_level,
     bench_sweep_profiles,
     bench_bandwidth,
     bench_bandwidth_at,

@@ -1458,6 +1458,15 @@ fn predict_custom(rest: &[String]) -> Result<(), String> {
         .into_iter()
         .find(|m| m.label().eq_ignore_ascii_case(machine_s))
         .ok_or_else(|| format!("unknown machine `{machine_s}`"))?;
+    // The base system simulates each block's random stream, which its
+    // caches can tag only up to `max_span` bytes.
+    let max_span = fleet().base().memory.hierarchy().max_span();
+    if let Some(b) = workload.blocks.iter().find(|b| b.working_set > max_span) {
+        return Err(format!(
+            "block {}: working set {} bytes exceeds the {max_span} bytes the base system's caches can simulate",
+            b.name, b.working_set
+        ));
+    }
 
     let session = Session::reports();
     // A custom workload has no appendix ground truth; the base runtime is
@@ -2301,6 +2310,19 @@ mod tests {
         assert_eq!(workload.processes, 16);
         assert_eq!(workload.app, "RFCTH");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn predict_custom_refuses_a_working_set_past_the_tag_range() {
+        let dir = std::env::temp_dir().join("metasim-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("huge-working-set-{}.json", std::process::id()));
+        let mut workload = TestCase::RfcthStandard.workload(16);
+        workload.blocks[0].working_set = u64::MAX;
+        std::fs::write(&path, serde_json::to_string(&workload).unwrap()).unwrap();
+        let err = predict_custom(&[path.to_string_lossy().into(), "ARL_Xeon".into()]).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("working set"), "{err}");
     }
 
     #[test]

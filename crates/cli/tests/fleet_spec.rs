@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use metasim_fleet::FleetSpec;
+use metasim_fleet::{Dist, FleetSpec};
 
 /// A spec file of its own for each test, removed on drop.
 struct SpecFile(PathBuf);
@@ -60,4 +60,21 @@ fn tlb_entries_beyond_the_cap_exit_1_with_ms1002() {
         spec.machines.tlb_entries = vec![entries];
         assert_refused("tlb-entries", &spec, "tlb_entries");
     }
+}
+
+#[test]
+fn working_sets_past_the_cache_tag_range_exit_1_with_ms1002() {
+    let mut spec = FleetSpec::paper_space();
+    // Up to about 10^15 bytes per process, past the 2^32 tags of any
+    // sampled L1.
+    spec.apps.bytes_per_cell = Dist::Uniform { lo: 16.0, hi: 1e9 };
+    assert_refused("tag-range", &spec, "bytes_per_cell");
+}
+
+#[test]
+fn a_line_and_associativity_past_64_bits_exit_1_with_ms1002() {
+    let mut spec = FleetSpec::paper_space();
+    spec.machines.line_bytes = vec![1 << 40];
+    spec.machines.associativity = vec![1 << 31];
+    assert_refused("line-ways", &spec, "line_bytes");
 }

@@ -13,11 +13,14 @@
 //!
 //! Spec well-posedness is an audited property, not an assertion:
 //! [`audit_spec`] emits [`MS1002`] findings for inverted ranges, empty
-//! choice lists, and weights that cannot be normalized.
+//! choice lists, weights that cannot be normalized, and working sets too
+//! large for the cache simulator to tag.
 
+use metasim_apps::workload::WorkingSetModel;
 use metasim_audit::registry::MS1002;
 use metasim_audit::Auditor;
-use metasim_memsim::spec::MAX_TLB_ENTRIES;
+use metasim_machines::fleet as paper_fleet;
+use metasim_memsim::spec::{CacheGeometry, MAX_TLB_ENTRIES};
 use metasim_stats::rng::SeededRng;
 use serde::{Deserialize, Serialize};
 
@@ -64,6 +67,18 @@ impl Dist {
     #[must_use]
     pub fn sample_int(&self, rng: &mut SeededRng) -> i64 {
         self.sample(rng).round() as i64
+    }
+
+    /// The smallest and the largest value a draw can take.
+    fn bounds(&self) -> (f64, f64) {
+        match self {
+            Dist::Uniform { lo, hi } | Dist::LogUniform { lo, hi } => (*lo, *hi),
+            Dist::Choice { values } => values
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (lo.min(v), hi.max(v))
+                }),
+        }
     }
 
     /// Emit [`MS1002`] findings when the distribution is unsatisfiable.
@@ -417,6 +432,76 @@ fn audit_weights(weights: &[f64], n: usize, field: &str, a: &mut Auditor) {
     }
 }
 
+/// Emit an [`MS1002`] finding on each working-set field whose largest draw
+/// spans more than some cache level of the study can simulate
+/// ([`CacheGeometry::max_span`]): a random stream over it would need a tag
+/// beyond the simulator's 32-bit ways. The tightest sampled level is the
+/// L1 at its least capacity with the shortest line and the most ways,
+/// built as the sampler builds it; the base machine's levels run every
+/// application too. Each has at least two sets and so a range of at least
+/// 2 × (2^32 − 1) bytes, which the probes' random streams (at most
+/// 512 MiB) and fixed working sets (at most 1 GiB) always fit.
+fn audit_tag_range(spec: &FleetSpec, a: &mut Auditor) {
+    let (m, ap) = (&spec.machines, &spec.apps);
+    // Only lists that pass the checks above define a smallest level.
+    let (Some(&line), Some(&ways), Some(&processes), &[per_process, plane, _]) = (
+        m.line_bytes.iter().min(),
+        m.associativity.iter().max(),
+        ap.processes.iter().min(),
+        &ap.ws_weights[..],
+    ) else {
+        return;
+    };
+    let (Ok(associativity), Some(least)) = (
+        u32::try_from(ways),
+        line.checked_mul(ways).and_then(|b| b.checked_mul(2)),
+    ) else {
+        return;
+    };
+    if processes == 0 || ways == 0 || !line.is_power_of_two() {
+        return;
+    }
+    let cap_log2 = (m.l1_capacity_log2.bounds().0.round() as i64).clamp(10, 40);
+    let sampled = CacheGeometry {
+        capacity_bytes: (1u64 << cap_log2).max(least),
+        line_bytes: line,
+        associativity,
+    };
+    let max_span = sampled
+        .max_span()
+        .min(paper_fleet().base().memory.hierarchy().max_span());
+    let cells = 10f64.powf(ap.cells_log10.bounds().1) as u64;
+    for (weight, field, model) in [
+        (
+            per_process,
+            "bytes_per_cell",
+            WorkingSetModel::PerProcess {
+                bytes_per_cell: ap.bytes_per_cell.bounds().1.max(1.0),
+            },
+        ),
+        (
+            plane,
+            "plane_bytes_per_point",
+            WorkingSetModel::Plane {
+                bytes_per_point: ap.plane_bytes_per_point.bounds().1.max(1.0),
+            },
+        ),
+    ] {
+        let working_set = model.bytes(cells, processes);
+        if weight > 0.0 && working_set > max_span {
+            a.finding_at(
+                &MS1002,
+                field,
+                format!(
+                    "working sets up to {working_set} bytes (with cells_log10 and processes) \
+                     exceed the {max_span} bytes the study's tightest cache level can tag \
+                     in 32 bits"
+                ),
+            );
+        }
+    }
+}
+
 fn audit_choice_u64(values: &[u64], field: &str, pow2: bool, a: &mut Auditor) {
     if values.is_empty() {
         a.finding_at(&MS1002, field, "empty choice list");
@@ -450,6 +535,19 @@ pub fn audit_spec(spec: &FleetSpec, a: &mut Auditor) {
                     &MS1002,
                     "associativity",
                     "associativity must be below 2^32, the most ways a cache level holds",
+                );
+            }
+            // The sampler sizes a level at least `2 × line × ways` bytes.
+            let widest = m.line_bytes.iter().max().zip(m.associativity.iter().max());
+            if widest.is_some_and(|(&line, &ways)| {
+                line.checked_mul(ways)
+                    .and_then(|b| b.checked_mul(2))
+                    .is_none()
+            }) {
+                a.finding_at(
+                    &MS1002,
+                    "line_bytes",
+                    "2 × line_bytes × associativity must fit in 64 bits, the bytes of the smallest level",
                 );
             }
             m.l1_capacity_log2.audit("l1_capacity_log2", a);
@@ -515,6 +613,7 @@ pub fn audit_spec(spec: &FleetSpec, a: &mut Auditor) {
             ap.p2p_per_step.audit("p2p_per_step", a);
             ap.allreduce_per_step.audit("allreduce_per_step", a);
             ap.barrier_every_steps.audit("barrier_every_steps", a);
+            audit_tag_range(spec, a);
         });
         if !(spec.thresholds.good > 0.0
             && spec.thresholds.poor > spec.thresholds.good
@@ -555,6 +654,25 @@ mod tests {
     }
 
     #[test]
+    fn a_line_and_associativity_past_64_bits_are_an_ms1002_finding() {
+        let mut spec = FleetSpec::paper_space();
+        spec.machines.line_bytes = vec![32, 1 << 40];
+        spec.machines.associativity = vec![4, 1 << 23];
+        let report = audit_value(|a| audit_spec(&spec, a));
+        assert_eq!(report.diagnostics.len(), 1, "{}", report.summary_line());
+        let finding = &report.diagnostics[0];
+        assert_eq!(finding.rule.code, "MS1002");
+        assert!(
+            finding.subject.ends_with("line_bytes"),
+            "{}",
+            finding.subject
+        );
+
+        spec.machines.associativity = vec![4, 1 << 22];
+        assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
+    }
+
+    #[test]
     fn tlb_entries_beyond_the_cap_are_an_ms1002_finding_on_their_field() {
         let mut spec = FleetSpec::paper_space();
         for entries in [MAX_TLB_ENTRIES as u64 + 1, 1 << 32, u64::MAX] {
@@ -570,6 +688,44 @@ mod tests {
             );
         }
         spec.machines.tlb_entries = vec![64, MAX_TLB_ENTRIES as u64];
+        assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
+    }
+
+    #[test]
+    fn working_sets_past_the_tag_range_are_an_ms1002_finding_on_their_field() {
+        // The tightest level is a sampled 16 KiB, 8-way L1 of 32-byte
+        // lines: 2 KiB per tag, so spans up to about 8.8e12 bytes fit.
+        // 10^7.5 cells over 32 processes reach 7.9e12 bytes at 8e6 bytes
+        // per cell and 9.9e12 at 1e7; planes reach about 9.9e3 points.
+        let mut spec = FleetSpec::paper_space();
+        assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
+        for (per_cell, per_point, fields) in [
+            (8e6, 8e8, vec![]),
+            (1e7, 8e8, vec!["bytes_per_cell"]),
+            (8e6, 1e9, vec!["plane_bytes_per_point"]),
+            (1e7, 1e9, vec!["bytes_per_cell", "plane_bytes_per_point"]),
+        ] {
+            spec.apps.bytes_per_cell = Dist::Uniform {
+                lo: 16.0,
+                hi: per_cell,
+            };
+            spec.apps.plane_bytes_per_point = Dist::Choice {
+                values: vec![per_point, 500.0],
+            };
+            let report = audit_value(|a| audit_spec(&spec, a));
+            let subjects: Vec<&str> = report
+                .diagnostics
+                .iter()
+                .map(|d| d.subject.as_str())
+                .collect();
+            assert_eq!(subjects.len(), fields.len(), "{}", report.summary_line());
+            for (finding, field) in report.diagnostics.iter().zip(&fields) {
+                assert_eq!(finding.rule.code, "MS1002");
+                assert!(finding.subject.ends_with(field), "{subjects:?}");
+            }
+        }
+        // A working-set model drawn with weight 0 is never drawn.
+        spec.apps.ws_weights = vec![0.0, 0.0, 1.0];
         assert!(audit_value(|a| audit_spec(&spec, a)).is_clean());
     }
 

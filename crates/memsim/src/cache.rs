@@ -3,15 +3,25 @@
 //! The simulator models tag state only (no data), which is all a timing study
 //! needs. Associativity in the fleet this workspace models is small (1–16
 //! ways), so each set is a tiny array kept in recency order, most recently
-//! used way first. An access carries its line in at the front and walks the
-//! set once, each way taking the line before it: the walk stops where it
-//! meets the line (a hit, whose way moved to the front) or drops the tail
-//! way off the end (a miss, evicting the least recently used way). Empty
-//! ways sit at the tail of their set, so they are consumed before any
+//! used way first. An access carries its line's tag in at the front and
+//! walks the set once, each way taking the tag before it: the walk stops
+//! where it meets the tag (a hit, whose way moved to the front) or drops
+//! the tail way off the end (a miss, evicting the least recently used way).
+//! Empty ways sit at the tail of their set, so they are consumed before any
 //! eviction happens.
 //!
+//! A way is a 4-byte tag: the line number shifted right by the set bits
+//! (`line >> log2(sets)`). The set index is the way's position in the
+//! array, so the tag and the position together give back the line, and two
+//! lines of one set have equal tags only when they are the same line.
+//! `u32::MAX` marks an empty way, so a span's largest tag, `(span − 1) /
+//! (line_bytes × sets)`, must lie below it. [`CacheGeometry::max_span`] is
+//! the largest such span: just under 128 GiB or more for any geometry with
+//! lines of 32 bytes or more. A cache built for a larger span is refused
+//! before any access, never truncated.
+//!
 //! A cache remembers which chunks of 64 sets a miss filled, so dropping it
-//! re-empties only those: a run that touched a few sets of a 16 MiB tag
+//! re-empties only those: a run that touched a few sets of an 8 MiB tag
 //! array clears a few KiB, and the array goes back to the tag pool clean.
 //!
 //! A cache built for a known *span* (`Cache::spanning`: every address the
@@ -81,15 +91,16 @@ trait Store {
 /// The LRU tag array.
 #[derive(Debug)]
 struct Sets {
-    /// Line number per way (`addr >> line_shift`), `assoc` ways per set,
-    /// each set ordered most to least recently used; [`EMPTY`] marks an
-    /// unused way.
-    ways: Vec<u64>,
+    /// Tag per way (`line >> set_bits`), `assoc` ways per set, each set
+    /// ordered most to least recently used; [`EMPTY`] marks an unused way.
+    ways: Vec<u32>,
     /// One bit per chunk of [`CHUNK_SETS`] sets, set when a miss fills a
     /// way in the chunk. Every way outside the marked chunks is [`EMPTY`].
     touched: Vec<u64>,
     assoc: usize,
     set_mask: u64,
+    /// Log2 of the set count: a line's tag is the line shifted right by it.
+    set_bits: u32,
     /// Lends `ways` and takes it back on drop.
     pool: &'static TagPool,
 }
@@ -108,14 +119,21 @@ impl Cache {
     /// bytes. When the span's lines fit in the cache it is first-touch
     /// (counter `memsim.level.first_touch`), otherwise it is LRU; either
     /// way its hits and misses are the LRU cache's for every run that stays
-    /// below the span. A span of `u64::MAX` always builds the LRU cache.
+    /// below the span.
     ///
     /// # Panics
-    /// Panics if the geometry fails validation.
+    /// Panics if the geometry fails validation, or if the span exceeds
+    /// [`CacheGeometry::max_span`], where a line's tag would no longer fit
+    /// a way.
     pub(crate) fn spanning(geometry: &CacheGeometry, span: u64) -> Self {
         geometry.validate().expect("invalid cache spec");
         let lines = span.div_ceil(geometry.line_bytes);
         if lines > geometry.capacity_bytes / geometry.line_bytes {
+            assert!(
+                span <= geometry.max_span(),
+                "span {span:#x} exceeds the {:#x} bytes whose tags fit a 32-bit way",
+                geometry.max_span()
+            );
             return Self::with_tags(geometry, Tags::Lru(Sets::new(geometry, &TAGS)));
         }
         metasim_obs::counter_add("memsim.level.first_touch", 1);
@@ -205,7 +223,7 @@ impl Cache {
 #[cfg(test)]
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum CacheState {
-    Lru { ways: Vec<u64>, touched: Vec<u64> },
+    Lru { ways: Vec<u32>, touched: Vec<u64> },
     FirstTouch { bits: Vec<u64> },
 }
 
@@ -228,14 +246,28 @@ impl Sets {
             touched: vec![0; sets.div_ceil(CHUNK_SETS).div_ceil(64)],
             assoc,
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             pool,
         }
     }
 
+    /// The set index and the tag of `line`. The tag fits: a cache is built
+    /// LRU only for a span within [`CacheGeometry::max_span`], and the
+    /// hierarchy simulator refuses addresses at or above its span.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u32) {
+        let tag = line >> self.set_bits;
+        debug_assert!(
+            tag < u64::from(EMPTY),
+            "line {line:#x} lies beyond the tag range"
+        );
+        ((line & self.set_mask) as usize, tag as u32)
+    }
+
     #[cfg(test)]
     fn contains(&self, line: u64) -> bool {
-        let base = (line & self.set_mask) as usize * self.assoc;
-        self.ways[base..base + self.assoc].contains(&line)
+        let (set_index, tag) = self.locate(line);
+        self.ways[set_index * self.assoc..][..self.assoc].contains(&tag)
     }
 
     /// Fill these empty sets from `lines`, most recently used first: each
@@ -249,18 +281,18 @@ impl Sets {
         let assoc = self.assoc;
         let mut open = self.set_mask + 1;
         for line in lines {
-            let set_index = (line & self.set_mask) as usize;
+            let (set_index, tag) = self.locate(line);
             let set = &mut self.ways[set_index * assoc..][..assoc];
             if set[assoc - 1] != EMPTY {
                 // Full: `line` is older than every way it holds.
                 continue;
             }
             for (way, held) in set.iter_mut().enumerate() {
-                if *held == line {
+                if *held == tag {
                     break;
                 }
                 if *held == EMPTY {
-                    *held = line;
+                    *held = tag;
                     if way == 0 {
                         let chunk = set_index >> CHUNK_SHIFT;
                         self.touched[chunk / 64] |= 1 << (chunk % 64);
@@ -298,16 +330,16 @@ impl Store for Sets {
     /// otherwise it is filled and the set's LRU way dropped.
     #[inline]
     fn touch(&mut self, line: u64) -> bool {
-        let set_index = (line & self.set_mask) as usize;
+        let (set_index, tag) = self.locate(line);
         let base = set_index * self.assoc;
-        // Carry the line in at the front; each way takes the one before it
-        // until the line itself turns up (a hit at position k: ways 0..k
+        // Carry the tag in at the front; each way takes the one before it
+        // until the tag itself turns up (a hit at position k: ways 0..k
         // moved back one step) or the last way is carried off the end (a
         // miss: the LRU victim, or an empty way, is dropped).
-        let mut carried = line;
+        let mut carried = tag;
         for way in &mut self.ways[base..base + self.assoc] {
             let held = std::mem::replace(way, carried);
-            if held == line {
+            if held == tag {
                 return true;
             }
             carried = held;
@@ -354,16 +386,20 @@ mod tests {
     use metasim_stats::rng::SeededRng;
     use proptest::prelude::*;
 
-    /// An LRU cache of `assoc` ways and `sets` sets of 64-byte lines.
+    /// The geometry of `assoc` ways and `sets` sets of 64-byte lines.
+    fn geometry(assoc: u32, sets: u64) -> CacheGeometry {
+        CacheGeometry {
+            capacity_bytes: 64 * u64::from(assoc) * sets,
+            line_bytes: 64,
+            associativity: assoc,
+        }
+    }
+
+    /// An LRU cache of `assoc` ways and `sets` sets of 64-byte lines, built
+    /// for the largest span its tags fit.
     fn tiny(assoc: u32, sets: u64) -> Cache {
-        Cache::spanning(
-            &CacheGeometry {
-                capacity_bytes: 64 * u64::from(assoc) * sets,
-                line_bytes: 64,
-                associativity: assoc,
-            },
-            u64::MAX,
-        )
+        let g = geometry(assoc, sets);
+        Cache::spanning(&g, g.max_span())
     }
 
     #[test]
@@ -443,11 +479,31 @@ mod tests {
 
     #[test]
     fn high_addresses_do_not_wrap() {
+        // Lines 0 and 2^32 share set 0 and differ only above bit 31, so a
+        // tag cut to the line's low 32 bits would alias them.
         let mut c = tiny(2, 4);
-        let base = 1u64 << 40;
-        assert!(!c.access(base));
-        assert!(c.access(base + 8));
-        assert!(!c.access(base + 64));
+        let high = 1u64 << 38;
+        assert!(!c.access(0));
+        assert!(!c.access(high), "line 2^32 is not line 0");
+        assert!(c.access(high + 8));
+        assert!(c.access(0), "set 0's two ways hold both lines");
+        assert!(!c.access(high + 64));
+        // The span's last line has the largest tag, one below the empty
+        // marker.
+        let last = geometry(2, 4).max_span() - 8;
+        assert_eq!(last >> 6 >> 2, u64::from(EMPTY) - 1);
+        assert!(!c.access(last));
+        assert!(c.access(last));
+        assert!(c.access(high), "set 3's fill left set 0 alone");
+    }
+
+    #[test]
+    #[should_panic(expected = "whose tags fit a 32-bit way")]
+    fn a_span_one_tag_past_the_range_is_refused() {
+        // `tiny` builds the largest accepted span; one byte more reaches a
+        // tag equal to the empty marker.
+        let g = geometry(2, 4);
+        let _ = Cache::spanning(&g, g.max_span() + 1);
     }
 
     /// An LRU cache whose tag array comes from `pool`.
@@ -456,7 +512,7 @@ mod tests {
     }
 
     /// The tag array of an LRU cache.
-    fn ways(c: &Cache) -> &[u64] {
+    fn ways(c: &Cache) -> &[u32] {
         match &c.tags {
             Tags::Lru(sets) => &sets.ways,
             Tags::FirstTouch(_) => panic!("a first-touch cache has no tag array"),
@@ -609,29 +665,33 @@ mod tests {
         // Hit for hit, the recency-ordered sets replay the stamp-based
         // reference over random streams: same-line runs, both single
         // accesses and batches, and `contains` probes, with line universes
-        // from half to eight times the capacity.
+        // from half to eight times the capacity. The last family moves
+        // twice the capacity's lines up by multiples of 2^32 below the set
+        // count: lines of one set that differ only above bit 31, all
+        // inside the span `tiny` accepts.
         #[test]
         fn matches_the_stamp_based_reference(
             assoc_idx in 0usize..7,
             sets_log2 in 0u32..7,
-            universe_idx in 0usize..5,
+            universe_idx in 0usize..6,
             ops in prop::collection::vec((0u64..1 << 40, 1usize..4, 0u64..64, 0u64..1 << 40), 1..2000),
         ) {
             let assoc = [1u32, 2, 3, 4, 8, 12, 16][assoc_idx];
             let sets = 1u64 << sets_log2;
             let capacity = u64::from(assoc) * sets;
-            let universe = match universe_idx {
-                0 => (capacity / 2).max(1),
-                1 => capacity,
-                2 => capacity + 1,
-                3 => 2 * capacity,
-                _ => 8 * capacity,
+            let line_of = |raw: u64| match universe_idx {
+                0 => raw % (capacity / 2).max(1),
+                1 => raw % capacity,
+                2 => raw % (capacity + 1),
+                3 => raw % (2 * capacity),
+                4 => raw % (8 * capacity),
+                _ => raw % (2 * capacity) + (((raw >> 20) % sets) << 32),
             };
             let mut fast = tiny(assoc, sets);
             let mut reference = ReferenceCache::new(assoc as usize, sets as usize);
             for (step, &(raw, run, offset, probe)) in ops.iter().enumerate() {
-                let line = raw % universe;
-                let probed = probe % universe;
+                let line = line_of(raw);
+                let probed = line_of(probe);
                 prop_assert_eq!(
                     fast.contains((probed << fast.line_shift) | offset),
                     reference.contains_line(probed),

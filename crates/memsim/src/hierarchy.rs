@@ -71,6 +71,21 @@ impl Hierarchy {
     }
 }
 
+impl Hierarchy {
+    /// The largest span, in bytes from address 0, that a random stream may
+    /// cover on this hierarchy: the least of its levels'
+    /// [`CacheGeometry::max_span`]s (`u64::MAX` with no level). A larger
+    /// span is refused, never truncated.
+    #[must_use]
+    pub fn max_span(&self) -> u64 {
+        self.levels
+            .iter()
+            .map(CacheGeometry::max_span)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+}
+
 /// Counters of where accesses were served, plus TLB misses.
 ///
 /// This is the interface between simulation (this module) and timing
@@ -154,7 +169,8 @@ impl HierarchySim {
     /// all-LRU simulator's for every such run.
     ///
     /// # Panics
-    /// Panics if a cache level's geometry fails validation or the TLB has
+    /// Panics if a cache level's geometry fails validation, the span
+    /// exceeds an LRU level's [`CacheGeometry::max_span`], or the TLB has
     /// no entries or a page size that is not a power of two. Accessing an
     /// address at or above `span` panics.
     pub(crate) fn spanning(hierarchy: &Hierarchy, span: u64) -> Self {
@@ -262,9 +278,10 @@ impl HierarchySim {
 /// against.
 #[cfg(test)]
 impl HierarchySim {
-    /// An all-LRU simulator for a hierarchy ([`MemorySpec::hierarchy`]).
+    /// An all-LRU simulator for a hierarchy ([`MemorySpec::hierarchy`]),
+    /// built for the largest span every level's tags fit.
     pub(crate) fn new(hierarchy: &Hierarchy) -> Self {
-        Self::spanning(hierarchy, u64::MAX)
+        Self::spanning(hierarchy, hierarchy.max_span())
     }
 
     /// Simulate one access of `bytes` requested at byte address `addr`:
@@ -525,6 +542,13 @@ mod tests {
             assert_eq!(sim.first_touch_levels(), first_touch, "span {span}");
         }
         assert_eq!(HierarchySim::new(&h).first_touch_levels(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whose tags fit a 32-bit way")]
+    fn a_span_past_a_levels_tag_range_is_refused_before_any_access() {
+        let h = MemorySpec::example_two_level().hierarchy();
+        let _ = HierarchySim::spanning(&h, h.max_span() + 1);
     }
 
     #[test]

@@ -142,6 +142,19 @@ impl CacheGeometry {
     pub(crate) fn sets(&self) -> u64 {
         self.capacity_bytes / (self.line_bytes * u64::from(self.associativity))
     }
+
+    /// The largest span, in bytes from address 0, that a random stream may
+    /// cover on this (valid) level: the simulator keeps each way as a 4-byte
+    /// tag, the line number over the set count, and `u32::MAX` marks an
+    /// empty way, so the span's largest tag, `(span − 1) / (line_bytes ×
+    /// sets)`, must lie below `u32::MAX`. That is `u32::MAX × line_bytes ×
+    /// sets` bytes, saturating at `u64::MAX`: no less than 32 × (2^32 − 1)
+    /// bytes, just under 128 GiB, for lines of 32 bytes or more. A larger
+    /// span is refused, never truncated.
+    #[must_use]
+    pub fn max_span(&self) -> u64 {
+        u64::from(u32::MAX).saturating_mul(self.line_bytes * self.sets())
+    }
 }
 
 /// Main-memory parameters.

@@ -2,7 +2,7 @@
 //!
 //! Every random bandwidth measurement builds a fresh hierarchy simulator
 //! (sequential and strided ones are counted without one), and the largest
-//! fleet cache has a 16 MiB tag array. That array is built only when a
+//! fleet cache has an 8 MiB tag array (2 Mi ways of 4 bytes). That array is built only when a
 //! measurement's working set exceeds the cache: a level that holds the
 //! whole working set is first-touch and keeps a bitmap of its lines
 //! instead, taking nothing from the pool. The sharded executor
@@ -27,13 +27,16 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Marks an empty way; line `u64::MAX` aliases it.
-pub(crate) const EMPTY: u64 = u64::MAX;
+/// Marks an empty way. No tag equals it: a cache is built only for a span
+/// whose tags lie below it ([`CacheGeometry::max_span`]).
+///
+/// [`CacheGeometry::max_span`]: crate::spec::CacheGeometry::max_span
+pub(crate) const EMPTY: u32 = u32::MAX;
 
-/// Arrays of at least this many ways (1 MiB) are pooled. Smaller ones come
-/// from the allocating thread's own bins, and together they are a rounding
-/// error in the resident set.
-const MIN_POOLED_WAYS: usize = 1 << 17;
+/// Arrays of at least this many 4-byte ways (1 MiB) are pooled. Smaller
+/// ones come from the allocating thread's own bins, and together they are
+/// a rounding error in the resident set.
+const MIN_POOLED_WAYS: usize = 1 << 18;
 
 /// Tag arrays waiting for a new cache of the same size.
 #[derive(Debug)]
@@ -42,7 +45,7 @@ pub(crate) struct TagPool(Mutex<Pool>);
 #[derive(Debug)]
 struct Pool {
     /// Dropped arrays, oldest first.
-    spares: Vec<Vec<u64>>,
+    spares: Vec<Vec<u32>>,
     /// Ways in pooled-size arrays currently owned by caches.
     live: usize,
     /// The most ways `live` has reached.
@@ -70,7 +73,7 @@ impl TagPool {
 
     /// An array of `len` ways, each [`EMPTY`]: a spare of that length when
     /// there is one, a fresh allocation otherwise.
-    pub(crate) fn take(&self, len: usize) -> Vec<u64> {
+    pub(crate) fn take(&self, len: usize) -> Vec<u32> {
         if !Self::keeps(len) {
             return vec![EMPTY; len];
         }
@@ -89,7 +92,7 @@ impl TagPool {
 
     /// Return an array obtained from [`take`](Self::take), every way
     /// [`EMPTY`] again if the pool [`keeps`](Self::keeps) it.
-    pub(crate) fn give(&self, ways: Vec<u64>) {
+    pub(crate) fn give(&self, ways: Vec<u32>) {
         if Self::keeps(ways.len()) {
             debug_assert!(
                 ways.iter().all(|&w| w == EMPTY),
@@ -102,7 +105,7 @@ impl TagPool {
     }
 
     #[cfg(test)]
-    pub(crate) fn spare_ptrs(&self) -> Vec<*const u64> {
+    pub(crate) fn spare_ptrs(&self) -> Vec<*const u32> {
         self.lock().spares.iter().map(Vec::as_ptr).collect()
     }
 }
